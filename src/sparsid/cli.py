@@ -11,21 +11,19 @@ command-line flags (flags win). Exit codes: 0 success, 2 configuration
 error, 3 input/output error, 4 well-posedness violation at initialization
 under a strict policy.
 
-Ingestion, estimation, and emission run as a three-stage pipeline over
-bounded queues; the estimator state has a single writer (the middle
-stage). A single-threaded run of the same stages produces byte-identical
-output; select it with the `pipeline` config key.
+Fit, stream and monitor share one single-threaded loop: read the header,
+take `window` warmup samples, then for every full batch of `batch_in`
+samples call the mode's step and write its record as one JSON line.
 """
 
 import argparse
 import csv
 import io
 import json
-import queue
 import sys
-import threading
 import time
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +33,7 @@ from .analyze import TruthTrajectory, render_equations, score_errors, write_erro
 from .dictionary import DictionarySpec, Sample
 from .errors import ConditionViolated, SparsidError
 from .monitor import check_pe, utility
+from .recursion import WindowBuffer
 from .posterior import NoiseModel, initial_horseshoe
 from .simulate import (
     LorenzConfig,
@@ -96,7 +95,6 @@ class RunConfig:
     condition_on_discounted: bool = False
     truth: str | None = None
     alpha1: float = 1e-6
-    pipeline: str = "threads"
     idle_timeout: float = 5.0
 
     def __post_init__(self):
@@ -104,8 +102,6 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.case not in ("case1", "lorenz"):
             raise ConfigError(f"unknown case {self.case!r}")
-        if self.pipeline not in ("threads", "single"):
-            raise ConfigError("pipeline must be 'threads' or 'single'")
         if self.idle_timeout <= 0.0:
             raise ConfigError("idle_timeout must be positive")
 
@@ -268,113 +264,107 @@ def _read_lines(path: str):
 
 
 def _follow_lines(path: str, idle_timeout: float, poll: float = 0.05):
-    """Tail a growing file; stop after idle_timeout with no new data."""
+    """Tail a growing file; stop once idle_timeout seconds pass with no new data."""
     try:
         fh = open(path)
     except OSError as exc:
         raise InputError(str(exc)) from exc
     with fh:
         buf = ""
-        idle = 0.0
+        last_data = time.monotonic()
         while True:
             chunk = fh.readline()
             if chunk:
-                idle = 0.0
+                last_data = time.monotonic()
                 buf += chunk
                 if buf.endswith("\n"):
                     if buf.strip():
                         yield buf
                     buf = ""
                 continue
-            if idle >= idle_timeout:
+            if time.monotonic() - last_data >= idle_timeout:
                 if buf.strip():
                     yield buf
                 return
             time.sleep(poll)
-            idle += poll
 
 
-def _sample_source(lines, holder: dict):
-    """Parse a CSV line stream into Samples; stashes (n_x, n_y) in holder."""
-    header = None
-    last_t = None
-    for line in lines:
-        if header is None:
-            header = _parse_header(line)
-            holder["shape"] = header
-            continue
-        sample = _parse_row(line, header[0], header[1], last_t)
-        last_t = sample.timestamp
-        yield sample
+def _read_samples(lines) -> tuple:
+    """(n_x, n_y, samples) of a CSV line stream. The header is read now, the
+    rows lazily as the sample iterator is consumed."""
+    lines = iter(lines)
+    header = next(lines, None)
     if header is None:
         raise InputError("input has no header row")
+    n_x, n_y = _parse_header(header)
+
+    def rows():
+        last_t = None
+        for line in lines:
+            sample = _parse_row(line, n_x, n_y, last_t)
+            last_t = sample.timestamp
+            yield sample
+
+    return n_x, n_y, rows()
 
 
-# ---------------------------------------------------------------- pipeline
-
-_DONE = object()
+# ----------------------------------------------------------------- run loop
 
 
-def _run_pipeline(source, transform, sink, mode: str) -> None:
-    """source -> transform -> sink over bounded queues (or inline)."""
-    if mode == "single":
-        for item in source:
-            record = transform(item)
-            if record is not None:
-                sink(record)
-        return
+def _drive(cfg: RunConfig, mode_cls):
+    """The one loop of fit, stream and monitor runs.
 
-    q_in: queue.Queue = queue.Queue(maxsize=256)
-    q_out: queue.Queue = queue.Queue(maxsize=256)
-    failures: list = []
+    Reads the header, builds the dictionary, hands `window` warmup samples
+    to the mode's start, then passes every full batch of `batch_in` samples
+    to its step and writes the returned record as one JSON line to the
+    mode's output file. A trailing partial batch is dropped. Returns the
+    mode object, so the caller can write what it keeps after the loop.
+    """
+    if cfg.input is None or cfg.output is None:
+        raise ConfigError(f"{cfg.mode} requires --input and --output")
+    if cfg.batch_in < 1:
+        raise ConfigError(f"batch_in must be at least 1 for {cfg.mode} runs")
+    lines = (
+        _follow_lines(cfg.input, cfg.idle_timeout)
+        if cfg.mode == "stream"
+        else _read_lines(cfg.input)
+    )
+    n_x, n_y, samples = _read_samples(lines)
+    try:
+        spec = DictionarySpec(
+            state_dim=n_x, poly_degree=cfg.degree, include_bias=cfg.include_bias
+        )
+    except (ValueError, SparsidError) as exc:
+        raise ConfigError(str(exc)) from exc
+    mode = mode_cls(cfg, spec, n_y)
+    warmup = list(islice(samples, cfg.window))
+    if len(warmup) < cfg.window:
+        raise InputError(
+            f"input ended during warmup ({len(warmup)} of {cfg.window} samples)"
+        )
+    mode.start(warmup)
 
-    def ingest():
-        try:
-            for item in source:
-                q_in.put(item)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
-            failures.append(exc)
-        finally:
-            q_in.put(_DONE)
-
-    def estimate():
-        try:
-            while True:
-                item = q_in.get()
-                if item is _DONE:
-                    break
-                record = transform(item)
-                if record is not None:
-                    q_out.put(record)
-        except BaseException as exc:  # noqa: BLE001
-            failures.append(exc)
-            while q_in.get() is not _DONE:  # drain so ingest cannot block
-                pass
-        finally:
-            q_out.put(_DONE)
-
-    threads = [threading.Thread(target=ingest), threading.Thread(target=estimate)]
-    for t in threads:
-        t.start()
-    while True:
-        record = q_out.get()
-        if record is _DONE:
-            break
-        sink(record)
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0]
+    out = Path(cfg.output)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(out / mode.output_name, "w") as fh:
+            while len(batch := list(islice(samples, cfg.batch_in))) == cfg.batch_in:
+                fh.write(json.dumps(mode.step(batch), sort_keys=True))
+                fh.write("\n")
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+    return mode
 
 
 # --------------------------------------------------------------- fit modes
 
 
-class _FitDriver:
-    """Middle pipeline stage: warm up, then step the estimator per batch."""
+class _Fit:
+    """Fit and stream: the estimator, stepped once per batch."""
+
+    output_name = "steps.jsonl"
 
     def __init__(self, cfg: RunConfig, spec: DictionarySpec, n_y: int):
-        self.cfg = cfg
         self.spec = spec
         try:
             self.rconfig = rec.RecursionConfig(
@@ -393,24 +383,19 @@ class _FitDriver:
             )
         except (ValueError, SparsidError) as exc:
             raise ConfigError(str(exc)) from exc
-        self.warmup: list = []
-        self.batch: list = []
         self.state = None
         self.estimates: list = []
 
-    def feed(self, sample: Sample) -> dict | None:
-        if self.state is None:
-            self.warmup.append(sample)
-            if len(self.warmup) == self.cfg.window:
-                self.state = rec.init(
-                    self.spec, self.rconfig, self.warmup, self.noise, self.horseshoe
-                )
-            return None
-        self.batch.append(sample)
-        if len(self.batch) < self.cfg.batch_in:
-            return None
-        outcome = rec.step(self.state, self.batch)
-        self.batch = []
+    def start(self, warmup: list) -> None:
+        try:
+            self.state = rec.init(
+                self.spec, self.rconfig, warmup, self.noise, self.horseshoe
+            )
+        except ValueError as exc:  # window geometry cannot identify the columns
+            raise ConfigError(str(exc)) from exc
+
+    def step(self, batch: list) -> dict:
+        outcome = rec.step(self.state, batch)
         record = rec.step_record(self.state, outcome)
         if outcome.accepted:
             self.estimates.append(
@@ -448,99 +433,53 @@ def _load_truth(cfg: RunConfig) -> TruthTrajectory | None:
 
 
 def run_fit(cfg: RunConfig) -> None:
-    if cfg.input is None or cfg.output is None:
-        raise ConfigError("fit requires --input and --output")
-    if cfg.batch_in < 1:
-        raise ConfigError("batch_in must be at least 1 for fit runs")
+    fit = _drive(cfg, _Fit)
     out = Path(cfg.output)
-    lines = (
-        _follow_lines(cfg.input, cfg.idle_timeout)
-        if cfg.mode == "stream"
-        else _read_lines(cfg.input)
-    )
-    holder: dict = {}
-    samples = _sample_source(lines, holder)
-
-    # the header arrives with the first sample, so peek one sample ahead
-    try:
-        first = next(samples)
-    except StopIteration:
-        raise InputError("input holds a header but no rows") from None
-    n_x, n_y = holder["shape"]
-    try:
-        spec = DictionarySpec(
-            state_dim=n_x, poly_degree=cfg.degree, include_bias=cfg.include_bias
-        )
-    except (ValueError, SparsidError) as exc:
-        raise ConfigError(str(exc)) from exc
-    driver = _FitDriver(cfg, spec, n_y)
-
-    def chained():
-        yield first
-        yield from samples
-
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(out / "steps.jsonl", "w") as fh:
-
-            def sink(record: dict) -> None:
-                fh.write(json.dumps(record, sort_keys=True))
-                fh.write("\n")
-
-            _run_pipeline(chained(), driver.feed, sink, cfg.pipeline)
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
-
-    if driver.state is None:
-        raise InputError(
-            f"input ended during warmup ({len(driver.warmup)} of {cfg.window} samples)"
-        )
-    final = rec.snapshot(driver.state)
+    final = rec.snapshot(fit.state)
     with open(out / "equations.txt", "w") as fh:
         for line in render_equations(final, cfg.threshold):
             fh.write(line)
             fh.write("\n")
     truth = _load_truth(cfg)
-    if truth is not None and driver.estimates:
-        write_error_csv(out / "errors.csv", score_errors(driver.estimates, truth))
+    if truth is not None and fit.estimates:
+        write_error_csv(out / "errors.csv", score_errors(fit.estimates, truth))
 
 
 # ----------------------------------------------------------------- monitor
 
 
-class _MonitorDriver:
-    """Diagnostics-only stage: utility of each batch, excitation of the
-    sliding window after it."""
+class _Monitor:
+    """Diagnostics only: utility of each batch, excitation of the sliding
+    window after it."""
 
-    def __init__(self, cfg: RunConfig, spec: DictionarySpec):
-        if cfg.batch_in < 1:
-            raise ConfigError("batch_in must be at least 1 for monitor runs")
-        if cfg.forget > cfg.window:
-            raise ConfigError("cannot forget more samples than the window holds")
+    output_name = "monitor.jsonl"
+
+    def __init__(self, cfg: RunConfig, spec: DictionarySpec, n_y: int):
+        try:  # the estimator's window geometry rules
+            rec.RecursionConfig(
+                window=cfg.window, batch_in=cfg.batch_in, forget=cfg.forget
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         self.cfg = cfg
         self.spec = spec
-        self.window: list = []
-        self.batch: list = []
+        self.window = WindowBuffer(cfg.window)
         self.step_index = 0
 
-    def feed(self, sample: Sample) -> dict | None:
-        if len(self.window) < self.cfg.window:
-            self.window.append(sample)
-            return None
-        self.batch.append(sample)
-        if len(self.batch) < self.cfg.batch_in:
-            return None
-        old = self.window[: self.cfg.forget]
-        report = utility(
-            self.spec, [s.state for s in self.batch], [s.state for s in old]
+    def start(self, warmup: list) -> None:
+        self.window.extend(warmup)
+
+    def step(self, batch: list) -> dict:
+        old = self.window.pop_oldest(min(self.cfg.forget, len(self.window)))
+        report = utility(self.spec, [s.state for s in batch], [s.state for s in old])
+        self.window.extend(batch)
+        pe = check_pe(
+            self.spec, [s.state for s in self.window.items()], self.cfg.alpha1
         )
-        self.window = self.window[self.cfg.forget :] + self.batch
-        self.window = self.window[-self.cfg.window :]
-        pe = check_pe(self.spec, [s.state for s in self.window], self.cfg.alpha1)
         self.step_index += 1
-        record = {
+        return {
             "step": self.step_index,
-            "t": float(self.batch[-1].timestamp),
+            "t": float(batch[-1].timestamp),
             "classification": report.classification,
             "kappa_min": float(report.kappas[0]),
             "kappa_max": float(report.kappas[-1]),
@@ -548,44 +487,10 @@ class _MonitorDriver:
             "pe_max_avg_eig": pe.max_avg_eig,
             "pe_satisfied": pe.satisfied,
         }
-        self.batch = []
-        return record
 
 
 def run_monitor(cfg: RunConfig) -> None:
-    if cfg.input is None or cfg.output is None:
-        raise ConfigError("monitor requires --input and --output")
-    out = Path(cfg.output)
-    holder: dict = {}
-    samples = _sample_source(_read_lines(cfg.input), holder)
-    try:
-        first = next(samples)
-    except StopIteration:
-        raise InputError("input holds a header but no rows") from None
-    n_x, _ = holder["shape"]
-    try:
-        spec = DictionarySpec(
-            state_dim=n_x, poly_degree=cfg.degree, include_bias=cfg.include_bias
-        )
-    except (ValueError, SparsidError) as exc:
-        raise ConfigError(str(exc)) from exc
-    driver = _MonitorDriver(cfg, spec)
-
-    def chained():
-        yield first
-        yield from samples
-
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(out / "monitor.jsonl", "w") as fh:
-
-            def sink(record: dict) -> None:
-                fh.write(json.dumps(record, sort_keys=True))
-                fh.write("\n")
-
-            _run_pipeline(chained(), driver.feed, sink, cfg.pipeline)
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
+    _drive(cfg, _Monitor)
 
 
 # -------------------------------------------------------------------- main

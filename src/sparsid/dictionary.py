@@ -141,8 +141,10 @@ def build_matrix(spec: DictionarySpec, states: Sequence[np.ndarray]) -> np.ndarr
 
     Returns
     -------
-    (t, n_columns) array
+    (t, n_columns) array; an empty block gives a (0, n_columns) array
     """
+    if len(states) == 0:
+        return np.zeros((0, spec.n_columns))
     x = np.asarray(states, dtype=float)
     if x.ndim != 2 or x.shape[1] != spec.state_dim:
         raise DimensionMismatch(

@@ -3,9 +3,10 @@
 The central object is the information differential between an incoming
 block and the block about to be forgotten: Gram(new) - Gram(old). Its
 eigenvalues classify an update as informative (strictly positive definite),
-redundant (semidefinite boundary), or degrading (some direction loses
-information). The persistent-excitation check is an independent diagnostic
-on a whole window.
+redundant (semidefinite boundary), degrading (some direction loses
+information and none gains), or mixed (some directions gain, others lose).
+The persistent-excitation check is an independent diagnostic on a whole
+window.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ __all__ = [
     "utility",
     "utility_from_differential",
     "check_pe",
+    "gram",
 ]
 
 # Note printed on boundary cases: semidefinite differentials are enough for
@@ -39,15 +41,12 @@ class UtilityReport:
     """Eigenvalue audit of one window update.
 
     kappas are the eigenvalues of the information differential, ascending.
-    cholesky_factor is the upper-triangular factor F with F.T @ F equal to
-    the differential; it exists only for informative updates.
     """
 
     kappas: np.ndarray
     classification: str
     differential_trace: float
     epsilon: float
-    cholesky_factor: np.ndarray | None = None
     note: str | None = None
 
 
@@ -62,11 +61,8 @@ class PeReport:
     satisfied: bool
 
 
-def _gram(spec: DictionarySpec, states) -> np.ndarray:
-    if len(states) == 0:
-        n = spec.n_columns
-        return np.zeros((n, n))
-    rows = build_matrix(spec, states)
+def gram(rows: np.ndarray) -> np.ndarray:
+    """Symmetrized Gram matrix rows.T @ rows of a design block (n_rows x n_p)."""
     g = rows.T @ rows
     return 0.5 * (g + g.T)
 
@@ -75,7 +71,7 @@ def information_differential(
     spec: DictionarySpec, new_states: Sequence, old_states: Sequence
 ) -> np.ndarray:
     """Gram(new) - Gram(old), symmetrized. Either block may be empty."""
-    return _gram(spec, new_states) - _gram(spec, old_states)
+    return gram(build_matrix(spec, new_states)) - gram(build_matrix(spec, old_states))
 
 
 def utility_from_differential(differential: np.ndarray) -> UtilityReport:
@@ -85,25 +81,21 @@ def utility_from_differential(differential: np.ndarray) -> UtilityReport:
     trace = float(np.trace(differential))
     eps = 1e-8 * (1.0 + abs(trace) / n)
     min_kappa = float(kappas[0])
+    note = None
     if min_kappa > eps:
         classification = "informative"
     elif abs(min_kappa) <= eps:
         classification = "redundant"
+        note = _BOUNDARY_NOTE
+    elif float(kappas[-1]) > eps:
+        classification = "mixed"
     else:
         classification = "degrading"
-    factor = None
-    note = None
-    if classification == "informative":
-        # lower Cholesky L with L @ L.T = diff; expose F = L.T so F.T @ F = diff
-        factor = np.linalg.cholesky(differential).T
-    elif classification == "redundant":
-        note = _BOUNDARY_NOTE
     return UtilityReport(
         kappas=kappas,
         classification=classification,
         differential_trace=trace,
         epsilon=eps,
-        cholesky_factor=factor,
         note=note,
     )
 
@@ -129,7 +121,7 @@ def check_pe(spec: DictionarySpec, states: Sequence, alpha1: float) -> PeReport:
     n = len(states)
     if n == 0:
         raise ValueError("window is empty")
-    avg = _gram(spec, states) / n
+    avg = gram(build_matrix(spec, states)) / n
     eigs = np.linalg.eigvalsh(avg)
     return PeReport(
         window_len=n,

@@ -20,6 +20,7 @@ from scipy import linalg
 from .dictionary import DictionarySpec, Sample, build_matrix, build_row
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularInformation
 from .gaussian import InformationForm
+from .monitor import gram
 
 __all__ = [
     "NoiseModel",
@@ -275,13 +276,12 @@ def batch_fit(
         raise DimensionMismatch(
             f"observations have {targets.shape[1]} outputs, noise model has {n_y}"
         )
-    gram = psi.T @ psi
-    gram = 0.5 * (gram + gram.T)
+    psi_gram = gram(psi)
     prior_prec = horseshoe.prior_precision_blocks()
     s_blocks = np.empty((n_y, spec.n_columns, spec.n_columns))
     b_blocks = np.empty((n_y, spec.n_columns))
     for i, var in enumerate(noise.output_variances):
-        s_blocks[i] = gram / var + np.diag(prior_prec[i])
+        s_blocks[i] = psi_gram / var + np.diag(prior_prec[i])
         b_blocks[i] = psi.T @ targets[:, i] / var
     post = PosteriorState(spec, noise, horseshoe, s_blocks, b_blocks, len(samples))
     if not post.is_positive_definite():

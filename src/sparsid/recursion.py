@@ -15,14 +15,16 @@ has already been discounted.
 """
 
 import time
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy import linalg
 
 from .dictionary import DictionarySpec, Sample, build_matrix
 from .errors import ConditionViolated, InsufficientWarmup
-from .monitor import UtilityReport, utility_from_differential
+from .monitor import UtilityReport, gram, utility_from_differential
 from .posterior import (
     HorseshoeState,
     NoiseModel,
@@ -54,7 +56,11 @@ class RecursionConfig:
 
     window: buffer capacity and warmup length.
     batch_in: new samples ingested per step.
-    forget: oldest buffered samples divided out per step.
+    forget: oldest buffered samples divided out per step. With forget > 0
+        the buffer is a sliding window: a batch that would overflow it also
+        divides out the overflow (never more than the buffer holds), so the
+        posterior always holds exactly the buffered samples. With
+        forget == 0 nothing is divided out.
     forgetting_factor: exponential discount on history, in (0, 1].
     policy: what to do when an update fails the well-posedness condition
         (reject it, warn and apply anyway, or defer the batch and retry it
@@ -93,62 +99,49 @@ class RecursionConfig:
 
 
 class WindowBuffer:
-    """Fixed-capacity FIFO ring of samples.
+    """Fixed-capacity FIFO window of samples, oldest first.
 
-    Pushing into a full ring silently evicts the oldest element; the
-    recursion only divides out what it pops explicitly, so implicit
-    evictions leave a trace of already-discounted information behind.
+    Pushing into a full window drops its oldest sample.
     """
 
-    __slots__ = ("capacity", "_slots", "_start", "_size", "total_ingested")
+    __slots__ = ("capacity", "_items", "total_ingested")
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self._slots = [None] * capacity
-        self._start = 0
-        self._size = 0
+        self._items: deque = deque(maxlen=capacity)
         self.total_ingested = 0
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._items)
 
     def push(self, sample: Sample) -> None:
-        end = (self._start + self._size) % self.capacity
-        if self._size == self.capacity:
-            self._slots[self._start] = sample
-            self._start = (self._start + 1) % self.capacity
-        else:
-            self._slots[end] = sample
-            self._size += 1
+        self._items.append(sample)
         self.total_ingested += 1
 
     def extend(self, samples) -> None:
-        for s in samples:
-            self.push(s)
+        samples = list(samples)
+        self._items.extend(samples)
+        self.total_ingested += len(samples)
 
     def oldest(self, k: int) -> list:
-        if k > self._size:
-            raise ValueError(f"buffer holds {self._size} samples, asked for {k}")
-        return [self._slots[(self._start + i) % self.capacity] for i in range(k)]
+        if k > len(self._items):
+            raise ValueError(f"buffer holds {len(self._items)} samples, asked for {k}")
+        return list(islice(self._items, k))
 
     def pop_oldest(self, k: int) -> list:
         out = self.oldest(k)
-        for i in range(k):
-            self._slots[(self._start + i) % self.capacity] = None
-        self._start = (self._start + k) % self.capacity
-        self._size -= k
+        for _ in range(k):
+            self._items.popleft()
         return out
 
     def items(self) -> list:
-        return self.oldest(self._size)
+        return list(self._items)
 
     @property
     def newest(self) -> Sample | None:
-        if self._size == 0:
-            return None
-        return self._slots[(self._start + self._size - 1) % self.capacity]
+        return self._items[-1] if self._items else None
 
 
 @dataclass(frozen=True)
@@ -239,9 +232,10 @@ def init(
     retained = list(warmup[-config.window :])
     _check_increasing(retained)
 
-    states = [s.state for s in retained]
+    psi = build_matrix(spec, [s.state for s in retained])
+    discount = config.forgetting_factor if config.condition_on_discounted else 1.0
     report = utility_from_differential(
-        _condition_differential(spec, config, states, states[: config.forget])
+        gram(psi) - discount * gram(psi[: config.forget])
     )
     init_flagged = False
     if report.classification != "informative":
@@ -269,19 +263,6 @@ def init(
     return state
 
 
-def _condition_differential(spec, config, new_states, old_states) -> np.ndarray:
-    def gram(states):
-        n = spec.n_columns
-        if len(states) == 0:
-            return np.zeros((n, n))
-        rows = build_matrix(spec, states)
-        g = rows.T @ rows
-        return 0.5 * (g + g.T)
-
-    discount = config.forgetting_factor if config.condition_on_discounted else 1.0
-    return gram(new_states) - discount * gram(old_states)
-
-
 def _blocks_pd(s_blocks) -> bool:
     for block in s_blocks:
         try:
@@ -303,25 +284,24 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
         raise ValueError(
             f"expected a batch of {cfg.batch_in} samples, got {len(new_samples)}"
         )
-    newest = state.buffer.newest
+    buffer = state.buffer
+    newest = buffer.newest
     batch = state.pending + list(new_samples)
     _check_increasing(batch, after=None if newest is None else newest.timestamp)
-    old = state.buffer.oldest(cfg.forget)
+    if cfg.forget > 0:
+        # sliding window: every sample that leaves the buffer is divided out,
+        # and samples that would never enter it are not added
+        batch = batch[-buffer.capacity :]
+        overflow = len(buffer) + len(batch) - buffer.capacity
+        old = buffer.oldest(min(len(buffer), max(cfg.forget, overflow)))
+    else:
+        old = []
 
-    n_p = state.spec.n_columns
     n_y = state.noise.n_outputs
-    psi_new = (
-        build_matrix(state.spec, [s.state for s in batch])
-        if batch
-        else np.zeros((0, n_p))
-    )
-    psi_old = (
-        build_matrix(state.spec, [s.state for s in old]) if old else np.zeros((0, n_p))
-    )
-    gram_new = psi_new.T @ psi_new
-    gram_old = psi_old.T @ psi_old
-    gram_new = 0.5 * (gram_new + gram_new.T)
-    gram_old = 0.5 * (gram_old + gram_old.T)
+    psi_new = build_matrix(state.spec, [s.state for s in batch])
+    psi_old = build_matrix(state.spec, [s.state for s in old])
+    gram_new = gram(psi_new)
+    gram_old = gram(psi_old)
     discount = cfg.forgetting_factor if cfg.condition_on_discounted else 1.0
     report = utility_from_differential(gram_new - discount * gram_old)
 
@@ -378,8 +358,8 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     state.s_blocks = new_s
     state.b_blocks = new_b
     state.pending = []
-    state.buffer.pop_oldest(cfg.forget)
-    state.buffer.extend(batch)
+    buffer.pop_oldest(len(old))
+    buffer.extend(batch)
     state.version += 1
     state.step_count += 1
     state.samples_since_refresh += len(batch)

@@ -1,5 +1,5 @@
 """Command-line behavior: config precedence, file formats, exit codes,
-pipeline determinism."""
+determinism, stream tailing."""
 
 import csv
 import json
@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import sparsid.cli as cli
 from sparsid.cli import (
     ConfigError,
     RunConfig,
@@ -54,6 +55,10 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg_path.write_text(json.dumps({"windoww": 10}))
     with pytest.raises(ConfigError):
         parse(["--config", str(cfg_path)])
+    # the CLI runs one single-threaded loop; there is no pipeline choice
+    cfg_path.write_text(json.dumps({"pipeline": "single"}))
+    with pytest.raises(ConfigError):
+        parse(["--config", str(cfg_path)])
 
 
 def test_malformed_config_rejected(tmp_path):
@@ -68,7 +73,6 @@ def test_malformed_config_rejected(tmp_path):
 def test_run_config_defaults():
     cfg = RunConfig()
     assert cfg.mode == "fit"
-    assert cfg.pipeline == "threads"
     assert cfg.window == 200
 
 
@@ -169,6 +173,10 @@ def test_fit_exit_codes(tmp_path, linear_csv):
     assert main(["--mode", "fit", "--input", str(tmp_path / "nope.csv"),
                  "--output", str(out)]) == 3
     assert main(fit_args(path, out, ["--policy", "bogus"])) == 2
+    # two samples cannot identify three columns
+    assert main(fit_args(path, out, ["--config", str(write_fit_config(tmp_path)),
+                                     "--window", "2", "--batch-in", "1",
+                                     "--forget", "1"])) == 2
     # constant states: init condition fails under the strict policy
     flat = tmp_path / "flat.csv"
     with open(flat, "w", newline="") as fh:
@@ -198,22 +206,12 @@ def test_fit_rejects_malformed_rows(tmp_path):
 def test_fit_requires_enough_rows_for_warmup(tmp_path):
     path = tmp_path / "tiny.csv"
     write_linear_stream(path, n=30, m=2, seed=0)
-    assert main(["--mode", "fit", "--input", str(path), "--output",
-                 str(tmp_path / "o"), "--window", "60"]) == 3
+    for mode in ("fit", "monitor"):
+        assert main(["--mode", mode, "--input", str(path), "--output",
+                     str(tmp_path / mode), "--window", "60"]) == 3
 
 
 # ------------------------------------------------------------ determinism
-
-
-def test_pipeline_modes_are_byte_identical(tmp_path, linear_csv):
-    path, _ = linear_csv
-    outs = {}
-    for mode in ("threads", "single"):
-        cfg = write_fit_config(tmp_path, pipeline=mode)
-        out = tmp_path / f"fit_{mode}"
-        assert main(fit_args(path, out, ["--config", str(cfg)])) == 0
-        outs[mode] = (out / "steps.jsonl").read_bytes()
-    assert outs["threads"] == outs["single"]
 
 
 def test_rerun_is_byte_identical(tmp_path, linear_csv):
@@ -256,6 +254,33 @@ def test_stream_mode_tails_growing_file(tmp_path, linear_csv):
     assert (out_stream / "steps.jsonl").read_bytes() == (
         out_fit / "steps.jsonl"
     ).read_bytes()
+
+
+class FakeClock:
+    """Monotonic clock whose sleeps overshoot, as a loaded host's do."""
+
+    def __init__(self, overshoot):
+        self.now = 0.0
+        self.overshoot = overshoot
+        self.sleeps = 0
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps += 1
+        self.now += seconds * self.overshoot
+
+
+def test_stream_idle_timeout_uses_elapsed_time(tmp_path, monkeypatch):
+    path = tmp_path / "live.csv"
+    path.write_text("t,x1,y1\n0.0,1.0,2.0\n1.0,1.5")  # last line still torn
+    clock = FakeClock(overshoot=8.0)
+    monkeypatch.setattr(cli, "time", clock)
+    lines = list(cli._follow_lines(str(path), idle_timeout=1.0, poll=0.05))
+    assert lines == ["t,x1,y1\n", "0.0,1.0,2.0\n", "1.0,1.5"]
+    # each 0.05 s poll lasts 0.4 s, so 1 s of idleness takes 3 polls, not 20
+    assert clock.sleeps == 3
 
 
 # ---------------------------------------------------------------- monitor

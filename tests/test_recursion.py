@@ -7,6 +7,8 @@ steps must equal the batch fit of the samples currently in the window.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import sparsid.recursion as rec
 from sparsid import (
@@ -151,6 +153,44 @@ def test_sliding_recursion_tracks_batch_fit(rng):
         scale = 1.0 + np.max(np.abs(ref.s_blocks))
         assert np.max(np.abs(state.s_blocks - ref.s_blocks)) < 1e-8 * scale
         assert np.max(np.abs(rec.snapshot(state).mean() - ref.mean())) < 1e-8
+
+
+PROPERTY_STEPS = 12
+
+
+@given(
+    policy=st.sampled_from(rec.POLICIES),
+    window=st.integers(8, 20),
+    batch_in=st.integers(1, 6),
+    forget=st.integers(1, 8),
+    zero_steps=st.sets(st.integers(0, PROPERTY_STEPS - 1), max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_sliding_posterior_is_batch_fit_of_buffer(
+    policy, window, batch_in, forget, zero_steps, seed
+):
+    # with forget > 0 and no discount the posterior must hold exactly the
+    # buffered samples after every step, whatever the policy does with the
+    # batch: deferred merges, batches that overflow the window and
+    # zero-state batches (pure information loss without a bias column).
+    # The warmup audit sees Gram(window) - Gram(first `forget`), the Gram of
+    # the last window - forget samples: informative once they span the columns
+    assume(window - forget >= LINEAR2.n_columns)
+    rng = np.random.default_rng(seed)
+    samples = stream(rng, n=window + PROPERTY_STEPS * batch_in)
+    noise = NoiseModel([0.0025])
+    cfg = fixed_config(window=window, batch_in=batch_in, forget=forget, policy=policy)
+    state = rec.init(LINEAR2, cfg, samples[:window], noise)
+    for k in range(PROPERTY_STEPS):
+        batch = samples[window + k * batch_in : window + (k + 1) * batch_in]
+        if k in zero_steps:
+            batch = [Sample(s.timestamp, np.zeros(2), s.observation) for s in batch]
+        rec.step(state, batch)
+        assert len(state.buffer) <= window
+        post = rec.snapshot(state)
+        ref = batch_fit(LINEAR2, state.buffer.items(), noise, state.horseshoe)
+        for a, b in ((post.s_blocks, ref.s_blocks), (post.b_blocks, ref.b_blocks)):
+            assert np.linalg.norm(a - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
 
 
 def test_no_forget_accumulates_information(rng):
