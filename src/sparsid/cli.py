@@ -92,7 +92,6 @@ class RunConfig:
     initial_scale: float = 1.0
     initial_tau: float = 1.0
     refresh_every: int | None = None
-    condition_on_discounted: bool = False
     truth: str | None = None
     alpha1: float = 1e-6
     idle_timeout: float = 5.0
@@ -375,7 +374,6 @@ class _Fit:
                 policy=cfg.policy,
                 theta_mode=cfg.theta_mode,
                 refresh_every=cfg.refresh_every,
-                condition_on_discounted=cfg.condition_on_discounted,
             )
             self.noise = NoiseModel(_broadcast_variances(cfg.noise_variances, n_y))
             self.horseshoe = initial_horseshoe(

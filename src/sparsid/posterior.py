@@ -29,6 +29,8 @@ __all__ = [
     "initial_horseshoe",
     "batch_fit",
     "batch_fit_adaptive",
+    "window_moments",
+    "posterior_from_moments",
     "refresh_horseshoe",
     "predict",
     "snapshot_dict",
@@ -234,16 +236,6 @@ class PosteriorState:
             return False
         return True
 
-    def copy(self) -> "PosteriorState":
-        return PosteriorState(
-            self.spec,
-            self.noise,
-            self.horseshoe,
-            self.s_blocks,
-            self.b_blocks,
-            self.sample_count,
-        )
-
     def __repr__(self):
         return (
             f"PosteriorState(n_terms={self.n_terms}, n_outputs={self.n_outputs}, "
@@ -257,36 +249,54 @@ def _design_and_targets(spec: DictionarySpec, samples: list) -> tuple:
     return build_matrix(spec, states), targets
 
 
+def window_moments(spec: DictionarySpec, samples: list, n_outputs: int) -> tuple:
+    """Sufficient statistics of a window: the Gram Psi.T @ Psi (n_p x n_p)
+    and the cross-moment Psi.T @ Y (n_p x n_outputs)."""
+    if len(samples) == 0:
+        raise ValueError("cannot fit an empty window")
+    psi, targets = _design_and_targets(spec, samples)
+    if targets.shape[1] != n_outputs:
+        raise DimensionMismatch(
+            f"observations have {targets.shape[1]} outputs, noise model has {n_outputs}"
+        )
+    return gram(psi), psi.T @ targets
+
+
+def posterior_from_moments(
+    spec: DictionarySpec,
+    noise: NoiseModel,
+    horseshoe: HorseshoeState,
+    window_gram: np.ndarray,
+    cross: np.ndarray,
+    sample_count: int,
+) -> PosteriorState:
+    """Posterior of a window given by its Gram G and cross-moment C.
+
+    Block i is S_i = G / sigma_i^2 + diag(prior precision of output i) and
+    b_i = C[:, i] / sigma_i^2: all outputs share one Gram. Does not check
+    definiteness; see PosteriorState.is_positive_definite.
+    """
+    var = noise.output_variances
+    s_blocks = window_gram / var[:, None, None]
+    diag = np.arange(spec.n_columns)
+    s_blocks[:, diag, diag] += horseshoe.prior_precision_blocks()
+    return PosteriorState(
+        spec, noise, horseshoe, s_blocks, cross.T / var[:, None], sample_count
+    )
+
+
 def batch_fit(
     spec: DictionarySpec,
     samples: list,
     noise: NoiseModel,
     horseshoe: HorseshoeState,
 ) -> PosteriorState:
-    """Exact posterior from one window of samples.
+    """Exact posterior from one window of samples at fixed prior scales.
 
     Per output i the information block is Gram / sigma_i^2 plus the diagonal
     prior precision, and the information vector is Psi.T @ y_i / sigma_i^2.
     """
-    if len(samples) == 0:
-        raise ValueError("cannot fit an empty window")
-    psi, targets = _design_and_targets(spec, samples)
-    n_y = noise.n_outputs
-    if targets.shape[1] != n_y:
-        raise DimensionMismatch(
-            f"observations have {targets.shape[1]} outputs, noise model has {n_y}"
-        )
-    psi_gram = gram(psi)
-    prior_prec = horseshoe.prior_precision_blocks()
-    s_blocks = np.empty((n_y, spec.n_columns, spec.n_columns))
-    b_blocks = np.empty((n_y, spec.n_columns))
-    for i, var in enumerate(noise.output_variances):
-        s_blocks[i] = psi_gram / var + np.diag(prior_prec[i])
-        b_blocks[i] = psi.T @ targets[:, i] / var
-    post = PosteriorState(spec, noise, horseshoe, s_blocks, b_blocks, len(samples))
-    if not post.is_positive_definite():
-        raise NotPositiveDefinite("batch posterior information is not PD")
-    return post
+    return batch_fit_adaptive(spec, samples, noise, horseshoe, max_outer=0)
 
 
 def refresh_horseshoe(
@@ -347,10 +357,14 @@ def batch_fit_adaptive(
 ) -> PosteriorState:
     """Batch fit with the prior scales re-estimated from the fit itself.
 
-    Alternates batch_fit and refresh_horseshoe until the scales settle.
-    The returned posterior is exactly batch_fit at the final scales.
+    Alternates refresh_horseshoe and re-assembly from the window moments
+    until the scales settle (at most max_outer times). The returned
+    posterior is exactly batch_fit at the final scales.
     """
-    post = batch_fit(spec, samples, noise, horseshoe)
+    moments = window_moments(spec, samples, noise.n_outputs)
+    post = posterior_from_moments(spec, noise, horseshoe, *moments, len(samples))
+    if not post.is_positive_definite():
+        raise NotPositiveDefinite("batch posterior information is not PD")
     for _ in range(max_outer):
         refreshed = refresh_horseshoe(post)
         rel = max(
@@ -363,7 +377,7 @@ def batch_fit_adaptive(
             abs(refreshed.global_scale - post.horseshoe.global_scale)
             / post.horseshoe.global_scale,
         )
-        post = batch_fit(spec, samples, noise, refreshed)
+        post = posterior_from_moments(spec, noise, refreshed, *moments, len(samples))
         if rel < rel_tol:
             break
     return post

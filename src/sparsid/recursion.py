@@ -1,9 +1,12 @@
 """Online windowed estimator: recursive information updates with forgetting.
 
-Each step ingests a batch of new samples, divides out the oldest buffered
-block, discounts history by the forgetting factor, and re-adds the prior
-information lost to the discount so the posterior never falls below its
-prior. The well-posedness of every update is audited through the monitor
+The state is what all outputs share: the window Gram G = Psi.T @ Psi and
+cross-moment C = Psi.T @ Y. Each step discounts both by the forgetting
+factor, adds the new batch and divides out the oldest buffered block. The
+prior is not part of that recursion: every posterior is assembled from
+(G, C) and the prior precision in force, so discounting never erodes the
+prior (the posterior never falls below it) and a prior refresh only swaps
+it. The well-posedness of every update is audited through the monitor
 before it is applied; what happens on a violation is a policy choice.
 
 Operating guidance: division (forget > 0) pairs naturally with
@@ -14,13 +17,11 @@ the forgotten block is divided out at full strength while its stored copy
 has already been discounted.
 """
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy import linalg
 
 from .dictionary import DictionarySpec, Sample, build_matrix
 from .errors import ConditionViolated, InsufficientWarmup
@@ -32,7 +33,9 @@ from .posterior import (
     batch_fit,
     batch_fit_adaptive,
     initial_horseshoe,
+    posterior_from_moments,
     refresh_horseshoe,
+    window_moments,
 )
 
 __all__ = [
@@ -56,20 +59,20 @@ class RecursionConfig:
 
     window: buffer capacity and warmup length.
     batch_in: new samples ingested per step.
-    forget: oldest buffered samples divided out per step. With forget > 0
-        the buffer is a sliding window: a batch that would overflow it also
-        divides out the overflow (never more than the buffer holds), so the
-        posterior always holds exactly the buffered samples. With
-        forget == 0 nothing is divided out.
+    forget: oldest buffered samples divided out per step, at most
+        batch_in (more would shrink the buffer every step until it held one
+        batch). With forget > 0 the buffer is a sliding window: a batch that
+        would overflow it also divides out the overflow (never more than the
+        buffer holds), so the posterior always holds exactly the buffered
+        samples. With forget == 0 nothing is divided out.
     forgetting_factor: exponential discount on history, in (0, 1].
     policy: what to do when an update fails the well-posedness condition
         (reject it, warn and apply anyway, or defer the batch and retry it
-        aggregated with the next one).
+        aggregated with the next one; a deferred batch that has grown to
+        the window length is dropped like a rejected one).
     theta_mode: adaptive refreshes the prior scales from the posterior every
         refresh_every ingested samples (default: once per window refill);
         fixed never touches them.
-    condition_on_discounted: evaluate the condition against the discounted
-        old block instead of the literal one.
     """
 
     window: int
@@ -79,7 +82,6 @@ class RecursionConfig:
     policy: str = "warn"
     theta_mode: str = "adaptive"
     refresh_every: int | None = None
-    condition_on_discounted: bool = False
 
     def __post_init__(self):
         if self.window < 1:
@@ -88,6 +90,8 @@ class RecursionConfig:
             raise ValueError("batch_in and forget must be nonnegative")
         if self.forget > self.window:
             raise ValueError("cannot forget more samples than the window holds")
+        if self.forget > self.batch_in:
+            raise ValueError("cannot forget more samples per step than batch_in")
         if not (0.0 < self.forgetting_factor <= 1.0):
             raise ValueError("forgetting_factor must be in (0, 1]")
         if self.policy not in POLICIES:
@@ -156,14 +160,18 @@ class StepOutcome:
     utility: UtilityReport
     posterior_before: int
     posterior_after: int
-    wall_time: float
     residual_rms: np.ndarray | None
     theta_refreshed: bool
     prior_floor: bool
 
 
 class RecursionState:
-    """Mutable estimator state; exactly one writer (the step function)."""
+    """Mutable estimator state; exactly one writer (the step function).
+
+    gram (n_p x n_p) and cross (n_p x n_y) are the discounted window
+    moments Psi.T @ Psi and Psi.T @ Y; s_blocks and b_blocks are read-only
+    views of the posterior they give (see snapshot).
+    """
 
     __slots__ = (
         "spec",
@@ -171,8 +179,8 @@ class RecursionState:
         "noise",
         "horseshoe",
         "buffer",
-        "s_blocks",
-        "b_blocks",
+        "gram",
+        "cross",
         "step_count",
         "version",
         "samples_since_refresh",
@@ -180,19 +188,27 @@ class RecursionState:
         "init_flagged",
     )
 
-    def __init__(self, spec, config, noise, horseshoe, buffer, s_blocks, b_blocks):
+    def __init__(self, spec, config, noise, horseshoe, buffer, window_gram, cross):
         self.spec = spec
         self.config = config
         self.noise = noise
         self.horseshoe = horseshoe
         self.buffer = buffer
-        self.s_blocks = s_blocks
-        self.b_blocks = b_blocks
+        self.gram = window_gram
+        self.cross = cross
         self.step_count = 0
         self.version = 0
         self.samples_since_refresh = 0
         self.pending: list = []
         self.init_flagged = False
+
+    @property
+    def s_blocks(self) -> np.ndarray:
+        return snapshot(self).s_blocks
+
+    @property
+    def b_blocks(self) -> np.ndarray:
+        return snapshot(self).b_blocks
 
 
 def _check_increasing(samples, after: float | None = None) -> None:
@@ -232,11 +248,9 @@ def init(
     retained = list(warmup[-config.window :])
     _check_increasing(retained)
 
-    psi = build_matrix(spec, [s.state for s in retained])
-    discount = config.forgetting_factor if config.condition_on_discounted else 1.0
-    report = utility_from_differential(
-        gram(psi) - discount * gram(psi[: config.forget])
-    )
+    window_gram, cross = window_moments(spec, retained, noise.n_outputs)
+    forgotten = build_matrix(spec, [s.state for s in retained[: config.forget]])
+    report = utility_from_differential(window_gram - gram(forgotten))
     init_flagged = False
     if report.classification != "informative":
         msg = (
@@ -249,27 +263,14 @@ def init(
             # defer has no meaning before a window exists; treat like reject
             raise ConditionViolated(msg)
 
-    if config.theta_mode == "adaptive":
-        post = batch_fit_adaptive(spec, retained, noise, horseshoe)
-    else:
-        post = batch_fit(spec, retained, noise, horseshoe)
+    fit = batch_fit_adaptive if config.theta_mode == "adaptive" else batch_fit
+    horseshoe = fit(spec, retained, noise, horseshoe).horseshoe
 
     buffer = WindowBuffer(config.window)
     buffer.extend(retained)
-    state = RecursionState(
-        spec, config, noise, post.horseshoe, buffer, post.s_blocks, post.b_blocks
-    )
+    state = RecursionState(spec, config, noise, horseshoe, buffer, window_gram, cross)
     state.init_flagged = init_flagged
     return state
-
-
-def _blocks_pd(s_blocks) -> bool:
-    for block in s_blocks:
-        try:
-            linalg.cho_factor(block, lower=True)
-        except linalg.LinAlgError:
-            return False
-    return True
 
 
 def step(state: RecursionState, new_samples: list) -> StepOutcome:
@@ -278,7 +279,6 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     Returns an outcome describing what happened; the emitted record for
     streaming consumers is built from it by step_record.
     """
-    t0 = time.perf_counter()
     cfg = state.config
     if len(new_samples) != cfg.batch_in:
         raise ValueError(
@@ -300,10 +300,8 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     n_y = state.noise.n_outputs
     psi_new = build_matrix(state.spec, [s.state for s in batch])
     psi_old = build_matrix(state.spec, [s.state for s in old])
-    gram_new = gram(psi_new)
-    gram_old = gram(psi_old)
-    discount = cfg.forgetting_factor if cfg.condition_on_discounted else 1.0
-    report = utility_from_differential(gram_new - discount * gram_old)
+    differential = gram(psi_new) - gram(psi_old)
+    report = utility_from_differential(differential)
 
     version_before = state.version
     timestamp = batch[-1].timestamp if batch else (newest.timestamp if newest else 0.0)
@@ -313,50 +311,49 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     if report.classification != "informative":
         if cfg.policy == "reject":
             return _rejected(
-                state, report, version_before, timestamp, t0,
+                state, report, version_before, timestamp,
                 reason=f"update {report.classification}; rejected by policy",
-                drop_pending=True,
             )
         if cfg.policy == "defer":
-            state.pending = batch
-            return _rejected(
-                state, report, version_before, timestamp, t0,
+            if len(batch) >= buffer.capacity:
+                # merging more cannot help: the batch already replaces a
+                # whole window, so retrying it would stall the estimator
+                return _rejected(
+                    state, report, version_before, timestamp,
+                    reason=(
+                        f"update {report.classification}; deferred batch "
+                        "reached the window length, dropped"
+                    ),
+                )
+            outcome = _rejected(
+                state, report, version_before, timestamp,
                 reason=f"update {report.classification}; deferred for aggregation",
-                drop_pending=False,
             )
+            state.pending = batch
+            return outcome
         flagged = True
         reason = f"update {report.classification}; applied under warn policy"
 
-    xi = cfg.forgetting_factor
-    update_diff = gram_new - gram_old
-    prior_prec = state.horseshoe.prior_precision_blocks()
-    precisions = state.noise.precisions
     y_new = np.asarray([s.observation for s in batch], dtype=float).reshape(
         len(batch), n_y
     )
     y_old = np.asarray([s.observation for s in old], dtype=float).reshape(len(old), n_y)
-    cross = psi_new.T @ y_new - psi_old.T @ y_old
-
-    new_s = np.empty_like(state.s_blocks)
-    new_b = np.empty_like(state.b_blocks)
-    prior_floor = xi < 1.0
-    for i, prec in enumerate(precisions):
-        new_s[i] = xi * state.s_blocks[i] + prec * update_diff
-        if prior_floor:
-            new_s[i] += np.diag((1.0 - xi) * prior_prec[i])
-        new_s[i] = 0.5 * (new_s[i] + new_s[i].T)
-        new_b[i] = xi * state.b_blocks[i] + prec * cross[:, i]
-
-    if not _blocks_pd(new_s):
+    xi = cfg.forgetting_factor
+    new_gram = xi * state.gram + differential
+    new_cross = xi * state.cross + (psi_new.T @ y_new - psi_old.T @ y_old)
+    candidate = posterior_from_moments(
+        state.spec, state.noise, state.horseshoe, new_gram, new_cross,
+        buffer.total_ingested + len(batch),
+    )
+    if not candidate.is_positive_definite():
         # hard invariant: the posterior must stay proper, even under warn
         return _rejected(
-            state, report, version_before, timestamp, t0,
+            state, report, version_before, timestamp,
             reason="update would make the information matrix indefinite; rolled back",
-            drop_pending=True,
         )
 
-    state.s_blocks = new_s
-    state.b_blocks = new_b
+    state.gram = new_gram
+    state.cross = new_cross
     state.pending = []
     buffer.pop_oldest(len(old))
     buffer.extend(batch)
@@ -367,7 +364,7 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     theta_refreshed = False
     cadence = cfg.refresh_every if cfg.refresh_every is not None else cfg.window
     if cfg.theta_mode == "adaptive" and state.samples_since_refresh >= cadence:
-        _refresh_prior(state)
+        state.horseshoe = refresh_horseshoe(snapshot(state))
         theta_refreshed = True
         state.samples_since_refresh = 0
 
@@ -381,19 +378,17 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
         utility=report,
         posterior_before=version_before,
         posterior_after=state.version,
-        wall_time=time.perf_counter() - t0,
         residual_rms=residual,
         theta_refreshed=theta_refreshed,
-        prior_floor=prior_floor,
+        prior_floor=xi < 1.0,
     )
 
 
-def _rejected(state, report, version_before, timestamp, t0, reason, drop_pending):
-    if drop_pending:
-        state.pending = []
+def _rejected(state, report, version_before, timestamp, reason):
+    """Outcome of a step that leaves the posterior as it was and drops the
+    batch; defer parks it in state.pending afterwards."""
+    state.pending = []
     state.step_count += 1
-    psi = np.zeros((0, state.spec.n_columns))
-    y = np.zeros((0, state.noise.n_outputs))
     return StepOutcome(
         step_index=state.step_count,
         timestamp=timestamp,
@@ -403,21 +398,10 @@ def _rejected(state, report, version_before, timestamp, t0, reason, drop_pending
         utility=report,
         posterior_before=version_before,
         posterior_after=version_before,
-        wall_time=time.perf_counter() - t0,
-        residual_rms=_residual_rms(state, psi, y),
+        residual_rms=None,
         theta_refreshed=False,
         prior_floor=False,
     )
-
-
-def _refresh_prior(state: RecursionState) -> None:
-    """Re-estimate the prior scales and apply the information delta."""
-    post = snapshot(state)
-    refreshed = refresh_horseshoe(post)
-    delta = refreshed.prior_precision_blocks() - state.horseshoe.prior_precision_blocks()
-    for i in range(state.noise.n_outputs):
-        state.s_blocks[i] += np.diag(delta[i])
-    state.horseshoe = refreshed
 
 
 def _residual_rms(state, psi_new, y_new) -> float | None:
@@ -430,13 +414,13 @@ def _residual_rms(state, psi_new, y_new) -> float | None:
 
 def snapshot(state: RecursionState) -> PosteriorState:
     """Immutable copy of the current posterior."""
-    return PosteriorState(
+    return posterior_from_moments(
         state.spec,
         state.noise,
         state.horseshoe,
-        state.s_blocks,
-        state.b_blocks,
-        sample_count=state.buffer.total_ingested,
+        state.gram,
+        state.cross,
+        state.buffer.total_ingested,
     )
 
 

@@ -59,6 +59,10 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg_path.write_text(json.dumps({"pipeline": "single"}))
     with pytest.raises(ConfigError):
         parse(["--config", str(cfg_path)])
+    # the condition is always audited against the literal forgotten block
+    cfg_path.write_text(json.dumps({"condition_on_discounted": True}))
+    with pytest.raises(ConfigError):
+        parse(["--config", str(cfg_path)])
 
 
 def test_malformed_config_rejected(tmp_path):
@@ -177,6 +181,11 @@ def test_fit_exit_codes(tmp_path, linear_csv):
     assert main(fit_args(path, out, ["--config", str(write_fit_config(tmp_path)),
                                      "--window", "2", "--batch-in", "1",
                                      "--forget", "1"])) == 2
+    # forgetting more than arrives would drain the window, in either mode
+    for mode in ("fit", "monitor"):
+        args = fit_args(path, out, ["--batch-in", "1", "--forget", "2"])
+        args[1] = mode
+        assert main(args) == 2
     # constant states: init condition fails under the strict policy
     flat = tmp_path / "flat.csv"
     with open(flat, "w", newline="") as fh:

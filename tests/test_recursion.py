@@ -20,6 +20,7 @@ from sparsid import (
     Sample,
     WindowBuffer,
     batch_fit,
+    build_matrix,
     initial_horseshoe,
 )
 
@@ -46,6 +47,8 @@ def test_config_validation():
         RecursionConfig(window=0, batch_in=1, forget=0)
     with pytest.raises(ValueError):
         RecursionConfig(window=10, batch_in=1, forget=11)
+    with pytest.raises(ValueError):  # would shrink the buffer every step
+        RecursionConfig(window=10, batch_in=1, forget=3)
     with pytest.raises(ValueError):
         RecursionConfig(window=10, batch_in=1, forget=0, forgetting_factor=0.0)
     with pytest.raises(ValueError):
@@ -162,7 +165,7 @@ PROPERTY_STEPS = 12
     policy=st.sampled_from(rec.POLICIES),
     window=st.integers(8, 20),
     batch_in=st.integers(1, 6),
-    forget=st.integers(1, 8),
+    forget=st.integers(1, 6),
     zero_steps=st.sets(st.integers(0, PROPERTY_STEPS - 1), max_size=4),
     seed=st.integers(0, 2**16),
 )
@@ -175,7 +178,7 @@ def test_sliding_posterior_is_batch_fit_of_buffer(
     # zero-state batches (pure information loss without a bias column).
     # The warmup audit sees Gram(window) - Gram(first `forget`), the Gram of
     # the last window - forget samples: informative once they span the columns
-    assume(window - forget >= LINEAR2.n_columns)
+    assume(forget <= batch_in and window - forget >= LINEAR2.n_columns)
     rng = np.random.default_rng(seed)
     samples = stream(rng, n=window + PROPERTY_STEPS * batch_in)
     noise = NoiseModel([0.0025])
@@ -209,6 +212,47 @@ def test_no_forget_accumulates_information(rng):
     ref = batch_fit(LINEAR2, samples, noise, hs)  # all 80, not just the window
     scale = 1.0 + np.max(np.abs(ref.s_blocks))
     assert np.max(np.abs(state.s_blocks - ref.s_blocks)) < 1e-8 * scale
+
+
+@pytest.mark.parametrize("theta_mode", ["fixed", "adaptive"])
+def test_discounted_recursion_matches_closed_form(rng, theta_mode):
+    # xi < 1, forget = 0: after n steps the window Gram is
+    # xi^n G_0 + sum_k xi^(n-k) Gram(batch_k) (and the cross-moment alike),
+    # and block i is that Gram over sigma_i^2 plus the prior precision in
+    # force, whatever the prior was when each batch arrived
+    spec = DictionarySpec(state_dim=3, poly_degree=1, include_bias=False)
+    coef = np.array([[1.0, 0.5], [0.4, -1.0], [2.0, 0.3]])
+    window, batch_in, steps, xi = 20, 4, 25, 0.9
+    samples = make_samples(rng, spec, coef, noise_std=0.1, n=window + steps * batch_in)
+    variances = np.array([0.01, 0.04])
+    cfg = RecursionConfig(
+        window=window, batch_in=batch_in, forget=0, forgetting_factor=xi,
+        policy="warn", theta_mode=theta_mode, refresh_every=40,
+    )
+    state = rec.init(spec, cfg, samples[:window], NoiseModel(variances))
+
+    def moments(block):
+        psi = build_matrix(spec, [s.state for s in block])
+        return psi.T @ psi, psi.T @ np.array([s.observation for s in block])
+
+    g, c = moments(samples[:window])
+    refreshed = []
+    for n in range(1, steps + 1):
+        batch = samples[window + (n - 1) * batch_in : window + n * batch_in]
+        out = rec.step(state, batch)
+        assert out.accepted
+        refreshed.append(out.theta_refreshed)
+        g_batch, c_batch = moments(batch)
+        g, c = xi * g + g_batch, xi * c + c_batch
+        post = rec.snapshot(state)
+        prior = state.horseshoe.prior_precision_blocks()
+        for i, var in enumerate(variances):
+            s_ref = g / var + np.diag(prior[i])
+            b_ref = c[:, i] / var
+            assert np.linalg.norm(post.s_blocks[i] - s_ref) <= 1e-9 * np.linalg.norm(s_ref)
+            assert np.linalg.norm(post.b_blocks[i] - b_ref) <= 1e-9 * np.linalg.norm(b_ref)
+    # adaptive: refreshes every 10 steps, each followed by more steps
+    assert sum(refreshed) == (2 if theta_mode == "adaptive" else 0)
 
 
 def test_outcome_metadata(rng):
@@ -300,6 +344,55 @@ def test_defer_policy_aggregates_until_informative(rng):
     assert state.buffer.total_ingested == 40 + sum(
         1 for k in range(40, 52) if k <= accepted_at[-1]
     )
+
+
+def test_defer_drops_a_merged_batch_that_fills_the_window():
+    # W=8, batch_in=forget=6 and three zero-state batches. The two newest
+    # warmup samples out-excite any batch, the oldest six do not. A merged
+    # batch that fills the window is audited against the whole buffer, so it
+    # can never pass; it is dropped, and the next batch is audited against
+    # the oldest six again instead of being merged into it forever
+    e1, e2 = np.eye(2)
+    oldest = [e1, e2, -e1, -e2, e1 + e2, e1 - e2]
+    states = oldest + [100.0 * e1, 100.0 * e2]
+    warmup = [Sample(float(i), x, [x @ (3.0, -2.0)]) for i, x in enumerate(states)]
+    cfg = fixed_config(window=8, batch_in=6, forget=6, policy="defer")
+    state = rec.init(LINEAR2, cfg, warmup, NoiseModel([0.0025]))
+    reasons = []
+    for k in range(8):
+        scale = 0.0 if k < 3 else 3.0  # zero states, then a strong batch
+        batch = [
+            Sample(10.0 + 6 * k + i, scale * x, [scale * x @ (3.0, -2.0)])
+            for i, x in enumerate(oldest)
+        ]
+        out = rec.step(state, batch)
+        reasons.append(out.reason)
+        assert len(state.pending) < cfg.window
+    assert reasons[1].endswith("deferred batch reached the window length, dropped")
+    assert reasons[4] is None  # a fresh strong batch beats the oldest six
+    assert state.buffer.newest.timestamp > warmup[-1].timestamp
+
+
+def test_defer_bounds_pending_for_a_stuck_sensor(rng):
+    # forget = 0: a sensor stuck at one state sends rank-one batches that are
+    # never informative; merging them stops at the window length
+    samples = stream(rng, n=20)
+    cfg = RecursionConfig(
+        window=20, batch_in=5, forget=0, policy="defer", theta_mode="fixed"
+    )
+    state = rec.init(LINEAR2, cfg, samples, NoiseModel([0.0025]))
+    t = samples[-1].timestamp + 1.0
+    for k in range(40):
+        stuck = [Sample(t + 5 * k + i, np.ones(2), [1.0]) for i in range(5)]
+        assert not rec.step(state, stuck).accepted
+        assert len(state.pending) < cfg.window
+    # the sensor recovers: its batch is merged with what is pending and applied
+    live = make_samples(
+        rng, LINEAR2, np.array([[3.0], [-2.0]]), noise_std=0.05, n=5, t0=t + 200.0
+    )
+    assert rec.step(state, live).accepted
+    assert state.buffer.newest.timestamp == live[-1].timestamp
+    assert state.pending == []
 
 
 def test_pd_rollback_guard_under_drain(rng):
