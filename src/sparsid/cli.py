@@ -30,10 +30,9 @@ import numpy as np
 
 from . import recursion as rec
 from .analyze import TruthTrajectory, render_equations, score_errors, write_error_csv
-from .dictionary import DictionarySpec, Sample
+from .dictionary import DictionarySpec, Sample, build_matrix
 from .errors import ConditionViolated, SparsidError
-from .monitor import check_pe, utility
-from .recursion import WindowBuffer
+from .monitor import gram, pe_from_gram
 from .posterior import NoiseModel, initial_horseshoe
 from .simulate import (
     LorenzConfig,
@@ -103,6 +102,10 @@ class RunConfig:
             raise ConfigError(f"unknown case {self.case!r}")
         if self.idle_timeout <= 0.0:
             raise ConfigError("idle_timeout must be positive")
+        if not self.threshold >= 0.0:
+            raise ConfigError("threshold must be nonnegative")
+        if not self.alpha1 > 0.0:
+            raise ConfigError("alpha1 must be positive")
 
 
 _FLAGS = (
@@ -251,19 +254,8 @@ def _parse_row(line: str, n_x: int, n_y: int, last_t: float | None) -> Sample:
         raise InputError(str(exc)) from exc
 
 
-def _read_lines(path: str):
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
-    with fh:
-        for line in fh:
-            if line.strip():
-                yield line
-
-
 def _follow_lines(path: str, idle_timeout: float, poll: float = 0.05):
-    """Tail a growing file; stop once idle_timeout seconds pass with no new data."""
+    """Non-blank lines of a file, tailed until idle_timeout s pass with no new data."""
     try:
         fh = open(path)
     except OSError as exc:
@@ -289,9 +281,8 @@ def _follow_lines(path: str, idle_timeout: float, poll: float = 0.05):
 
 
 def _read_samples(lines) -> tuple:
-    """(n_x, n_y, samples) of a CSV line stream. The header is read now, the
-    rows lazily as the sample iterator is consumed."""
-    lines = iter(lines)
+    """(n_x, n_y, samples) of a CSV line iterator. The header is read now,
+    the rows lazily as the sample iterator is consumed."""
     header = next(lines, None)
     if header is None:
         raise InputError("input has no header row")
@@ -323,12 +314,8 @@ def _drive(cfg: RunConfig, mode_cls):
         raise ConfigError(f"{cfg.mode} requires --input and --output")
     if cfg.batch_in < 1:
         raise ConfigError(f"batch_in must be at least 1 for {cfg.mode} runs")
-    lines = (
-        _follow_lines(cfg.input, cfg.idle_timeout)
-        if cfg.mode == "stream"
-        else _read_lines(cfg.input)
-    )
-    n_x, n_y, samples = _read_samples(lines)
+    idle_timeout = cfg.idle_timeout if cfg.mode == "stream" else 0.0
+    n_x, n_y, samples = _read_samples(_follow_lines(cfg.input, idle_timeout))
     try:
         spec = DictionarySpec(
             state_dim=n_x, poly_degree=cfg.degree, include_bias=cfg.include_bias
@@ -396,9 +383,7 @@ class _Fit:
         outcome = rec.step(self.state, batch)
         record = rec.step_record(self.state, outcome)
         if outcome.accepted:
-            self.estimates.append(
-                (outcome.timestamp, rec.snapshot(self.state).mean())
-            )
+            self.estimates.append((outcome.timestamp, np.ravel(record["coef_mean"])))
         return record
 
 
@@ -447,8 +432,8 @@ def run_fit(cfg: RunConfig) -> None:
 
 
 class _Monitor:
-    """Diagnostics only: utility of each batch, excitation of the sliding
-    window after it."""
+    """Diagnostics only: the estimator's audit of each batch, and the
+    excitation of the window after the slide from a running window Gram."""
 
     output_name = "monitor.jsonl"
 
@@ -461,19 +446,25 @@ class _Monitor:
             raise ConfigError(str(exc)) from exc
         self.cfg = cfg
         self.spec = spec
-        self.window = WindowBuffer(cfg.window)
+        self.window = rec.WindowBuffer(cfg.window)
+        self.gram = None
         self.step_index = 0
+
+    def _gram(self, samples: list) -> np.ndarray:
+        return gram(build_matrix(self.spec, [s.state for s in samples]))
 
     def start(self, warmup: list) -> None:
         self.window.extend(warmup)
+        self.gram = self._gram(warmup)
 
     def step(self, batch: list) -> dict:
-        old = self.window.pop_oldest(min(self.cfg.forget, len(self.window)))
-        report = utility(self.spec, [s.state for s in batch], [s.state for s in old])
-        self.window.extend(batch)
-        pe = check_pe(
-            self.spec, [s.state for s in self.window.items()], self.cfg.alpha1
+        batch, old, _, _, differential, report = rec.audit(
+            self.spec, self.window, batch, self.cfg.forget
         )
+        self.window.pop_oldest(len(old))
+        pushed_out = self.window.extend(batch)  # only with forget == 0
+        self.gram += differential - self._gram(pushed_out)
+        pe = pe_from_gram(self.gram, len(self.window), self.cfg.alpha1)
         self.step_index += 1
         return {
             "step": self.step_index,

@@ -23,6 +23,7 @@ __all__ = [
     "utility",
     "utility_from_differential",
     "check_pe",
+    "pe_from_gram",
     "gram",
 ]
 
@@ -110,21 +111,21 @@ def utility(
 
 
 def check_pe(spec: DictionarySpec, states: Sequence, alpha1: float) -> PeReport:
-    """Persistent-excitation check on a window of states.
+    """Persistent-excitation check on a window of states (see pe_from_gram)."""
+    return pe_from_gram(gram(build_matrix(spec, states)), len(states), alpha1)
 
-    Computes the extreme eigenvalues of the per-sample average Gram
-    (1/N) sum of row outer products and tests the lower one against the
-    configured excitation level alpha1.
-    """
+
+def pe_from_gram(window_gram: np.ndarray, window_len: int, alpha1: float) -> PeReport:
+    """Persistent-excitation check on the Gram of a window of window_len
+    samples: the extreme eigenvalues of the per-sample average Gram, the
+    lower one tested against the configured excitation level alpha1."""
     if alpha1 <= 0.0:
         raise ValueError("alpha1 must be positive")
-    n = len(states)
-    if n == 0:
+    if window_len == 0:
         raise ValueError("window is empty")
-    avg = gram(build_matrix(spec, states)) / n
-    eigs = np.linalg.eigvalsh(avg)
+    eigs = np.linalg.eigvalsh(window_gram / window_len)
     return PeReport(
-        window_len=n,
+        window_len=window_len,
         min_avg_eig=float(eigs[0]),
         max_avg_eig=float(eigs[-1]),
         alpha1=alpha1,

@@ -19,7 +19,7 @@ has already been discounted.
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .posterior import (
 __all__ = [
     "RecursionConfig",
     "WindowBuffer",
+    "audit",
     "StepOutcome",
     "RecursionState",
     "init",
@@ -124,10 +125,14 @@ class WindowBuffer:
         self._items.append(sample)
         self.total_ingested += 1
 
-    def extend(self, samples) -> None:
+    def extend(self, samples) -> list:
+        """Push samples; returns the samples that a full buffer pushed out."""
         samples = list(samples)
+        overflow = len(self._items) + len(samples) - self.capacity
+        out = list(islice(chain(self._items, samples), max(overflow, 0)))
         self._items.extend(samples)
         self.total_ingested += len(samples)
+        return out
 
     def oldest(self, k: int) -> list:
         if k > len(self._items):
@@ -273,6 +278,24 @@ def init(
     return state
 
 
+def audit(spec: DictionarySpec, buffer: WindowBuffer, batch: list, forget: int) -> tuple:
+    """The window's slide rule, audited: (batch as it enters the buffer, old
+    block that leaves it, their rows psi_new and psi_old, Gram(psi_new) -
+    Gram(psi_old), its UtilityReport). With forget > 0, old is the `forget`
+    oldest or the overflow, whichever is more, and samples that would never
+    enter the buffer are cut from the batch; with forget == 0, old is empty."""
+    if forget > 0:
+        batch = batch[-buffer.capacity :]
+        overflow = len(buffer) + len(batch) - buffer.capacity
+        old = buffer.oldest(min(len(buffer), max(forget, overflow)))
+    else:
+        old = []
+    psi_new = build_matrix(spec, [s.state for s in batch])
+    psi_old = build_matrix(spec, [s.state for s in old])
+    differential = gram(psi_new) - gram(psi_old)
+    return batch, old, psi_new, psi_old, differential, utility_from_differential(differential)
+
+
 def step(state: RecursionState, new_samples: list) -> StepOutcome:
     """Ingest one batch: audit, apply (or not, per policy), refresh scales.
 
@@ -288,20 +311,10 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     newest = buffer.newest
     batch = state.pending + list(new_samples)
     _check_increasing(batch, after=None if newest is None else newest.timestamp)
-    if cfg.forget > 0:
-        # sliding window: every sample that leaves the buffer is divided out,
-        # and samples that would never enter it are not added
-        batch = batch[-buffer.capacity :]
-        overflow = len(buffer) + len(batch) - buffer.capacity
-        old = buffer.oldest(min(len(buffer), max(cfg.forget, overflow)))
-    else:
-        old = []
-
+    batch, old, psi_new, psi_old, differential, report = audit(
+        state.spec, buffer, batch, cfg.forget
+    )
     n_y = state.noise.n_outputs
-    psi_new = build_matrix(state.spec, [s.state for s in batch])
-    psi_old = build_matrix(state.spec, [s.state for s in old])
-    differential = gram(psi_new) - gram(psi_old)
-    report = utility_from_differential(differential)
 
     version_before = state.version
     timestamp = batch[-1].timestamp if batch else (newest.timestamp if newest else 0.0)

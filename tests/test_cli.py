@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sparsid.cli as cli
+from sparsid import DictionarySpec, check_pe
 from sparsid.cli import (
     ConfigError,
     RunConfig,
@@ -195,6 +196,15 @@ def test_fit_exit_codes(tmp_path, linear_csv):
             writer.writerow([float(i), 1.0, 2.0, 3.0])
     cfg = write_fit_config(tmp_path)
     assert main(fit_args(flat, out, ["--config", str(cfg), "--policy", "reject"])) == 4
+    # bad render threshold or excitation level: exit 2 before any input is read
+    assert main(fit_args(tmp_path / "nope.csv", out, ["--threshold", "-1"])) == 2
+    assert main(fit_args(tmp_path / "nope.csv", out, ["--threshold", "nan"])) == 2
+    for alpha1 in (0.0, -1e-6):
+        cfg = write_fit_config(tmp_path, alpha1=alpha1)
+        args = fit_args(path, tmp_path / "mon", ["--config", str(cfg)])
+        args[1] = "monitor"
+        assert main(args) == 2
+        assert not (tmp_path / "mon").exists()
 
 
 def test_fit_rejects_malformed_rows(tmp_path):
@@ -311,6 +321,61 @@ def test_monitor_emits_diagnostics(tmp_path, linear_csv):
         "pe_min_avg_eig", "pe_max_avg_eig", "pe_satisfied",
     }
     assert all(r["pe_satisfied"] for r in records)  # gaussian states excite
+
+
+@pytest.fixture(scope="module")
+def stalling_stream(tmp_path_factory):
+    """CSV of a noisy linear system whose states sit at zero for a stretch
+    longer than any window below; returns (path, states)."""
+    rng = np.random.default_rng(5)
+    states = rng.normal(size=(100, 2))
+    states[40:70] = 0.0
+    path = tmp_path_factory.mktemp("stall") / "data.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x1", "x2", "y1"])
+        for i, x in enumerate(states):
+            y = float(3.0 * x[0] - 2.0 * x[1] + 0.05 * rng.normal())
+            writer.writerow([float(i), repr(float(x[0])), repr(float(x[1])), repr(y)])
+    return path, states
+
+
+@pytest.mark.parametrize(
+    "window,batch_in,forget",
+    [
+        (window, batch_in, forget)
+        for window in (8, 13, 20)
+        for batch_in in (1, 3, 6, 25)
+        for forget in range(min(batch_in, window) + 1)
+    ],
+)
+def test_monitor_slides_its_window_as_fit_does(
+    tmp_path, stalling_stream, window, batch_in, forget
+):
+    path, states = stalling_stream
+    cfg = write_fit_config(tmp_path, theta_mode="fixed", include_bias=True)
+    outputs = {}
+    for mode in ("fit", "monitor"):
+        out = tmp_path / mode
+        assert main(["--mode", mode, "--input", str(path), "--output", str(out),
+                     "--window", str(window), "--batch-in", str(batch_in),
+                     "--forget", str(forget), "--degree", "1", "--policy", "warn",
+                     "--config", str(cfg)]) == 0
+        name = "steps.jsonl" if mode == "fit" else "monitor.jsonl"
+        outputs[mode] = [json.loads(l) for l in (out / name).read_text().splitlines()]
+    fit, mon = outputs["fit"], outputs["monitor"]
+    assert len(fit) == len(mon) == (len(states) - window) // batch_in
+    spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=True)
+    for k, (f, m) in enumerate(zip(fit, mon), start=1):
+        assert f["accepted"]
+        for key in ("classification", "kappa_min", "kappa_max"):
+            assert m[key] == f[key], (k, key)
+        # the window after step k is exactly the last `window` samples read
+        end = window + k * batch_in
+        pe = check_pe(spec, states[end - window : end], alpha1=1e-6)
+        assert m["pe_max_avg_eig"] == pytest.approx(pe.max_avg_eig, rel=1e-9)
+        assert m["pe_min_avg_eig"] == pytest.approx(pe.min_avg_eig, rel=1e-9)
+        assert m["pe_satisfied"] == pe.satisfied
 
 
 def test_run_fit_rejects_missing_arguments():

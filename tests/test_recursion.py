@@ -66,7 +66,7 @@ def test_config_validation():
 
 def test_window_buffer_fifo_and_eviction():
     buf = WindowBuffer(3)
-    s = [Sample(float(i), [float(i)], [0.0]) for i in range(5)]
+    s = [Sample(float(i), [float(i)], [0.0]) for i in range(9)]
     for x in s[:3]:
         buf.push(x)
     assert len(buf) == 3
@@ -81,8 +81,12 @@ def test_window_buffer_fifo_and_eviction():
     assert len(buf) == 1
     with pytest.raises(ValueError):
         buf.oldest(2)
-    buf.extend(s[4:])
+    assert buf.extend(s[4:5]) == []
     assert [x.timestamp for x in buf.items()] == [3.0, 4.0]
+    # extend reports what a full buffer pushes out, the batch's own head too
+    pushed = buf.extend(s[5:9])
+    assert [x.timestamp for x in pushed] == [3.0, 4.0, 5.0]
+    assert [x.timestamp for x in buf.items()] == [6.0, 7.0, 8.0]
 
 
 def test_window_buffer_rejects_zero_capacity():
