@@ -20,8 +20,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
+import typing
 from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
@@ -87,7 +89,7 @@ class RunConfig:
     observation_mode: str = "derivative"
     # fit/monitor extras (config-file only)
     include_bias: bool = True
-    noise_variances: object = 1.0
+    noise_variances: float | list = 1.0  # one per output, or one for all
     initial_scale: float = 1.0
     initial_tau: float = 1.0
     refresh_every: int | None = None
@@ -100,12 +102,12 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.case not in ("case1", "lorenz"):
             raise ConfigError(f"unknown case {self.case!r}")
-        if self.idle_timeout <= 0.0:
-            raise ConfigError("idle_timeout must be positive")
-        if not self.threshold >= 0.0:
-            raise ConfigError("threshold must be nonnegative")
-        if not self.alpha1 > 0.0:
-            raise ConfigError("alpha1 must be positive")
+        if not (math.isfinite(self.idle_timeout) and self.idle_timeout > 0.0):
+            raise ConfigError("idle_timeout must be finite and positive")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
+            raise ConfigError("threshold must be finite and nonnegative")
+        if not (math.isfinite(self.alpha1) and self.alpha1 > 0.0):
+            raise ConfigError("alpha1 must be finite and positive")
 
 
 _FLAGS = (
@@ -140,6 +142,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _has_type(value, declared) -> bool:
+    """Whether a config-file value fits a RunConfig field type: a bool is
+    not a number, an int may stand for a float, None only fits an optional
+    field, and a list must hold numbers."""
+    kinds = typing.get_args(declared) or (declared,)
+    if value is None or isinstance(value, bool):
+        return type(value) in kinds
+    if isinstance(value, list):
+        return list in kinds and all(_is_number(v) for v in value)
+    if isinstance(value, int) and float in kinds:
+        return True
+    return type(value) in kinds
+
+
 def resolve_config(namespace: argparse.Namespace) -> RunConfig:
     """defaults < config file < flags."""
     known = {f.name for f in fields(RunConfig)}
@@ -157,6 +177,12 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
         unknown = set(file_cfg) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for f in fields(RunConfig):
+            if f.name in file_cfg and not _has_type(file_cfg[f.name], f.type):
+                kind = getattr(f.type, "__name__", f.type)
+                raise ConfigError(
+                    f"config key {f.name!r} must be {kind}, got {file_cfg[f.name]!r}"
+                )
         merged.update(file_cfg)
     for _, dest, _ in _FLAGS:
         value = getattr(namespace, dest)
@@ -463,7 +489,7 @@ class _Monitor:
         )
         self.window.pop_oldest(len(old))
         pushed_out = self.window.extend(batch)  # only with forget == 0
-        self.gram += differential - self._gram(pushed_out)
+        self.gram += differential - self._gram(pushed_out) if pushed_out else differential
         pe = pe_from_gram(self.gram, len(self.window), self.cfg.alpha1)
         self.step_index += 1
         return {

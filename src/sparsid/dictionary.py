@@ -30,6 +30,26 @@ def _monomial_exponents(state_dim: int, degree: int, include_bias: bool):
     return out
 
 
+def _product_plan(exps: list) -> tuple:
+    """How build_matrix fills the monomials of degree 2 and up, one degree
+    block at a time: (first column, stop column, prefix columns, variables).
+    Each column is the column of its combo without the last variable, times
+    that variable, so the factors of every monomial multiply left to right."""
+    column = {combo: j for j, combo in enumerate(exps)}
+    plan = []
+    for degree in range(2, max(map(len, exps), default=0) + 1):
+        block = [j for j, combo in enumerate(exps) if len(combo) == degree]
+        plan.append(
+            (
+                block[0],
+                block[-1] + 1,
+                np.array([column[exps[j][:-1]] for j in block]),
+                np.array([exps[j][-1] for j in block]),
+            )
+        )
+    return tuple(plan)
+
+
 def _monomial_label(combo: tuple) -> str:
     if not combo:
         return "1"
@@ -108,7 +128,7 @@ class DictionarySpec:
         if not labels:
             raise ValueError("dictionary has no columns")
         object.__setattr__(self, "column_labels", tuple(labels))
-        object.__setattr__(self, "_exponents", tuple(exps))
+        object.__setattr__(self, "_products", _product_plan(exps))
         for name, values in (
             ("column_scaling", self.column_scaling),
             ("prior_scale_override", self.prior_scale_override),
@@ -152,14 +172,15 @@ def build_matrix(spec: DictionarySpec, states: Sequence[np.ndarray]) -> np.ndarr
         )
     if not np.isfinite(x).all():
         raise NonFiniteInput("states contain non-finite values")
-    t = x.shape[0]
-    cols = np.empty((t, spec.n_columns))
-    for j, combo in enumerate(spec._exponents):
-        if combo:
-            cols[:, j] = np.prod(x[:, list(combo)], axis=1)
-        else:
-            cols[:, j] = 1.0
-    offset = len(spec._exponents)
+    cols = np.empty((x.shape[0], spec.n_columns))
+    first = int(spec.include_bias)
+    if spec.include_bias:
+        cols[:, 0] = 1.0
+    if spec.poly_degree >= 1:
+        cols[:, first : first + spec.state_dim] = x
+    for start, stop, prefix, var in spec._products:
+        cols[:, start:stop] = cols[:, prefix] * x[:, var]
+    offset = spec.n_columns - len(spec.known_drift)
     for j, (_, fn) in enumerate(spec.known_drift):
         cols[:, offset + j] = [float(fn(row)) for row in x]
     if spec.column_scaling is not None:

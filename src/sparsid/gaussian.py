@@ -10,7 +10,6 @@ to moments requires a proper density.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import (
     DimensionMismatch,
@@ -28,6 +27,19 @@ __all__ = [
     "divide_gaussian",
     "pd_tolerance",
 ]
+
+
+def _cholesky(matrix: np.ndarray, error: type, message: str) -> np.ndarray:
+    """Lower Cholesky factor of matrix; raises error(message) when it has none."""
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise error(message) from exc
+
+
+def _cho_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (L @ L.T) x = rhs given the lower Cholesky factor L."""
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
 def pd_tolerance(matrix: np.ndarray) -> float:
@@ -101,30 +113,26 @@ class InformationForm:
     def is_proper(self) -> bool:
         """True when S factorizes, i.e. moments are defined."""
         try:
-            linalg.cho_factor(self.info_matrix, lower=True)
-        except linalg.LinAlgError:
+            np.linalg.cholesky(self.info_matrix)
+        except np.linalg.LinAlgError:
             return False
         return True
 
     def mean(self) -> np.ndarray:
         """Posterior mean S^-1 b. Requires a proper density."""
-        try:
-            factor = linalg.cho_factor(self.info_matrix, lower=True)
-        except linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(
-                "information matrix is not positive definite; mean undefined"
-            ) from exc
-        return linalg.cho_solve(factor, self.info_vector)
+        lower = _cholesky(
+            self.info_matrix,
+            NotPositiveDefinite,
+            "information matrix is not positive definite; mean undefined",
+        )
+        return _cho_solve(lower, self.info_vector)
 
     def covariance(self) -> np.ndarray:
         """Covariance S^-1. Requires a proper density."""
-        try:
-            factor = linalg.cho_factor(self.info_matrix, lower=True)
-        except linalg.LinAlgError as exc:
-            raise SingularInformation(
-                "information matrix cannot be factorized"
-            ) from exc
-        cov = linalg.cho_solve(factor, np.eye(self.dim))
+        lower = _cholesky(
+            self.info_matrix, SingularInformation, "information matrix cannot be factorized"
+        )
+        cov = _cho_solve(lower, np.eye(self.dim))
         return 0.5 * (cov + cov.T)
 
     def to_moment1d(self) -> Moment1D:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .dictionary import DictionarySpec, Sample, build_matrix, build_row
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularInformation
@@ -39,6 +38,27 @@ __all__ = [
 
 SCALE_FLOOR = 1e-6
 SCALE_CEIL = 1e6
+
+
+class _LazyLinalg:
+    """scipy.linalg, imported at the first factorization: monitor and
+    simulate runs never factor a posterior, so they never load scipy.
+    Looking a function up imports nothing, so `posterior.linalg` can be
+    patched without loading scipy (perfbench/spans.py counts the
+    `cho_factor` calls made through it)."""
+
+    def __getattr__(self, name):
+        def first_call(*args, **kwargs):
+            from scipy import linalg
+
+            fn = getattr(linalg, name)
+            setattr(self, name, fn)  # later calls go straight to scipy
+            return fn(*args, **kwargs)
+
+        return first_call
+
+
+linalg = _LazyLinalg()
 
 
 @dataclass(frozen=True)
@@ -189,15 +209,17 @@ class PosteriorState:
     @property
     def info(self) -> InformationForm:
         if self._info is None:
-            self._info = InformationForm(
-                linalg.block_diag(*self.s_blocks), self.b_blocks.ravel()
-            )
+            n_p = self.n_terms
+            full = np.zeros((self.n_outputs * n_p,) * 2)
+            for i, s in enumerate(self.s_blocks):
+                full[i * n_p : (i + 1) * n_p, i * n_p : (i + 1) * n_p] = s
+            self._info = InformationForm(full, self.b_blocks.ravel())
         return self._info
 
     def _factors(self):
         try:
             return [linalg.cho_factor(s, lower=True) for s in self.s_blocks]
-        except linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's
             raise SingularInformation(
                 "posterior information block is not positive definite"
             ) from exc

@@ -126,8 +126,8 @@ class LorenzConfig:
             raise ValueError("t_end must be at least dt")
         if len(self.x0) != 3:
             raise ValueError("x0 must have 3 components")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be nonnegative")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ValueError("noise_std must be finite and nonnegative")
         if self.observation_mode not in ("derivative", "finite-difference"):
             raise ValueError("observation_mode must be derivative or finite-difference")
 

@@ -3,8 +3,13 @@ determinism, stream tailing."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +80,46 @@ def test_malformed_config_rejected(tmp_path):
         parse(["--mode", "teleport"])
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"window": 200.5},
+        {"batch_in": 1.5},
+        {"degree": 2.0},
+        {"degree": True},
+        {"window": None},
+        {"xi": "0.9"},
+        {"xi": None},
+        {"include_bias": "no"},
+        {"include_bias": 0},
+        {"truth": 3},
+        {"noise_variances": "1.0"},
+        {"noise_variances": [1.0, True]},
+        {"noise_variances": [[1.0]]},
+    ],
+)
+def test_config_value_types_checked(tmp_path, linear_csv, payload):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError):
+        parse(["--config", str(cfg_path)])
+    out = tmp_path / "out"
+    assert main(["--mode", "fit", "--input", str(linear_csv[0]), "--output", str(out),
+                 "--config", str(cfg_path)]) == 2
+    assert not out.exists()
+
+
+def test_config_value_types_accepted(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "xi": 1, "threshold": 0, "switch_at": 5, "refresh_every": None,
+        "include_bias": False, "noise_variances": [1, 0.5],
+    }))
+    cfg = parse(["--config", str(cfg_path)])
+    assert cfg.xi == 1 and cfg.include_bias is False and cfg.refresh_every is None
+    assert cfg.noise_variances == [1, 0.5]
+
+
 def test_run_config_defaults():
     cfg = RunConfig()
     assert cfg.mode == "fit"
@@ -116,6 +161,13 @@ def test_simulate_rejects_bad_dt(tmp_path):
     assert main(["--mode", "simulate", "--case", "lorenz", "--dt", "0",
                  "--output", str(out)]) == 2
     assert not out.exists()  # nothing written on config errors
+    # a NaN noise level would pass `< 0` and simulate a noiseless stream
+    for noise in (float("nan"), float("inf"), -1.0):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({"lorenz_noise_std": noise}))
+        assert main(["--mode", "simulate", "--case", "lorenz", "--t-end", "1.0",
+                     "--config", str(cfg_path), "--output", str(out)]) == 2
+        assert not out.exists()
 
 
 # --------------------------------------------------------------------- fit
@@ -199,12 +251,20 @@ def test_fit_exit_codes(tmp_path, linear_csv):
     # bad render threshold or excitation level: exit 2 before any input is read
     assert main(fit_args(tmp_path / "nope.csv", out, ["--threshold", "-1"])) == 2
     assert main(fit_args(tmp_path / "nope.csv", out, ["--threshold", "nan"])) == 2
-    for alpha1 in (0.0, -1e-6):
+    assert main(fit_args(tmp_path / "nope.csv", out, ["--threshold", "inf"])) == 2
+    for alpha1 in (0.0, -1e-6, float("nan"), float("inf")):
         cfg = write_fit_config(tmp_path, alpha1=alpha1)
         args = fit_args(path, tmp_path / "mon", ["--config", str(cfg)])
         args[1] = "monitor"
         assert main(args) == 2
         assert not (tmp_path / "mon").exists()
+    # a NaN idle timeout would pass `<= 0` and tail the input forever
+    for idle in (float("nan"), float("inf"), 0.0):
+        cfg = write_fit_config(tmp_path, idle_timeout=idle)
+        args = fit_args(path, tmp_path / "str", ["--config", str(cfg)])
+        args[1] = "stream"
+        assert main(args) == 2
+        assert not (tmp_path / "str").exists()
 
 
 def test_fit_rejects_malformed_rows(tmp_path):
@@ -376,6 +436,36 @@ def test_monitor_slides_its_window_as_fit_does(
         assert m["pe_max_avg_eig"] == pytest.approx(pe.max_avg_eig, rel=1e-9)
         assert m["pe_min_avg_eig"] == pytest.approx(pe.min_avg_eig, rel=1e-9)
         assert m["pe_satisfied"] == pe.satisfied
+
+
+def test_only_fit_loads_scipy(tmp_path):
+    """Monitor and simulate runs never factor a posterior, so they never
+    import scipy; a fit run imports it at its first factorization."""
+    script = textwrap.dedent(
+        """
+        import json, sys
+        from sparsid.cli import main
+        assert main(["--mode", "simulate", "--case", "lorenz", "--t-end", "2.0",
+                     "--output", "sim"]) == 0
+        with open("run.json", "w") as fh:
+            json.dump({"window": 50, "batch_in": 1, "forget": 1}, fh)
+        run = ["--config", "run.json", "--input", "sim/data.csv"]
+        assert main(["--mode", "monitor", "--output", "mon"] + run) == 0
+        print(json.dumps("scipy.linalg" in sys.modules))
+        assert main(["--mode", "fit", "--output", "fit"] + run) == 0
+        print(json.dumps("scipy.linalg" in sys.modules))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["false", "true"]
+    assert (tmp_path / "mon" / "monitor.jsonl").stat().st_size > 0
+    for name in ("steps.jsonl", "equations.txt"):
+        assert (tmp_path / "fit" / name).stat().st_size > 0
 
 
 def test_run_fit_rejects_missing_arguments():

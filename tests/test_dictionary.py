@@ -1,10 +1,11 @@
 """Polynomial feature dictionaries: column order, labels, evaluation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -110,6 +111,56 @@ def test_build_matrix_stacks_rows(rng):
     assert mat.shape == (7, spec.n_columns)
     for i in range(7):
         np.testing.assert_array_equal(mat[i], build_row(spec, states[i]))
+
+
+def reference_matrix(spec, states):
+    """The dictionary evaluated one column at a time, each monomial as one
+    product over its variables."""
+    combos = [
+        combo
+        for degree in range(0 if spec.include_bias else 1, spec.poly_degree + 1)
+        for combo in itertools.combinations_with_replacement(range(spec.state_dim), degree)
+    ]
+    cols = np.empty((len(states), spec.n_columns))
+    for j, combo in enumerate(combos):
+        cols[:, j] = np.prod(states[:, list(combo)], axis=1) if combo else 1.0
+    for j, (_, fn) in enumerate(spec.known_drift):
+        cols[:, len(combos) + j] = [float(fn(row)) for row in states]
+    if spec.column_scaling is not None:
+        cols *= np.asarray(spec.column_scaling)
+    return cols
+
+
+@st.composite
+def specs_and_states(draw):
+    n_x = draw(st.integers(1, 5))
+    degree = draw(st.integers(0, 4))
+    bias = draw(st.booleans()) or degree == 0
+    drift = (("sin(x1)", lambda x: float(np.sin(x[0]))),) if draw(st.booleans()) else ()
+    spec = DictionarySpec(n_x, degree, bias, drift)
+    if draw(st.booleans()):
+        scaling = draw(
+            st.lists(st.floats(-4, 4), min_size=spec.n_columns, max_size=spec.n_columns)
+        )
+        spec = DictionarySpec(n_x, degree, bias, drift, column_scaling=tuple(scaling))
+    states = draw(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.just(n_x)),
+            elements=st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-30, -7.5]),
+        )
+    )
+    return spec, states
+
+
+@settings(max_examples=300)
+@given(specs_and_states())
+def test_build_matrix_matches_column_products_bitwise(case):
+    spec, states = case
+    got = build_matrix(spec, states)
+    want = reference_matrix(spec, states)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @given(
