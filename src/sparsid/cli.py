@@ -18,22 +18,22 @@ samples call the mode's step and write its record as one JSON line.
 
 import argparse
 import csv
-import io
 import json
 import math
+import operator
 import sys
 import time
 import typing
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import chain, filterfalse, islice
 from pathlib import Path
 
 import numpy as np
 
 from . import recursion as rec
 from .analyze import TruthTrajectory, render_equations, score_errors, write_error_csv
-from .dictionary import DictionarySpec, Sample, build_matrix
-from .errors import ConditionViolated, SparsidError
+from .dictionary import DictionarySpec, build_matrix, samples_from_arrays
+from .errors import ConditionViolated, SparsidError, TimestampMismatch
 from .monitor import gram, pe_from_gram
 from .posterior import NoiseModel, initial_horseshoe
 from .simulate import (
@@ -42,7 +42,6 @@ from .simulate import (
     case1_truth_payload,
     gen_sparse_regression,
     lorenz_truth_payload,
-    samples_from_arrays,
     simulate_lorenz,
     write_csv,
     write_truth_json,
@@ -241,8 +240,7 @@ def run_simulate(cfg: RunConfig) -> None:
 # ----------------------------------------------------------------- parsing
 
 
-def _parse_header(line: str) -> tuple:
-    cols = next(csv.reader(io.StringIO(line)))
+def _parse_header(cols: list) -> tuple:
     if not cols or cols[0] != "t":
         raise InputError("first CSV column must be 't'")
     n_x = 0
@@ -255,33 +253,13 @@ def _parse_header(line: str) -> tuple:
         n_y += 1
         i += 1
     if i != len(cols) or n_x == 0 or n_y == 0:
-        raise InputError(f"malformed CSV header: {line.strip()!r}")
+        raise InputError(f"malformed CSV header: {','.join(cols)!r}")
     return n_x, n_y
 
 
-def _parse_row(line: str, n_x: int, n_y: int, last_t: float | None) -> Sample:
-    cells = next(csv.reader(io.StringIO(line)))
-    if len(cells) != 1 + n_x + n_y:
-        raise InputError(f"row has {len(cells)} fields, expected {1 + n_x + n_y}")
-    try:
-        values = [float(c) for c in cells]
-    except ValueError as exc:
-        raise InputError(f"non-numeric cell in row: {line.strip()!r}") from exc
-    t = values[0]
-    if last_t is not None and t <= last_t:
-        raise InputError(f"timestamps must be strictly increasing at t={t}")
-    try:
-        return Sample(
-            timestamp=t,
-            state=np.array(values[1 : 1 + n_x]),
-            observation=np.array(values[1 + n_x :]),
-        )
-    except SparsidError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _follow_lines(path: str, idle_timeout: float, poll: float = 0.05):
-    """Non-blank lines of a file, tailed until idle_timeout s pass with no new data."""
+    """Lines of a file, tailed until idle_timeout s pass with no new data.
+    Only whole lines are yielded, and then a torn last line, if any."""
     try:
         fh = open(path)
     except OSError as exc:
@@ -295,33 +273,106 @@ def _follow_lines(path: str, idle_timeout: float, poll: float = 0.05):
                 last_data = time.monotonic()
                 buf += chunk
                 if buf.endswith("\n"):
-                    if buf.strip():
-                        yield buf
+                    yield buf
                     buf = ""
                 continue
             if time.monotonic() - last_data >= idle_timeout:
-                if buf.strip():
+                if buf:
                     yield buf
                 return
             time.sleep(poll)
 
 
-def _read_samples(lines) -> tuple:
-    """(n_x, n_y, samples) of a CSV line iterator. The header is read now,
-    the rows lazily as the sample iterator is consumed."""
-    header = next(lines, None)
-    if header is None:
-        raise InputError("input has no header row")
-    n_x, n_y = _parse_header(header)
+def _is_blank(row: list) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
 
-    def rows():
-        last_t = None
-        for line in lines:
-            sample = _parse_row(line, n_x, n_y, last_t)
-            last_t = sample.timestamp
-            yield sample
 
-    return n_x, n_y, rows()
+class _CsvBlocks:
+    """The samples of a CSV line stream, read through one csv.reader and
+    parsed and checked one block of rows at a time.
+
+    The header is read when the reader is made. take(k) converts the next
+    k rows into one float array and checks the block at once: the field
+    count of every row, finite cells, and timestamps strictly increasing
+    within the block and after the previous block. Blank lines are skipped.
+    A bad row raises InputError naming its line, so no sample of its block
+    is returned.
+    """
+
+    def __init__(self, lines):
+        self._rows = csv.reader(lines)
+        header = next(filterfalse(_is_blank, self._rows), None)
+        if header is None:
+            raise InputError("input has no header row")
+        self.n_x, self.n_y = _parse_header(header)
+        self._width = 1 + self.n_x + self.n_y
+        self._last_t = -math.inf
+
+    def take(self, k: int) -> list:
+        """The Samples of the next k rows; fewer only where the input ends."""
+        samples = []
+        while len(samples) < k:
+            first_line = self._rows.line_num + 1
+            try:
+                rows = list(islice(self._rows, k - len(samples)))
+            except csv.Error as exc:
+                raise InputError(f"line {self._rows.line_num}: {exc}") from exc
+            if not rows:
+                break
+            try:
+                samples += self._block(rows)
+            except (ValueError, SparsidError):
+                samples += self._block(self._rescan(rows, first_line))
+        return samples
+
+    def _block(self, rows: list) -> list:
+        if not rows:  # a block of blank lines only
+            return []
+        width = self._width
+        if set(map(len, rows)) != {width}:
+            raise ValueError("rows of the wrong field count")
+        values = list(map(float, chain.from_iterable(rows)))
+        t = values[::width]
+        if not (t[0] > self._last_t and all(map(operator.lt, t, t[1:]))):
+            raise ValueError("timestamps not strictly increasing")
+        block = np.array(values).reshape(len(rows), width)
+        n_x = self.n_x
+        samples = samples_from_arrays(
+            block[:, 0], block[:, 1 : 1 + n_x], block[:, 1 + n_x :]
+        )
+        self._last_t = t[-1]
+        return samples
+
+    def _rescan(self, rows: list, first_line: int) -> list:
+        """The error path of take: check a block row by row. Raises
+        InputError naming the line of the first bad row, or returns the
+        rows left when only blank lines failed the block."""
+        kept = []
+        last_t = self._last_t
+        for line, row in enumerate(rows, start=first_line):
+            if _is_blank(row):
+                continue
+            where = f"line {line}"
+            if len(row) != self._width:
+                raise InputError(
+                    f"{where}: row has {len(row)} fields, expected {self._width}"
+                )
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError as exc:
+                raise InputError(
+                    f"{where}: non-numeric cell in row {','.join(row)!r}"
+                ) from exc
+            if not all(map(math.isfinite, values)):
+                raise InputError(f"{where}: non-finite value in row {','.join(row)!r}")
+            if values[0] <= last_t:
+                raise InputError(
+                    f"{where}: timestamps must be strictly increasing, "
+                    f"got t={values[0]} after t={last_t}"
+                )
+            last_t = values[0]
+            kept.append(row)
+        return kept
 
 
 # ----------------------------------------------------------------- run loop
@@ -341,15 +392,15 @@ def _drive(cfg: RunConfig, mode_cls):
     if cfg.batch_in < 1:
         raise ConfigError(f"batch_in must be at least 1 for {cfg.mode} runs")
     idle_timeout = cfg.idle_timeout if cfg.mode == "stream" else 0.0
-    n_x, n_y, samples = _read_samples(_follow_lines(cfg.input, idle_timeout))
+    rows = _CsvBlocks(_follow_lines(cfg.input, idle_timeout))
     try:
         spec = DictionarySpec(
-            state_dim=n_x, poly_degree=cfg.degree, include_bias=cfg.include_bias
+            state_dim=rows.n_x, poly_degree=cfg.degree, include_bias=cfg.include_bias
         )
     except (ValueError, SparsidError) as exc:
         raise ConfigError(str(exc)) from exc
-    mode = mode_cls(cfg, spec, n_y)
-    warmup = list(islice(samples, cfg.window))
+    mode = mode_cls(cfg, spec, rows.n_y)
+    warmup = rows.take(cfg.window)
     if len(warmup) < cfg.window:
         raise InputError(
             f"input ended during warmup ({len(warmup)} of {cfg.window} samples)"
@@ -360,7 +411,7 @@ def _drive(cfg: RunConfig, mode_cls):
     out.mkdir(parents=True, exist_ok=True)
     try:
         with open(out / mode.output_name, "w") as fh:
-            while len(batch := list(islice(samples, cfg.batch_in))) == cfg.batch_in:
+            while len(batch := rows.take(cfg.batch_in)) == cfg.batch_in:
                 fh.write(json.dumps(mode.step(batch), sort_keys=True))
                 fh.write("\n")
     except OSError as exc:
@@ -394,6 +445,7 @@ class _Fit:
             )
         except (ValueError, SparsidError) as exc:
             raise ConfigError(str(exc)) from exc
+        self.truth = _load_truth(cfg, n_y * spec.n_columns)
         self.state = None
         self.estimates: list = []
 
@@ -424,7 +476,9 @@ def _broadcast_variances(value, n_y: int) -> np.ndarray:
     return arr
 
 
-def _load_truth(cfg: RunConfig) -> TruthTrajectory | None:
+def _load_truth(cfg: RunConfig, n_coefs: int) -> TruthTrajectory | None:
+    """The coefficient truth to score the fit against, if there is one; it
+    must give the n_coefs coefficients the fit estimates (outputs x columns)."""
     path = cfg.truth
     if path is None and cfg.input is not None:
         candidate = Path(cfg.input).parent / "truth.json"
@@ -436,9 +490,20 @@ def _load_truth(cfg: RunConfig) -> TruthTrajectory | None:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read truth file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InputError("truth file must hold a JSON object")
     if "segments" not in payload:
         return None  # not a coefficient trajectory (e.g. drifting-parameter truth)
-    return TruthTrajectory.from_dict(payload)
+    try:
+        truth = TruthTrajectory.from_dict(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed truth file: {exc!r}") from exc
+    if truth.betas.shape[1] != n_coefs:
+        raise InputError(
+            f"truth has {truth.betas.shape[1]} coefficients per segment, "
+            f"but the fit estimates {n_coefs}"
+        )
+    return truth
 
 
 def run_fit(cfg: RunConfig) -> None:
@@ -449,9 +514,12 @@ def run_fit(cfg: RunConfig) -> None:
         for line in render_equations(final, cfg.threshold):
             fh.write(line)
             fh.write("\n")
-    truth = _load_truth(cfg)
-    if truth is not None and fit.estimates:
-        write_error_csv(out / "errors.csv", score_errors(fit.estimates, truth))
+    if fit.truth is not None and fit.estimates:
+        try:
+            errors = score_errors(fit.estimates, fit.truth)
+        except TimestampMismatch as exc:
+            raise InputError(f"truth file: {exc}") from exc
+        write_error_csv(out / "errors.csv", errors)
 
 
 # ----------------------------------------------------------------- monitor

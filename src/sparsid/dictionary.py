@@ -8,6 +8,7 @@ row split, Gram(all) - Gram(subset) is positive semidefinite.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -15,7 +16,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput
 
-__all__ = ["DictionarySpec", "Sample", "build_row", "build_matrix"]
+__all__ = [
+    "DictionarySpec",
+    "Sample",
+    "build_row",
+    "build_matrix",
+    "samples_from_arrays",
+]
 
 
 DriftFn = Callable[[np.ndarray], float]
@@ -78,6 +85,39 @@ class Sample:
             raise NonFiniteInput("timestamp must be finite")
         if not (np.isfinite(self.state).all() and np.isfinite(self.observation).all()):
             raise NonFiniteInput("state/observation must be finite")
+
+
+def _checked_sample(timestamp: float, state: np.ndarray, observation: np.ndarray):
+    """A Sample of values samples_from_arrays has already checked."""
+    sample = object.__new__(Sample)
+    sample.__dict__.update(timestamp=timestamp, state=state, observation=observation)
+    return sample
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def samples_from_arrays(times, states, observations) -> list:
+    """One Sample per row of parallel arrays: times (t,), states (t, n_x)
+    and observations (t, n_y).
+
+    The block is checked once, for its shapes and for finite values. Each
+    Sample then holds its timestamp as a float and row views of the state
+    and observation arrays, and no per-sample check runs.
+    """
+    t = np.asarray(times, dtype=float)
+    x = np.asarray(states, dtype=float)
+    y = np.asarray(observations, dtype=float)
+    if t.ndim != 1 or x.ndim != 2 or y.ndim != 2 or not len(t) == len(x) == len(y):
+        raise DimensionMismatch(
+            f"need one row per sample, got times {t.shape}, states {x.shape}, "
+            f"observations {y.shape}"
+        )
+    timestamps = t.tolist()
+    if not (all(map(math.isfinite, timestamps)) and _all_finite(x) and _all_finite(y)):
+        raise NonFiniteInput("timestamps, states and observations must be finite")
+    return list(map(_checked_sample, timestamps, x, y))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Sample
+from .dictionary import samples_from_arrays
 from .errors import NonFiniteState
 
 __all__ = [
@@ -61,7 +61,7 @@ class SparseRegressionConfig:
             raise ValueError("switch_at must fall inside the stream")
 
 
-def _draw_beta(rng: np.random.Generator, m: int, fraction: float) -> np.ndarray:
+def _draw_beta(rng: "np.random.Generator", m: int, fraction: float) -> np.ndarray:
     beta = np.zeros(m)
     n_active = max(1, round(fraction * m))
     idx = rng.choice(m, size=n_active, replace=False)
@@ -197,18 +197,7 @@ def simulate_lorenz(config: LorenzConfig) -> list:
         obs = np.stack([lorenz_rhs(x, t) for x, t in zip(states, times)])
         obs += noise
 
-    return [
-        Sample(timestamp=float(t), state=x, observation=o)
-        for t, x, o in zip(times, states, obs)
-    ]
-
-
-def samples_from_arrays(times, states, observations) -> list:
-    """Bundle parallel arrays into the stream element type."""
-    return [
-        Sample(timestamp=float(t), state=x, observation=o)
-        for t, x, o in zip(times, np.atleast_2d(states), np.atleast_2d(observations))
-    ]
+    return samples_from_arrays(times, states, obs)
 
 
 def write_csv(path, samples: list) -> None:

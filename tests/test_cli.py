@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sparsid.cli as cli
 from sparsid import DictionarySpec, check_pe
@@ -224,6 +227,44 @@ def test_fit_reads_truth_sidecar(tmp_path):
     assert len(lines) == 1 + (200 - 60) // 5
 
 
+def test_fit_rejects_mismatched_truth(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert main(["--mode", "simulate", "--case", "case1", "--m", "3", "--n", "400",
+                 "--output", str(sim)]) == 0
+    # 3 true coefficients against the 10 columns of a degree-2 dictionary
+    out = tmp_path / "fit"
+    assert main(["--mode", "fit", "--input", str(sim / "data.csv"),
+                 "--output", str(out), "--window", "50"]) == 3
+    assert "truth has 3 coefficients" in capsys.readouterr().err
+    assert not out.exists()  # refused before the stream is read past its header
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"segments": [{"start_t": 0.0}]},
+        {"segments": [{"coeffs": [4.0, 0.0, -2.0]}]},
+        {"segments": []},
+        {"segments": "none"},
+        [1, 2],
+    ],
+)
+def test_fit_rejects_malformed_truth(tmp_path, linear_csv, payload):
+    path, _ = linear_csv
+    (path.parent / "truth.json").write_text(json.dumps(payload))
+    cfg = write_fit_config(tmp_path)
+    assert main(fit_args(path, tmp_path / "fit", ["--config", str(cfg)])) == 3
+
+
+def test_fit_rejects_truth_starting_after_scored_steps(tmp_path, linear_csv, capsys):
+    path, w = linear_csv
+    truth = {"segments": [{"start_t": 100.0, "coeffs": w.tolist()}]}
+    (path.parent / "truth.json").write_text(json.dumps(truth))
+    cfg = write_fit_config(tmp_path)
+    assert main(fit_args(path, tmp_path / "fit", ["--config", str(cfg)])) == 3
+    assert "no ground truth at t=" in capsys.readouterr().err
+
+
 def test_fit_exit_codes(tmp_path, linear_csv):
     path, _ = linear_csv
     out = tmp_path / "x"
@@ -280,6 +321,104 @@ def test_fit_rejects_malformed_rows(tmp_path):
     headerless.write_text("0.0,1.0,2.0\n1.0,1.5,2.5\n")
     assert main(["--mode", "fit", "--input", str(headerless), "--output",
                  str(tmp_path / "o3"), "--window", "1"]) == 3
+    # a cell past the csv module's field size limit is an input error too
+    huge = tmp_path / "huge.csv"
+    cell = "1" * (csv.field_size_limit() + 1)
+    huge.write_text(f"t,x1,y1\n0.0,1.0,2.0\n1.0,{cell},2.0\n")
+    assert main(["--mode", "fit", "--input", str(huge), "--output",
+                 str(tmp_path / "o4"), "--window", "2"]) == 3
+
+
+BAD_CELLS = {
+    "field_count": lambda row, prev_t: row[:-1],
+    "non_numeric": lambda row, prev_t: [row[0], "oops"] + row[2:],
+    "nan": lambda row, prev_t: row[:2] + ["nan"] + row[3:],
+    "inf": lambda row, prev_t: row[:-1] + ["inf"],
+    "repeated_t": lambda row, prev_t: [repr(prev_t)] + row[1:],
+    "decreasing_t": lambda row, prev_t: [repr(prev_t - 0.5)] + row[1:],
+}
+
+
+@pytest.mark.parametrize("batch_in", [1, 3])
+@pytest.mark.parametrize("where", ["warmup", "inside_batch", "batch_boundary"])
+@pytest.mark.parametrize("kind", sorted(BAD_CELLS))
+def test_bad_row_exits_before_its_batch(tmp_path, capsys, kind, where, batch_in):
+    """A bad row exits 3 naming its line, after the batches before it were
+    stepped and written and before its own batch is stepped."""
+    window = 6
+    bad = {
+        "warmup": window // 2,
+        "inside_batch": window + batch_in + batch_in // 2,
+        "batch_boundary": window + 2 * batch_in,
+    }[where]
+    path = tmp_path / "data.csv"
+    write_linear_stream(path, n=window + 4 * batch_in, m=2, seed=2)
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    rows[bad] = BAD_CELLS[kind](rows[bad], float(rows[bad - 1][0]))
+    path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    out = tmp_path / "fit"
+    code = main(["--mode", "fit", "--input", str(path), "--output", str(out),
+                 "--window", str(window), "--batch-in", str(batch_in),
+                 "--forget", str(batch_in), "--degree", "1",
+                 "--config", str(write_fit_config(tmp_path))])
+    assert code == 3
+    assert f"line {bad + 2}:" in capsys.readouterr().err  # the header is line 1
+    steps = out / "steps.jsonl"
+    if where == "warmup":
+        assert not steps.exists()
+    else:
+        records = [json.loads(l) for l in steps.read_text().splitlines()]
+        assert len(records) == (bad - window) // batch_in
+        assert [r["step"] for r in records] == list(range(1, len(records) + 1))
+
+
+def reference_rows(text: str) -> np.ndarray:
+    """Per-row reference parser: the data rows of a CSV text as floats."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    return np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+
+
+@given(
+    n_x=st.integers(1, 4),
+    n_y=st.integers(1, 3),
+    steps=st.lists(st.floats(1e-3, 10.0), max_size=25),
+    seed=st.integers(0, 2**16),
+    sizes=st.lists(st.integers(1, 7), min_size=1, max_size=8),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    blanks=st.sets(st.integers(0, 30), max_size=4),
+    final_newline=st.booleans(),
+)
+def test_batch_reader_matches_per_row_parse(
+    n_x, n_y, steps, seed, sizes, newline, blanks, final_newline
+):
+    t = np.cumsum([0.0] + steps)
+    values = np.random.default_rng(seed).normal(scale=1e3, size=(len(t), n_x + n_y))
+    header = ["t"] + [f"x{i + 1}" for i in range(n_x)]
+    header += [f"y{i + 1}" for i in range(n_y)]
+    lines = [",".join(header)]
+    for i, row in enumerate(np.column_stack([t, values])):
+        if i in blanks:
+            lines.append("" if i % 2 else "  ")
+        lines.append(",".join(repr(float(v)) for v in row))
+    text = newline.join(lines) + (newline if final_newline else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode())
+        reader = cli._CsvBlocks(cli._follow_lines(str(path), idle_timeout=0.0))
+        assert (reader.n_x, reader.n_y) == (n_x, n_y)
+        samples = []
+        for k in sizes * (len(t) + 1):
+            block = reader.take(k)
+            samples += block
+            if len(block) < k:
+                break
+    expected = reference_rows(text)
+    assert len(samples) == len(t)
+    assert [s.timestamp for s in samples] == expected[:, 0].tolist()
+    for s, row in zip(samples, expected):
+        assert s.state.tolist() == row[1 : 1 + n_x].tolist()
+        assert s.observation.tolist() == row[1 + n_x :].tolist()
 
 
 def test_fit_requires_enough_rows_for_warmup(tmp_path):
@@ -466,6 +605,19 @@ def test_only_fit_loads_scipy(tmp_path):
     assert (tmp_path / "mon" / "monitor.jsonl").stat().st_size > 0
     for name in ("steps.jsonl", "equations.txt"):
         assert (tmp_path / "fit" / name).stat().st_size > 0
+
+
+def test_importing_cli_skips_numpy_random():
+    """No run mode but simulate draws random numbers, so the CLI's import
+    leaves numpy.random unloaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sparsid.cli; print('numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_run_fit_rejects_missing_arguments():
