@@ -1,9 +1,9 @@
 """Scoring, interpretability, and tracking diagnostics.
 
-Errors are scored against a piecewise-constant ground-truth coefficient
-trajectory; term contributions decompose a prediction into per-column
-pieces that sum back to it exactly; equations render as readable strings
-in dictionary column order.
+Errors are scored against the coefficient truth read_truth reads from
+either format the simulator writes; term contributions decompose a
+prediction into per-column pieces that sum back to it exactly; equations
+render as readable strings in dictionary column order.
 """
 
 import csv
@@ -11,12 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import build_matrix, build_row
+from .dictionary import DictionarySpec, build_matrix, build_row
 from .errors import TimestampMismatch
 from .posterior import PosteriorState, predict
+from .simulate import lorenz_terms
 
 __all__ = [
     "TruthTrajectory",
+    "LorenzTruth",
+    "read_truth",
     "ErrorTrace",
     "ContributionRecord",
     "score_errors",
@@ -46,15 +49,6 @@ class TruthTrajectory:
         object.__setattr__(self, "times", t.copy())
         object.__setattr__(self, "betas", b.copy())
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TruthTrajectory":
-        """Build from the sidecar truth format written by the simulator."""
-        segments = payload["segments"]
-        return cls(
-            times=np.array([s["start_t"] for s in segments]),
-            betas=np.array([s["coeffs"] for s in segments]),
-        )
-
     def at(self, t: float) -> np.ndarray:
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
         if idx < 0:
@@ -62,6 +56,64 @@ class TruthTrajectory:
                 f"no ground truth at t={t} (first segment starts at {self.times[0]})"
             )
         return self.betas[idx]
+
+
+class LorenzTruth:
+    """The drifting Lorenz system's coefficient truth: k1 and k3 sampled at
+    every stream time. at(t) builds the coefficients of the sample within
+    1e-9 of t from simulate.lorenz_terms, output by output over spec's
+    columns."""
+
+    def __init__(self, payload: dict, spec: DictionarySpec):
+        if spec.state_dim != 3:
+            raise ValueError(f"a Lorenz truth needs 3 states, not {spec.state_dim}")
+        labels, terms = spec.column_labels, lorenz_terms(0.0, 0.0)
+        if missing := [term for _, term, _ in terms if term not in labels]:
+            raise ValueError(f"Lorenz terms {missing} are not dictionary columns")
+        self.flat = [i * len(labels) + labels.index(term) for i, term, _ in terms]
+        self.size = 3 * len(labels)
+        ks = np.column_stack([payload["k1"], payload["k3"]])
+        self.ks = TruthTrajectory(times=payload["t"], betas=ks)
+
+    def at(self, t: float) -> np.ndarray:
+        i = int(np.searchsorted(self.ks.times, t - 1e-9))
+        if i == self.ks.times.size or self.ks.times[i] > t + 1e-9:
+            raise TimestampMismatch(f"no truth sample at t={t}")
+        beta = np.zeros(self.size)
+        beta[self.flat] = [coef for _, _, coef in lorenz_terms(*self.ks.betas[i])]
+        return beta
+
+
+def read_truth(payload, spec: DictionarySpec, n_y: int):
+    """The truth of a truth.json payload, {"segments": [{"start_t", "coeffs"},
+    ...]} or {"case": "lorenz", "t", "k1", "k3"}, as a TruthTrajectory or
+    LorenzTruth whose at(t) gives the n_y x spec.n_columns coefficients of a
+    fit, output by output. Raises ValueError for a payload of neither format,
+    a malformed one, or one without one coefficient per output and column.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("truth file must hold a JSON object")
+    try:
+        if "segments" in payload:
+            segments = payload["segments"]
+            truth = TruthTrajectory(
+                times=[s["start_t"] for s in segments],
+                betas=[s["coeffs"] for s in segments],
+            )
+            n_coefs = truth.betas.shape[1]
+        elif payload.get("case") == "lorenz":
+            truth = LorenzTruth(payload, spec)
+            n_coefs = truth.size
+        else:
+            raise ValueError('truth has neither "segments" nor "case": "lorenz"')
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed truth file: {exc!r}") from exc
+    if n_coefs != n_y * spec.n_columns:
+        raise ValueError(
+            f"truth has {n_coefs} coefficients per time, but the fit estimates "
+            f"{n_y * spec.n_columns} ({n_y} outputs x {spec.n_columns} columns)"
+        )
+    return truth
 
 
 @dataclass(frozen=True)
@@ -74,12 +126,12 @@ class ErrorTrace:
     switch_steps: tuple
 
 
-def score_errors(estimates, truth: TruthTrajectory) -> ErrorTrace:
+def score_errors(estimates, truth) -> ErrorTrace:
     """Score a sequence of (timestamp, coefficient-vector) estimates.
 
-    Estimates are sorted by timestamp before scoring, so the trace is
-    invariant to input ordering. switch_steps flags the scored step indices
-    at which the interpolated truth changes.
+    truth is a TruthTrajectory or LorenzTruth. Estimates are sorted by
+    timestamp before scoring, so the trace is invariant to input ordering.
+    switch_steps flags the scored step indices at which the truth changes.
     """
     items = sorted(estimates, key=lambda e: e[0])
     if not items:
@@ -91,16 +143,12 @@ def score_errors(estimates, truth: TruthTrajectory) -> ErrorTrace:
         raise ValueError(
             f"estimate dimension {est.shape[1]} does not match truth {true.shape[1]}"
         )
-    abs_err = np.abs(est - true)
-    switches = tuple(
-        int(i)
-        for i in range(1, true.shape[0])
-        if not np.array_equal(true[i], true[i - 1])
-    )
+    switches = tuple((np.flatnonzero((true[1:] != true[:-1]).any(axis=1)) + 1).tolist())
+    est -= true  # the signed errors, in place: a long run scores many steps
     return ErrorTrace(
         timestamps=times,
-        l2_errors=np.linalg.norm(est - true, axis=1),
-        per_coef_abs_errors=abs_err,
+        l2_errors=np.linalg.norm(est, axis=1),
+        per_coef_abs_errors=np.abs(est, out=est),
         switch_steps=switches,
     )
 
@@ -224,9 +272,7 @@ def write_error_csv(path, trace: ErrorTrace) -> None:
         writer.writerow(
             ["t", "l2_error"] + [f"abs_err_{j + 1}" for j in range(d)] + ["truth_switch"]
         )
-        for i, (t, l2) in enumerate(zip(trace.timestamps, trace.l2_errors)):
-            writer.writerow(
-                [repr(float(t)), repr(float(l2))]
-                + [repr(float(v)) for v in trace.per_coef_abs_errors[i]]
-                + [int(i in switch_set)]
-            )
+        times, l2s = trace.timestamps.tolist(), trace.l2_errors.tolist()
+        for i, (t, l2, errs) in enumerate(zip(times, l2s, trace.per_coef_abs_errors)):
+            # csv writes a float as its repr, which round-trips exactly
+            writer.writerow([t, l2, *errs.tolist(), int(i in switch_set)])

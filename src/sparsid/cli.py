@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import recursion as rec
-from .analyze import TruthTrajectory, render_equations, score_errors, write_error_csv
+from .analyze import read_truth, render_equations, score_errors, write_error_csv
 from .dictionary import DictionarySpec, build_matrix, samples_from_arrays
 from .errors import ConditionViolated, SparsidError, TimestampMismatch
 from .monitor import gram, pe_from_gram
@@ -445,7 +445,7 @@ class _Fit:
             )
         except (ValueError, SparsidError) as exc:
             raise ConfigError(str(exc)) from exc
-        self.truth = _load_truth(cfg, n_y * spec.n_columns)
+        self.truth = _load_truth(cfg, spec, n_y)
         self.state = None
         self.estimates: list = []
 
@@ -460,7 +460,7 @@ class _Fit:
     def step(self, batch: list) -> dict:
         outcome = rec.step(self.state, batch)
         record = rec.step_record(self.state, outcome)
-        if outcome.accepted:
+        if outcome.accepted and self.truth is not None:
             self.estimates.append((outcome.timestamp, np.ravel(record["coef_mean"])))
         return record
 
@@ -476,34 +476,17 @@ def _broadcast_variances(value, n_y: int) -> np.ndarray:
     return arr
 
 
-def _load_truth(cfg: RunConfig, n_coefs: int) -> TruthTrajectory | None:
-    """The coefficient truth to score the fit against, if there is one; it
-    must give the n_coefs coefficients the fit estimates (outputs x columns)."""
-    path = cfg.truth
-    if path is None and cfg.input is not None:
-        candidate = Path(cfg.input).parent / "truth.json"
-        path = str(candidate) if candidate.exists() else None
-    if path is None:
+def _load_truth(cfg: RunConfig, spec: DictionarySpec, n_y: int):
+    """The coefficient truth of the `truth` file, else of a truth.json beside
+    the input, if there is one; read_truth checks it against the fit."""
+    path = Path(cfg.input).parent / "truth.json" if cfg.truth is None else cfg.truth
+    if cfg.truth is None and not path.exists():
         return None
     try:
         with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read truth file: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise InputError("truth file must hold a JSON object")
-    if "segments" not in payload:
-        return None  # not a coefficient trajectory (e.g. drifting-parameter truth)
-    try:
-        truth = TruthTrajectory.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed truth file: {exc!r}") from exc
-    if truth.betas.shape[1] != n_coefs:
-        raise InputError(
-            f"truth has {truth.betas.shape[1]} coefficients per segment, "
-            f"but the fit estimates {n_coefs}"
-        )
-    return truth
+            return read_truth(json.load(fh), spec, n_y)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InputError(f"truth file {path}: {exc}") from exc
 
 
 def run_fit(cfg: RunConfig) -> None:
@@ -511,10 +494,8 @@ def run_fit(cfg: RunConfig) -> None:
     out = Path(cfg.output)
     final = rec.snapshot(fit.state)
     with open(out / "equations.txt", "w") as fh:
-        for line in render_equations(final, cfg.threshold):
-            fh.write(line)
-            fh.write("\n")
-    if fit.truth is not None and fit.estimates:
+        fh.writelines(f"{line}\n" for line in render_equations(final, cfg.threshold))
+    if fit.estimates:
         try:
             errors = score_errors(fit.estimates, fit.truth)
         except TimestampMismatch as exc:

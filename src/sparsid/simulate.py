@@ -25,6 +25,7 @@ __all__ = [
     "gen_sparse_regression",
     "lorenz_coefficients",
     "lorenz_rhs",
+    "lorenz_terms",
     "simulate_lorenz",
     "write_csv",
     "write_truth_json",
@@ -59,6 +60,8 @@ class SparseRegressionConfig:
             raise ValueError("noise_variance must be finite and nonnegative")
         if self.switch_at is not None and not (0 < self.switch_at < self.n_samples):
             raise ValueError("switch_at must fall inside the stream")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def _draw_beta(rng: "np.random.Generator", m: int, fraction: float) -> np.ndarray:
@@ -130,6 +133,8 @@ class LorenzConfig:
             raise ValueError("noise_std must be finite and nonnegative")
         if self.observation_mode not in ("derivative", "finite-difference"):
             raise ValueError("observation_mode must be derivative or finite-difference")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def lorenz_coefficients(t: float) -> tuple:
@@ -145,6 +150,16 @@ def lorenz_rhs(x: np.ndarray, t: float) -> np.ndarray:
             x[0] * (28.0 - x[2]) - x[1],
             x[0] * x[1] - k3 * x[2],
         ]
+    )
+
+
+def lorenz_terms(k1: float, k3: float) -> tuple:
+    """lorenz_rhs at the coefficients k1, k3 as (output, dictionary term,
+    coefficient) triples; every other term of every output is zero."""
+    return (
+        (0, "x1", -k1), (0, "x2", k1),
+        (1, "x1", 28.0), (1, "x2", -1.0), (1, "x1*x3", -1.0),
+        (2, "x3", -k3), (2, "x1*x2", 1.0),
     )
 
 
@@ -236,12 +251,8 @@ def case1_truth_payload(config: SparseRegressionConfig, beta_true: np.ndarray) -
 
 
 def lorenz_truth_payload(config: LorenzConfig) -> dict:
+    """k1 and k3 at every sample time; lorenz_terms gives the structure."""
     n_steps = round(config.t_end / config.dt)
     times = (np.arange(n_steps + 1) * config.dt).tolist()
-    k = [lorenz_coefficients(t) for t in times]
-    return {
-        "case": "lorenz",
-        "t": times,
-        "k1": [v[0] for v in k],
-        "k3": [v[1] for v in k],
-    }
+    k1, k3 = zip(*map(lorenz_coefficients, times))
+    return {"case": "lorenz", "t": times, "k1": list(k1), "k3": list(k3)}

@@ -8,8 +8,8 @@ from sparsid import (
     NoiseModel,
     PosteriorState,
     TimestampMismatch,
-    TruthTrajectory,
     batch_fit,
+    build_row,
     contributions,
     empirical_h,
     initial_horseshoe,
@@ -20,17 +20,25 @@ from sparsid import (
     write_error_csv,
 )
 
+from sparsid.analyze import read_truth
+from sparsid.simulate import lorenz_coefficients, lorenz_rhs
+
 from conftest import make_samples
 
 
+TWO_INPUTS = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
+
+
 def piecewise_truth():
-    return TruthTrajectory.from_dict(
+    return read_truth(
         {
             "segments": [
                 {"start_t": 0.0, "coeffs": [1.0, 0.0]},
                 {"start_t": 10.0, "coeffs": [0.0, 2.0]},
             ]
-        }
+        },
+        TWO_INPUTS,
+        1,
     )
 
 
@@ -49,14 +57,36 @@ def test_truth_lookup_by_segment():
 
 def test_truth_requires_increasing_segments():
     with pytest.raises(ValueError):
-        TruthTrajectory.from_dict(
+        read_truth(
             {
                 "segments": [
-                    {"start_t": 5.0, "coeffs": [1.0]},
-                    {"start_t": 5.0, "coeffs": [2.0]},
+                    {"start_t": 5.0, "coeffs": [1.0, 0.0]},
+                    {"start_t": 5.0, "coeffs": [2.0, 0.0]},
                 ]
-            }
+            },
+            TWO_INPUTS,
+            1,
         )
+
+
+@pytest.mark.parametrize("degree,include_bias", [(2, True), (2, False), (3, True)])
+def test_lorenz_truth_reproduces_the_generator(degree, include_bias):
+    rng = np.random.default_rng(degree + include_bias)
+    times = np.sort(rng.uniform(0.0, 500.0, size=20))
+    k1, k3 = zip(*map(lorenz_coefficients, times))
+    payload = {"case": "lorenz", "t": times.tolist(), "k1": k1, "k3": k3}
+    spec = DictionarySpec(state_dim=3, poly_degree=degree, include_bias=include_bias)
+    truth = read_truth(payload, spec, 3)
+    for t in times:
+        x = rng.normal(scale=10.0, size=3)
+        beta = truth.at(t).reshape(3, spec.n_columns)
+        np.testing.assert_allclose(
+            beta @ build_row(spec, x), lorenz_rhs(x, t), rtol=1e-12, atol=1e-9
+        )
+    np.testing.assert_array_equal(truth.at(times[3] + 1e-10), truth.at(times[3]))
+    for t in (times[0] - 1e-3, times[3] + 1e-3, times[-1] + 1e-3):
+        with pytest.raises(TimestampMismatch):
+            truth.at(t)  # no sample there
 
 
 def test_score_errors_small_case():

@@ -171,6 +171,11 @@ def test_simulate_rejects_bad_dt(tmp_path):
         assert main(["--mode", "simulate", "--case", "lorenz", "--t-end", "1.0",
                      "--config", str(cfg_path), "--output", str(out)]) == 2
         assert not out.exists()
+    # numpy's SeedSequence takes no negative seed
+    for case in ("case1", "lorenz"):
+        assert main(["--mode", "simulate", "--case", case, "--seed", "-1",
+                     "--t-end", "1.0", "--n", "20", "--output", str(out)]) == 2
+        assert not out.exists()
 
 
 # --------------------------------------------------------------------- fit
@@ -263,6 +268,81 @@ def test_fit_rejects_truth_starting_after_scored_steps(tmp_path, linear_csv, cap
     cfg = write_fit_config(tmp_path)
     assert main(fit_args(path, tmp_path / "fit", ["--config", str(cfg)])) == 3
     assert "no ground truth at t=" in capsys.readouterr().err
+
+
+def test_fit_keeps_no_estimates_without_truth(tmp_path, linear_csv):
+    path, _ = linear_csv
+    out = tmp_path / "fit"
+    cfg = parse(fit_args(path, out, ["--config", str(write_fit_config(tmp_path))]))
+    fit = cli._drive(cfg, cli._Fit)
+    assert fit.truth is None
+    assert fit.estimates == []
+    assert len((out / "steps.jsonl").read_text().splitlines()) == (160 - 60) // 5
+
+
+def simulate_lorenz_stream(tmp_path, t_end="3.0"):
+    sim = tmp_path / "sim"
+    assert main(["--mode", "simulate", "--case", "lorenz", "--t-end", t_end,
+                 "--seed", "2", "--output", str(sim)]) == 0
+    return sim
+
+
+def lorenz_beta(labels, k1, k3):
+    """The Lorenz coefficients over a dictionary's labels, written out."""
+    col = {label: j for j, label in enumerate(labels)}
+    beta = np.zeros((3, len(labels)))
+    beta[0, col["x1"]], beta[0, col["x2"]] = -k1, k1
+    beta[1, col["x1"]], beta[1, col["x2"]], beta[1, col["x1*x3"]] = 28.0, -1.0, -1.0
+    beta[2, col["x1*x2"]], beta[2, col["x3"]] = 1.0, -k3
+    return beta
+
+
+def test_fit_scores_lorenz_truth(tmp_path):
+    sim = simulate_lorenz_stream(tmp_path)
+    out = tmp_path / "fit"
+    assert main(["--mode", "fit", "--input", str(sim / "data.csv"), "--output", str(out),
+                 "--window", "100", "--batch-in", "5", "--forget", "5"]) == 0
+    truth = json.loads((sim / "truth.json").read_text())
+    records = [json.loads(l) for l in (out / "steps.jsonl").read_text().splitlines()]
+    accepted = [r for r in records if r["accepted"]]
+    with open(out / "errors.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(accepted) == (301 - 100) // 5
+    labels = DictionarySpec(state_dim=3, poly_degree=2).column_labels
+    for record, row in zip(accepted, rows):
+        i = truth["t"].index(record["t"])
+        beta = lorenz_beta(labels, truth["k1"][i], truth["k3"][i])
+        expected = np.linalg.norm(np.array(record["coef_mean"]) - beta)
+        assert float(row["t"]) == record["t"]
+        assert float(row["l2_error"]) == pytest.approx(expected, rel=1e-12)
+
+
+def test_fit_rejects_truth_of_neither_format(tmp_path, linear_csv, capsys):
+    path, _ = linear_csv
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"case": "case1", "m": 3}))
+    out = tmp_path / "fit"
+    cfg = write_fit_config(tmp_path, truth=str(other))
+    assert main(fit_args(path, out, ["--config", str(cfg)])) == 3
+    assert 'neither "segments" nor "case": "lorenz"' in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_rejects_lorenz_truth_of_other_terms(tmp_path, capsys):
+    sim = simulate_lorenz_stream(tmp_path, t_end="2.0")
+    out = tmp_path / "fit"
+    # degree 1 has no x1*x3 or x1*x2 column
+    assert main(["--mode", "fit", "--input", str(sim / "data.csv"), "--output", str(out),
+                 "--window", "50", "--degree", "1"]) == 3
+    assert "are not dictionary columns" in capsys.readouterr().err
+    # a two-state stream is not the three-state system
+    plane = tmp_path / "plane"
+    plane.mkdir()
+    write_linear_stream(plane / "data.csv", m=2)
+    (plane / "truth.json").write_text((sim / "truth.json").read_text())
+    assert main(fit_args(plane / "data.csv", out)) == 3
+    assert "needs 3 states" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_exit_codes(tmp_path, linear_csv):
