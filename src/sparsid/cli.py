@@ -12,8 +12,9 @@ error, 3 input/output error, 4 well-posedness violation at initialization
 under a strict policy.
 
 Fit, stream and monitor share one single-threaded loop: read the header,
-take `window` warmup samples, then for every full batch of `batch_in`
-samples call the mode's step and write its record as one JSON line.
+take `window` warmup samples, then pass the full batches of `batch_in`
+samples of each read to the mode's steps and write each record as one JSON
+line.
 """
 
 import argparse
@@ -295,8 +296,8 @@ class _CsvBlocks:
     k rows into one float array and checks the block at once: the field
     count of every row, finite cells, and timestamps strictly increasing
     within the block and after the previous block. Blank lines are skipped.
-    A bad row raises InputError naming its line, so no sample of its block
-    is returned.
+    A bad row stops the read: its InputError, naming its line, is kept in
+    `error`, and only the samples of the rows before it are returned.
     """
 
     def __init__(self, lines):
@@ -305,30 +306,35 @@ class _CsvBlocks:
         if header is None:
             raise InputError("input has no header row")
         self.n_x, self.n_y = _parse_header(header)
-        self._width = 1 + self.n_x + self.n_y
+        self.width = 1 + self.n_x + self.n_y
         self._last_t = -math.inf
+        self.error = None
 
     def take(self, k: int) -> list:
-        """The Samples of the next k rows; fewer only where the input ends."""
+        """The Samples of the next k rows; fewer only where the input ends
+        or a bad row stops the read (see `error`)."""
         samples = []
-        while len(samples) < k:
+        while len(samples) < k and self.error is None:
             first_line = self._rows.line_num + 1
+            rows = []
             try:
-                rows = list(islice(self._rows, k - len(samples)))
-            except csv.Error as exc:
-                raise InputError(f"line {self._rows.line_num}: {exc}") from exc
+                rows.extend(islice(self._rows, k - len(samples)))
+            except csv.Error as exc:  # rows holds the rows before it
+                self.error = InputError(f"line {self._rows.line_num}: {exc}")
             if not rows:
                 break
             try:
                 samples += self._block(rows)
             except (ValueError, SparsidError):
-                samples += self._block(self._rescan(rows, first_line))
+                rows, error = self._rescan(rows, first_line)
+                self.error = error or self.error
+                samples += self._block(rows)
         return samples
 
     def _block(self, rows: list) -> list:
         if not rows:  # a block of blank lines only
             return []
-        width = self._width
+        width = self.width
         if set(map(len, rows)) != {width}:
             raise ValueError("rows of the wrong field count")
         values = list(map(float, chain.from_iterable(rows)))
@@ -343,55 +349,72 @@ class _CsvBlocks:
         self._last_t = t[-1]
         return samples
 
-    def _rescan(self, rows: list, first_line: int) -> list:
-        """The error path of take: check a block row by row. Raises
-        InputError naming the line of the first bad row, or returns the
-        rows left when only blank lines failed the block."""
+    def _rescan(self, rows: list, first_line: int) -> tuple:
+        """The error path of take: check a block row by row. Returns the
+        rows before the first bad one, blank lines left out, and the
+        InputError naming its line (None when only blank lines failed the
+        block)."""
         kept = []
         last_t = self._last_t
         for line, row in enumerate(rows, start=first_line):
             if _is_blank(row):
                 continue
             where = f"line {line}"
-            if len(row) != self._width:
-                raise InputError(
-                    f"{where}: row has {len(row)} fields, expected {self._width}"
+            if len(row) != self.width:
+                return kept, InputError(
+                    f"{where}: row has {len(row)} fields, expected {self.width}"
                 )
             try:
                 values = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise InputError(
+            except ValueError:
+                return kept, InputError(
                     f"{where}: non-numeric cell in row {','.join(row)!r}"
-                ) from exc
+                )
             if not all(map(math.isfinite, values)):
-                raise InputError(f"{where}: non-finite value in row {','.join(row)!r}")
+                return kept, InputError(
+                    f"{where}: non-finite value in row {','.join(row)!r}"
+                )
             if values[0] <= last_t:
-                raise InputError(
+                return kept, InputError(
                     f"{where}: timestamps must be strictly increasing, "
                     f"got t={values[0]} after t={last_t}"
                 )
             last_t = values[0]
             kept.append(row)
-        return kept
+        return kept, None
 
 
 # ----------------------------------------------------------------- run loop
+
+
+# Batches per read of a finished input. Monitor mode stacks the kappas and
+# the PE eigenvalues of a read: 128 matrices of 10 x 10 (Lorenz at degree 2)
+# take 100 kB. A read also parses at most _BLOCK_CELLS CSV cells (one batch
+# at least), so the parse of a wide or long-batch stream adds no more to the
+# peak memory than a few hundred kB.
+_BLOCK = 128
+_BLOCK_CELLS = 4096
 
 
 def _drive(cfg: RunConfig, mode_cls):
     """The one loop of fit, stream and monitor runs.
 
     Reads the header, builds the dictionary, hands `window` warmup samples
-    to the mode's start, then passes every full batch of `batch_in` samples
-    to its step and writes the returned record as one JSON line to the
-    mode's output file. A trailing partial batch is dropped. Returns the
-    mode object, so the caller can write what it keeps after the loop.
+    to the mode's start, then passes the full batches of `batch_in` samples
+    to its steps and writes each returned record as one JSON line to the
+    mode's output file. A finished input (fit, monitor) is read up to
+    `_BLOCK` batches at a time; stream reads one batch at a time and
+    flushes every record, so a reader of the file sees step k before batch
+    k + 1 arrives. A trailing partial batch is dropped. A bad row exits
+    after the batches before it were stepped and written. Returns the mode
+    object, so the caller can write what it keeps after the loop.
     """
     if cfg.input is None or cfg.output is None:
         raise ConfigError(f"{cfg.mode} requires --input and --output")
     if cfg.batch_in < 1:
         raise ConfigError(f"batch_in must be at least 1 for {cfg.mode} runs")
-    idle_timeout = cfg.idle_timeout if cfg.mode == "stream" else 0.0
+    stream = cfg.mode == "stream"
+    idle_timeout = cfg.idle_timeout if stream else 0.0
     rows = _CsvBlocks(_follow_lines(cfg.input, idle_timeout))
     try:
         spec = DictionarySpec(
@@ -401,21 +424,37 @@ def _drive(cfg: RunConfig, mode_cls):
         raise ConfigError(str(exc)) from exc
     mode = mode_cls(cfg, spec, rows.n_y)
     warmup = rows.take(cfg.window)
+    if rows.error is not None:
+        raise rows.error
     if len(warmup) < cfg.window:
         raise InputError(
             f"input ended during warmup ({len(warmup)} of {cfg.window} samples)"
         )
     mode.start(warmup)
 
+    b = cfg.batch_in
+    per_read = b
+    if not stream:
+        per_read *= max(1, min(_BLOCK, _BLOCK_CELLS // (b * rows.width)))
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
     try:
         with open(out / mode.output_name, "w") as fh:
-            while len(batch := rows.take(cfg.batch_in)) == cfg.batch_in:
-                fh.write(json.dumps(mode.step(batch), sort_keys=True))
-                fh.write("\n")
+            while True:
+                samples = rows.take(per_read)
+                full = len(samples) - len(samples) % b
+                batches = [samples[i : i + b] for i in range(0, full, b)]
+                for record in mode.steps(batches):
+                    fh.write(json.dumps(record, sort_keys=True))
+                    fh.write("\n")
+                    if stream:
+                        fh.flush()
+                if len(samples) < per_read:
+                    break
     except OSError as exc:
         raise InputError(str(exc)) from exc
+    if rows.error is not None:
+        raise rows.error
     return mode
 
 
@@ -456,6 +495,9 @@ class _Fit:
             )
         except ValueError as exc:  # window geometry cannot identify the columns
             raise ConfigError(str(exc)) from exc
+
+    def steps(self, batches: list):
+        return map(self.step, batches)
 
     def step(self, batch: list) -> dict:
         outcome = rec.step(self.state, batch)
@@ -508,7 +550,9 @@ def run_fit(cfg: RunConfig) -> None:
 
 class _Monitor:
     """Diagnostics only: the estimator's audit of each batch, and the
-    excitation of the window after the slide from a running window Gram."""
+    excitation of the window after the slide from a running window Gram.
+    Every slide is applied; the kappas and PE eigenvalues of a run of
+    batches come from one stacked eigvalsh each."""
 
     output_name = "monitor.jsonl"
 
@@ -525,32 +569,34 @@ class _Monitor:
         self.gram = None
         self.step_index = 0
 
-    def _gram(self, samples: list) -> np.ndarray:
-        return gram(build_matrix(self.spec, [s.state for s in samples]))
-
     def start(self, warmup: list) -> None:
-        self.window.extend(warmup)
-        self.gram = self._gram(warmup)
+        rows = build_matrix(self.spec, [s.state for s in warmup])
+        self.window.extend(warmup, rows)
+        self.gram = gram(rows)
 
-    def step(self, batch: list) -> dict:
-        batch, old, _, _, differential, report = rec.audit(
-            self.spec, self.window, batch, self.cfg.forget
+    def steps(self, batches: list) -> list:
+        differentials, reports, pushed, held = rec.audit_run(
+            self.spec, self.window, batches, self.cfg.forget
         )
-        self.window.pop_oldest(len(old))
-        pushed_out = self.window.extend(batch)  # only with forget == 0
-        self.gram += differential - self._gram(pushed_out) if pushed_out else differential
-        pe = pe_from_gram(self.gram, len(self.window), self.cfg.alpha1)
-        self.step_index += 1
-        return {
-            "step": self.step_index,
-            "t": float(batch[-1].timestamp),
-            "classification": report.classification,
-            "kappa_min": float(report.kappas[0]),
-            "kappa_max": float(report.kappas[-1]),
-            "pe_min_avg_eig": pe.min_avg_eig,
-            "pe_max_avg_eig": pe.max_avg_eig,
-            "pe_satisfied": pe.satisfied,
-        }
+        grams = np.empty_like(differentials)
+        for i, (differential, out) in enumerate(zip(differentials, pushed)):
+            self.gram += differential - gram(out) if len(out) else differential
+            grams[i] = self.gram
+        pes = pe_from_gram(grams, held, self.cfg.alpha1)
+        records = []
+        for batch, report, pe in zip(batches, reports, pes):
+            self.step_index += 1
+            records.append({
+                "step": self.step_index,
+                "t": float(batch[-1].timestamp),
+                "classification": report.classification,
+                "kappa_min": float(report.kappas[0]),
+                "kappa_max": float(report.kappas[-1]),
+                "pe_min_avg_eig": pe.min_avg_eig,
+                "pe_max_avg_eig": pe.max_avg_eig,
+                "pe_satisfied": pe.satisfied,
+            })
+        return records
 
 
 def run_monitor(cfg: RunConfig) -> None:

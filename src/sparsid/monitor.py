@@ -75,12 +75,18 @@ def information_differential(
     return gram(build_matrix(spec, new_states)) - gram(build_matrix(spec, old_states))
 
 
-def utility_from_differential(differential: np.ndarray) -> UtilityReport:
-    """Classify a precomputed information differential."""
-    n = differential.shape[0]
+def utility_from_differential(differential: np.ndarray) -> UtilityReport | list:
+    """Classify a precomputed information differential (n_p x n_p). A stack
+    of them (k x n_p x n_p) gives a list of k reports, from one eigvalsh."""
     kappas = np.linalg.eigvalsh(differential)
-    trace = float(np.trace(differential))
-    eps = 1e-8 * (1.0 + abs(trace) / n)
+    if differential.ndim == 2:
+        return _classify(kappas, float(np.trace(differential)))
+    traces = np.trace(differential, axis1=1, axis2=2).tolist()
+    return list(map(_classify, kappas, traces))
+
+
+def _classify(kappas: np.ndarray, trace: float) -> UtilityReport:
+    eps = 1e-8 * (1.0 + abs(trace) / len(kappas))
     min_kappa = float(kappas[0])
     note = None
     if min_kappa > eps:
@@ -115,15 +121,28 @@ def check_pe(spec: DictionarySpec, states: Sequence, alpha1: float) -> PeReport:
     return pe_from_gram(gram(build_matrix(spec, states)), len(states), alpha1)
 
 
-def pe_from_gram(window_gram: np.ndarray, window_len: int, alpha1: float) -> PeReport:
+def pe_from_gram(window_gram: np.ndarray, window_len, alpha1: float) -> PeReport | list:
     """Persistent-excitation check on the Gram of a window of window_len
     samples: the extreme eigenvalues of the per-sample average Gram, the
-    lower one tested against the configured excitation level alpha1."""
+    lower one tested against the configured excitation level alpha1.
+
+    A stack of Grams (k x n_p x n_p) with a sequence of k window lengths
+    gives a list of k reports, from one eigvalsh."""
     if alpha1 <= 0.0:
         raise ValueError("alpha1 must be positive")
-    if window_len == 0:
+    if window_gram.ndim == 2:
+        if window_len == 0:
+            raise ValueError("window is empty")
+        eigs = np.linalg.eigvalsh(window_gram / window_len)
+        return _pe_report(eigs, window_len, alpha1)
+    lens = np.asarray(window_len)
+    if not lens.all():
         raise ValueError("window is empty")
-    eigs = np.linalg.eigvalsh(window_gram / window_len)
+    eigs = np.linalg.eigvalsh(window_gram / lens[:, None, None])
+    return [_pe_report(e, n, alpha1) for e, n in zip(eigs, lens.tolist())]
+
+
+def _pe_report(eigs: np.ndarray, window_len: int, alpha1: float) -> PeReport:
     return PeReport(
         window_len=window_len,
         min_avg_eig=float(eigs[0]),

@@ -19,7 +19,7 @@ has already been discounted.
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "RecursionConfig",
     "WindowBuffer",
     "audit",
+    "audit_run",
     "StepOutcome",
     "RecursionState",
     "init",
@@ -104,32 +105,53 @@ class RecursionConfig:
 
 
 class WindowBuffer:
-    """Fixed-capacity FIFO window of samples, oldest first.
+    """Fixed-capacity FIFO window of samples, oldest first, each kept with
+    its dictionary row.
 
-    Pushing into a full window drops its oldest sample.
+    The rows live in one array of twice the capacity, the buffered ones
+    contiguous from `_lo`; an extend that would run past its end first moves
+    them to the front, so the oldest rows are always one slice. The first
+    extend fixes the row width. Pushing into a full window drops its oldest
+    samples and their rows.
     """
 
-    __slots__ = ("capacity", "_items", "total_ingested")
+    __slots__ = ("capacity", "_items", "_rows", "_lo", "total_ingested")
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self._items: deque = deque(maxlen=capacity)
+        self._rows = None
+        self._lo = 0
         self.total_ingested = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def push(self, sample: Sample) -> None:
-        self._items.append(sample)
-        self.total_ingested += 1
-
-    def extend(self, samples) -> list:
-        """Push samples; returns the samples that a full buffer pushed out."""
+    def extend(self, samples, rows: np.ndarray) -> np.ndarray:
+        """Push samples with their dictionary rows, one row per sample;
+        returns the rows that a full buffer pushed out, oldest first."""
         samples = list(samples)
-        overflow = len(self._items) + len(samples) - self.capacity
-        out = list(islice(chain(self._items, samples), max(overflow, 0)))
+        if len(rows) != len(samples):
+            raise ValueError(f"{len(samples)} samples but {len(rows)} rows")
+        if self._rows is None:
+            self._rows = np.empty((2 * self.capacity, rows.shape[1]))
+        held = len(self._items)
+        overflow = max(held + len(samples) - self.capacity, 0)
+        dropped = min(overflow, held)  # the rest of the overflow is the batch's head
+        lo = self._lo
+        out = self._rows[lo : lo + dropped]
+        if overflow:
+            out = np.concatenate((out, rows[: overflow - dropped]))
+        lo += dropped
+        live = held - dropped
+        kept = rows[overflow - dropped :]
+        if lo + live + len(kept) > len(self._rows):
+            self._rows[:live] = self._rows[lo : lo + live]
+            lo = 0
+        self._rows[lo + live : lo + live + len(kept)] = kept
+        self._lo = lo
         self._items.extend(samples)
         self.total_ingested += len(samples)
         return out
@@ -139,10 +161,17 @@ class WindowBuffer:
             raise ValueError(f"buffer holds {len(self._items)} samples, asked for {k}")
         return list(islice(self._items, k))
 
+    def oldest_rows(self, k: int) -> np.ndarray:
+        """A copy of the dictionary rows of the k oldest samples."""
+        if k > len(self._items):
+            raise ValueError(f"buffer holds {len(self._items)} samples, asked for {k}")
+        return self._rows[self._lo : self._lo + k].copy()
+
     def pop_oldest(self, k: int) -> list:
         out = self.oldest(k)
         for _ in range(k):
             self._items.popleft()
+        self._lo += k
         return out
 
     def items(self) -> list:
@@ -254,8 +283,8 @@ def init(
     _check_increasing(retained)
 
     window_gram, cross = window_moments(spec, retained, noise.n_outputs)
-    forgotten = build_matrix(spec, [s.state for s in retained[: config.forget]])
-    report = utility_from_differential(window_gram - gram(forgotten))
+    rows = build_matrix(spec, [s.state for s in retained])
+    report = utility_from_differential(window_gram - gram(rows[: config.forget]))
     init_flagged = False
     if report.classification != "informative":
         msg = (
@@ -272,28 +301,65 @@ def init(
     horseshoe = fit(spec, retained, noise, horseshoe).horseshoe
 
     buffer = WindowBuffer(config.window)
-    buffer.extend(retained)
+    buffer.extend(retained, rows)
     state = RecursionState(spec, config, noise, horseshoe, buffer, window_gram, cross)
     state.init_flagged = init_flagged
     return state
 
 
+def _slide_counts(held: int, capacity: int, batch_len: int, forget: int) -> tuple:
+    """The window's slide rule, in counts: (samples of a batch that enter a
+    buffer holding `held`, oldest samples that leave it first). With
+    forget > 0 the batch is cut to the capacity, and the `forget` oldest or
+    the overflow leave, whichever is more (never more than are held); with
+    forget == 0 the whole batch enters and nothing leaves (a full buffer
+    then drops its overflow unaudited)."""
+    if forget == 0:
+        return batch_len, 0
+    enter = min(batch_len, capacity)
+    return enter, min(held, max(forget, held + enter - capacity))
+
+
 def audit(spec: DictionarySpec, buffer: WindowBuffer, batch: list, forget: int) -> tuple:
-    """The window's slide rule, audited: (batch as it enters the buffer, old
+    """The window's slide, audited: (batch as it enters the buffer, old
     block that leaves it, their rows psi_new and psi_old, Gram(psi_new) -
-    Gram(psi_old), its UtilityReport). With forget > 0, old is the `forget`
-    oldest or the overflow, whichever is more, and samples that would never
-    enter the buffer are cut from the batch; with forget == 0, old is empty."""
-    if forget > 0:
-        batch = batch[-buffer.capacity :]
-        overflow = len(buffer) + len(batch) - buffer.capacity
-        old = buffer.oldest(min(len(buffer), max(forget, overflow)))
-    else:
-        old = []
+    Gram(psi_old), its UtilityReport). Only the entering batch is expanded;
+    the old block's rows are the buffer's. See _slide_counts for the rule."""
+    enter, leave = _slide_counts(len(buffer), buffer.capacity, len(batch), forget)
+    batch = batch[len(batch) - enter :]
     psi_new = build_matrix(spec, [s.state for s in batch])
-    psi_old = build_matrix(spec, [s.state for s in old])
+    psi_old = buffer.oldest_rows(leave)
     differential = gram(psi_new) - gram(psi_old)
-    return batch, old, psi_new, psi_old, differential, utility_from_differential(differential)
+    return (
+        batch, buffer.oldest(leave), psi_new, psi_old, differential,
+        utility_from_differential(differential),
+    )
+
+
+def audit_run(
+    spec: DictionarySpec, buffer: WindowBuffer, batches: list, forget: int
+) -> tuple:
+    """Audit the slide of each batch in turn, as audit does, and apply every
+    one: no policy refuses a slide (the monitor's run). The rows of all
+    batches come from one build_matrix call, and the reports from one
+    stacked eigvalsh. Returns (the k differentials Gram(psi_new) -
+    Gram(psi_old) as a k x n_p x n_p stack, their UtilityReports, per batch
+    the rows a full buffer pushed out, per batch the samples held after
+    its slide)."""
+    rows = build_matrix(spec, [s.state for batch in batches for s in batch])
+    differentials = np.empty((len(batches), spec.n_columns, spec.n_columns))
+    pushed = []
+    held = []
+    stop = 0
+    for i, batch in enumerate(batches):
+        stop += len(batch)
+        enter, leave = _slide_counts(len(buffer), buffer.capacity, len(batch), forget)
+        psi_new = rows[stop - enter : stop]
+        differentials[i] = gram(psi_new) - gram(buffer.oldest_rows(leave))
+        buffer.pop_oldest(leave)
+        pushed.append(buffer.extend(batch[len(batch) - enter :], psi_new))
+        held.append(len(buffer))
+    return differentials, utility_from_differential(differentials), pushed, held
 
 
 def step(state: RecursionState, new_samples: list) -> StepOutcome:
@@ -369,7 +435,7 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     state.cross = new_cross
     state.pending = []
     buffer.pop_oldest(len(old))
-    buffer.extend(batch)
+    buffer.extend(batch, psi_new)
     state.version += 1
     state.step_count += 1
     state.samples_since_refresh += len(batch)

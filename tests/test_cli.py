@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sparsid.cli as cli
@@ -422,9 +422,13 @@ BAD_CELLS = {
 @pytest.mark.parametrize("batch_in", [1, 3])
 @pytest.mark.parametrize("where", ["warmup", "inside_batch", "batch_boundary"])
 @pytest.mark.parametrize("kind", sorted(BAD_CELLS))
-def test_bad_row_exits_before_its_batch(tmp_path, capsys, kind, where, batch_in):
+def test_bad_row_exits_before_its_batch(
+    tmp_path, capsys, monkeypatch, kind, where, batch_in
+):
     """A bad row exits 3 naming its line, after the batches before it were
-    stepped and written and before its own batch is stepped."""
+    stepped and written and before its own batch is stepped: in fit and
+    monitor runs, and with reads of two batches, where the bad row falls
+    inside a read (inside_batch) or in a later read (batch_boundary)."""
     window = 6
     bad = {
         "warmup": window // 2,
@@ -437,20 +441,22 @@ def test_bad_row_exits_before_its_batch(tmp_path, capsys, kind, where, batch_in)
     rows = [line.split(",") for line in lines[1:]]
     rows[bad] = BAD_CELLS[kind](rows[bad], float(rows[bad - 1][0]))
     path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
-    out = tmp_path / "fit"
-    code = main(["--mode", "fit", "--input", str(path), "--output", str(out),
-                 "--window", str(window), "--batch-in", str(batch_in),
-                 "--forget", str(batch_in), "--degree", "1",
-                 "--config", str(write_fit_config(tmp_path))])
-    assert code == 3
-    assert f"line {bad + 2}:" in capsys.readouterr().err  # the header is line 1
-    steps = out / "steps.jsonl"
-    if where == "warmup":
-        assert not steps.exists()
-    else:
-        records = [json.loads(l) for l in steps.read_text().splitlines()]
-        assert len(records) == (bad - window) // batch_in
-        assert [r["step"] for r in records] == list(range(1, len(records) + 1))
+    for mode, block in [(m, b) for b in (cli._BLOCK, 2) for m in ("fit", "monitor")]:
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        out = tmp_path / f"{mode}-{block}"
+        code = main(["--mode", mode, "--input", str(path), "--output", str(out),
+                     "--window", str(window), "--batch-in", str(batch_in),
+                     "--forget", str(batch_in), "--degree", "1",
+                     "--config", str(write_fit_config(tmp_path))])
+        assert code == 3, (mode, block)
+        assert f"line {bad + 2}:" in capsys.readouterr().err  # the header is line 1
+        records = out / ("steps.jsonl" if mode == "fit" else "monitor.jsonl")
+        if where == "warmup":
+            assert not records.exists()
+        else:
+            records = [json.loads(l) for l in records.read_text().splitlines()]
+            assert len(records) == (bad - window) // batch_in, (mode, block)
+            assert [r["step"] for r in records] == list(range(1, len(records) + 1))
 
 
 def reference_rows(text: str) -> np.ndarray:
@@ -554,6 +560,39 @@ def test_stream_mode_tails_growing_file(tmp_path, linear_csv):
     ).read_bytes()
 
 
+def test_stream_writes_each_record_before_the_next_step(
+    tmp_path, linear_csv, monkeypatch
+):
+    """A stream run reads one batch at a time and flushes every record, so a
+    reader of steps.jsonl sees step k - 1 before step k starts."""
+    path, _ = linear_csv
+    out = tmp_path / "stream"
+    written = out / "steps.jsonl"
+    started = []
+    step = cli._Fit.step
+
+    def step_after_flush(self, batch):
+        started.append(len(written.read_text().splitlines()))
+        assert started[-1] == len(started) - 1
+        return step(self, batch)
+
+    reads = []
+    take = cli._CsvBlocks.take
+
+    def recorded_take(self, k):
+        reads.append(k)
+        return take(self, k)
+
+    monkeypatch.setattr(cli._Fit, "step", step_after_flush)
+    monkeypatch.setattr(cli._CsvBlocks, "take", recorded_take)
+    cfg = write_fit_config(tmp_path, idle_timeout=0.1)
+    args = fit_args(path, out, ["--config", str(cfg)])
+    args[1] = "stream"
+    assert main(args) == 0
+    assert len(started) == (160 - 60) // 5
+    assert reads[0] == 60 and set(reads[1:]) == {5}  # the warmup, then one batch a read
+
+
 class FakeClock:
     """Monotonic clock whose sleeps overshoot, as a loaded host's do."""
 
@@ -655,6 +694,77 @@ def test_monitor_slides_its_window_as_fit_does(
         assert m["pe_max_avg_eig"] == pytest.approx(pe.max_avg_eig, rel=1e-9)
         assert m["pe_min_avg_eig"] == pytest.approx(pe.min_avg_eig, rel=1e-9)
         assert m["pe_satisfied"] == pe.satisfied
+
+
+def write_stalling_stream(path, n, zero_runs, seed):
+    """CSV of a noisy two-input linear system whose states are zero over the
+    given [start, stop) runs of rows."""
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(n, 2))
+    for start, stop in zero_runs:
+        states[start:stop] = 0.0
+    y = states @ [3.0, -2.0] + 0.05 * rng.normal(size=n)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x1", "x2", "y1"])
+        for i in range(n):
+            cells = [float(i)] + [repr(float(v)) for v in states[i]] + [repr(float(y[i]))]
+            writer.writerow(cells)
+
+
+@settings(max_examples=20)
+@example(window=5, batch_in=1, forget=1, extra=300, zero_runs=[(100, 140)], seed=0)
+@example(window=4, batch_in=9, forget=0, extra=40, zero_runs=[(10, 30)], seed=1)
+@given(
+    window=st.integers(3, 12),
+    batch_in=st.integers(1, 15),
+    forget=st.integers(0, 15),
+    extra=st.integers(0, 90),
+    zero_runs=st.lists(st.tuples(st.integers(0, 100), st.integers(1, 30)), max_size=3)
+    .map(lambda runs: [(start, start + length) for start, length in runs]),
+    seed=st.integers(0, 2**16),
+)
+def test_block_reads_change_no_output(window, batch_in, forget, extra, zero_runs, seed):
+    """Reading a finished input a block of batches at a time gives the bytes
+    that one batch a read gives: monitor.jsonl, and steps.jsonl under warn
+    and defer, for any window geometry (forget 0, batches longer than the
+    window), zero-state stretches, and streams of several blocks."""
+    forget = min(forget, batch_in, window)
+    runs = [("monitor", "warn"), ("fit", "warn"), ("fit", "defer")]
+    saved = cli._BLOCK
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "data.csv"
+        write_stalling_stream(data, window + extra, zero_runs, seed)
+        config = tmp / "run.json"
+        config.write_text(json.dumps(
+            {"include_bias": False, "noise_variances": 0.01, "theta_mode": "fixed"}
+        ))
+        outputs = {}
+        try:
+            for block in (1, 2, 3, saved):
+                cli._BLOCK = block
+                for mode, policy in runs:
+                    out = tmp / f"{mode}-{policy}-{block}"
+                    code = main([
+                        "--mode", mode, "--input", str(data), "--output", str(out),
+                        "--window", str(window), "--batch-in", str(batch_in),
+                        "--forget", str(forget), "--degree", "1",
+                        "--policy", policy, "--config", str(config),
+                    ])
+                    name = "steps.jsonl" if mode == "fit" else "monitor.jsonl"
+                    written = (out / name).read_bytes() if (out / name).exists() else None
+                    outputs[mode, policy, block] = (code, written)
+        finally:
+            cli._BLOCK = saved
+    for mode, policy in runs:
+        code, written = outputs[mode, policy, 1]
+        # defer has no meaning before a window exists: a degenerate warmup exits 4
+        assert code == 0 or (policy == "defer" and code == 4 and written is None)
+        if code == 0:
+            assert written.count(b"\n") == extra // batch_in
+        for block in (2, 3, saved):
+            assert outputs[mode, policy, block] == (code, written), (mode, policy, block)
 
 
 def test_only_fit_loads_scipy(tmp_path):

@@ -12,7 +12,7 @@ from sparsid import (
     information_differential,
     utility,
 )
-from sparsid.monitor import utility_from_differential
+from sparsid.monitor import pe_from_gram, utility_from_differential
 
 LINEAR = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
 
@@ -111,3 +111,44 @@ def test_check_pe_validation(rng):
         check_pe(LINEAR, rng.normal(size=(4, 2)), alpha1=0.0)
     with pytest.raises(ValueError):
         check_pe(LINEAR, [], alpha1=1.0)
+
+
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(0, 6),
+    seed=st.integers(0, 2**16),
+    shape=st.sampled_from(["psd", "zero", "negative", "indefinite"]),
+)
+def test_stacked_reports_equal_one_by_one(n, k, seed, shape):
+    """A stack gives, report for report, the bits one call per matrix gives:
+    kappas, trace, epsilon, class; and the same PE eigenvalues."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(k, n + 2, n))
+    grams = np.einsum("kri,krj->kij", rows, rows)
+    stack = {
+        "psd": grams,
+        "zero": np.zeros((k, n, n)),
+        "negative": -grams,
+        "indefinite": grams - np.roll(grams, 1, axis=0) if k else grams,
+    }[shape]
+    reports = utility_from_differential(stack)
+    assert len(reports) == k
+    for one, many in zip(map(utility_from_differential, stack), reports):
+        assert one.kappas.tolist() == many.kappas.tolist()
+        assert (one.differential_trace, one.epsilon) == (
+            many.differential_trace, many.epsilon,
+        )
+        assert (one.classification, one.note) == (many.classification, many.note)
+    lens = rng.integers(1, 50, size=k).tolist()
+    pes = pe_from_gram(grams, lens, alpha1=1e-3)
+    assert len(pes) == k
+    for g, n_w, many in zip(grams, lens, pes):
+        assert pe_from_gram(g, n_w, alpha1=1e-3) == many
+
+
+def test_stacked_pe_validation():
+    grams = np.stack([np.eye(2)] * 3)
+    with pytest.raises(ValueError):
+        pe_from_gram(grams, [4, 0, 4], alpha1=1.0)
+    with pytest.raises(ValueError):
+        pe_from_gram(grams, [4, 4, 4], alpha1=0.0)

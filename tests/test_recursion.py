@@ -67,13 +67,16 @@ def test_config_validation():
 def test_window_buffer_fifo_and_eviction():
     buf = WindowBuffer(3)
     s = [Sample(float(i), [float(i)], [0.0]) for i in range(9)]
-    for x in s[:3]:
-        buf.push(x)
+    rows = np.arange(18.0).reshape(9, 2)  # row i belongs to sample i
+    for i in range(3):
+        assert len(buf.extend(s[i : i + 1], rows[i : i + 1])) == 0
     assert len(buf) == 3
     assert [x.timestamp for x in buf.items()] == [0.0, 1.0, 2.0]
-    buf.push(s[3])  # silently evicts the oldest
+    pushed = buf.extend(s[3:4], rows[3:4])  # evicts the oldest
+    np.testing.assert_array_equal(pushed, rows[0:1])
     assert len(buf) == 3
     assert [x.timestamp for x in buf.items()] == [1.0, 2.0, 3.0]
+    np.testing.assert_array_equal(buf.oldest_rows(3), rows[1:4])
     assert buf.total_ingested == 4
     assert buf.newest.timestamp == 3.0
     popped = buf.pop_oldest(2)
@@ -81,12 +84,48 @@ def test_window_buffer_fifo_and_eviction():
     assert len(buf) == 1
     with pytest.raises(ValueError):
         buf.oldest(2)
-    assert buf.extend(s[4:5]) == []
+    with pytest.raises(ValueError):
+        buf.oldest_rows(2)
+    assert len(buf.extend(s[4:5], rows[4:5])) == 0
     assert [x.timestamp for x in buf.items()] == [3.0, 4.0]
+    np.testing.assert_array_equal(buf.oldest_rows(2), rows[3:5])
     # extend reports what a full buffer pushes out, the batch's own head too
-    pushed = buf.extend(s[5:9])
-    assert [x.timestamp for x in pushed] == [3.0, 4.0, 5.0]
+    pushed = buf.extend(s[5:9], rows[5:9])
+    np.testing.assert_array_equal(pushed, rows[3:6])
     assert [x.timestamp for x in buf.items()] == [6.0, 7.0, 8.0]
+    np.testing.assert_array_equal(buf.oldest_rows(3), rows[6:9])
+    with pytest.raises(ValueError):
+        buf.extend(s[:2], rows[:1])
+
+
+@given(
+    capacity=st.integers(1, 6),
+    moves=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
+)
+def test_window_buffer_rows_follow_their_samples(capacity, moves):
+    """Through any mix of pops and pushes, the buffered rows are exactly the
+    rows pushed with the buffered samples, and extend returns the rows of
+    what a full buffer pushed out."""
+    buf = WindowBuffer(capacity)
+    reference = []  # indices of the buffered samples, oldest first
+    n = 0
+    for pop, push in moves:
+        pop = min(pop, len(buf))
+        buf.pop_oldest(pop)
+        reference = reference[pop:]
+        idx = list(range(n, n + push))
+        n += push
+        samples = [Sample(float(i), [float(i)], [0.0]) for i in idx]
+        rows = np.array([[i, -i] for i in idx], dtype=float).reshape(push, 2)
+        pushed = buf.extend(samples, rows)
+        spill = max(len(reference) + push - capacity, 0)
+        expected_out = (reference + idx)[:spill]
+        reference = (reference + idx)[spill:]
+        np.testing.assert_array_equal(pushed[:, 0], expected_out)
+        assert [x.timestamp for x in buf.items()] == reference
+        held = buf.oldest_rows(len(buf))
+        expected = np.array([[i, -i] for i in reference], dtype=float).reshape(-1, 2)
+        np.testing.assert_array_equal(held, expected)
 
 
 def test_window_buffer_rejects_zero_capacity():
