@@ -5,131 +5,97 @@ The pieces compose in layers: exact Gaussian algebra in information form
 posteriors with adaptive shrinkage (`posterior`), the windowed streaming
 update with well-posedness checks (`recursion`, `monitor`), benchmark
 generators (`simulate`), and scoring plus rendering helpers (`analyze`).
+
+Importing the package imports none of them: each name below, and each
+module, is imported on first access (PEP 562), so a process loads only the
+modules it uses (a monitor run never loads `posterior`, `gaussian`,
+`analyze` or `simulate`).
 """
 
-from .analyze import (
-    ContributionRecord,
-    ErrorTrace,
-    TruthTrajectory,
-    contributions,
-    empirical_h,
-    render_equations,
-    score_errors,
-    tracking_bound,
-    write_error_csv,
-)
-from .dictionary import DictionarySpec, Sample, build_matrix, build_row
-from .errors import (
-    ConditionViolated,
-    DimensionMismatch,
-    InsufficientWarmup,
-    NonFiniteInput,
-    NonFiniteState,
-    NotPositiveDefinite,
-    PrecisionViolation,
-    SingularInformation,
-    SparsidError,
-    TimestampMismatch,
-)
-from .gaussian import (
-    InformationForm,
-    Moment1D,
-    divide_gaussian,
-    divide_information,
-    multiply_information,
-    pd_tolerance,
-)
-from .monitor import PeReport, UtilityReport, check_pe, information_differential, utility
-from .posterior import (
-    HorseshoeState,
-    NoiseModel,
-    PosteriorState,
-    batch_fit,
-    batch_fit_adaptive,
-    estimate_noise,
-    initial_horseshoe,
-    predict,
-    refresh_horseshoe,
-    snapshot_dict,
-)
-from .recursion import (
-    RecursionConfig,
-    RecursionState,
-    StepOutcome,
-    WindowBuffer,
-    init,
-    snapshot,
-    step,
-    step_record,
-)
-from .simulate import (
-    LorenzConfig,
-    SparseRegressionConfig,
-    gen_sparse_regression,
-    lorenz_coefficients,
-    lorenz_rhs,
-    simulate_lorenz,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConditionViolated",
-    "ContributionRecord",
-    "DictionarySpec",
-    "DimensionMismatch",
-    "ErrorTrace",
-    "HorseshoeState",
-    "InformationForm",
-    "InsufficientWarmup",
-    "LorenzConfig",
-    "Moment1D",
-    "NoiseModel",
-    "NonFiniteInput",
-    "NonFiniteState",
-    "NotPositiveDefinite",
-    "PeReport",
-    "PosteriorState",
-    "PrecisionViolation",
-    "RecursionConfig",
-    "RecursionState",
-    "Sample",
-    "SingularInformation",
-    "SparseRegressionConfig",
-    "SparsidError",
-    "StepOutcome",
-    "TimestampMismatch",
-    "TruthTrajectory",
-    "UtilityReport",
-    "WindowBuffer",
-    "batch_fit",
-    "batch_fit_adaptive",
-    "build_matrix",
-    "build_row",
-    "check_pe",
-    "contributions",
-    "divide_gaussian",
-    "divide_information",
-    "empirical_h",
-    "estimate_noise",
-    "gen_sparse_regression",
-    "information_differential",
-    "init",
-    "initial_horseshoe",
-    "lorenz_coefficients",
-    "lorenz_rhs",
-    "multiply_information",
-    "pd_tolerance",
-    "predict",
-    "refresh_horseshoe",
-    "render_equations",
-    "score_errors",
-    "simulate_lorenz",
-    "snapshot",
-    "snapshot_dict",
-    "step",
-    "step_record",
-    "tracking_bound",
-    "utility",
-    "write_error_csv",
-]
+_EXPORTS = {
+    "analyze": (
+        "ContributionRecord",
+        "ErrorTrace",
+        "TruthTrajectory",
+        "contributions",
+        "empirical_h",
+        "render_equations",
+        "score_errors",
+        "tracking_bound",
+        "write_error_csv",
+    ),
+    "dictionary": ("DictionarySpec", "Sample", "build_matrix", "build_row"),
+    "errors": (
+        "ConditionViolated",
+        "DimensionMismatch",
+        "InsufficientWarmup",
+        "NonFiniteInput",
+        "NonFiniteState",
+        "NotPositiveDefinite",
+        "PrecisionViolation",
+        "SingularInformation",
+        "SparsidError",
+        "TimestampMismatch",
+    ),
+    "gaussian": (
+        "InformationForm",
+        "Moment1D",
+        "divide_gaussian",
+        "divide_information",
+        "multiply_information",
+        "pd_tolerance",
+    ),
+    "monitor": ("PeReport", "UtilityReport", "check_pe", "information_differential", "utility"),
+    "posterior": (
+        "HorseshoeState",
+        "NoiseModel",
+        "PosteriorState",
+        "batch_fit",
+        "batch_fit_adaptive",
+        "estimate_noise",
+        "initial_horseshoe",
+        "predict",
+        "refresh_horseshoe",
+        "snapshot_dict",
+    ),
+    "recursion": (
+        "RecursionConfig",
+        "RecursionState",
+        "StepOutcome",
+        "WindowBuffer",
+        "init",
+        "snapshot",
+        "step",
+        "step_record",
+    ),
+    "simulate": (
+        "LorenzConfig",
+        "SparseRegressionConfig",
+        "gen_sparse_regression",
+        "lorenz_coefficients",
+        "lorenz_rhs",
+        "simulate_lorenz",
+    ),
+}
+
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule not imported yet
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -31,22 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
+# analyze, posterior and simulate are imported inside the fit and simulate
+# paths only, so a monitor process never loads them
 from . import recursion as rec
-from .analyze import read_truth, render_equations, score_errors, write_error_csv
 from .dictionary import DictionarySpec, build_matrix, samples_from_arrays
 from .errors import ConditionViolated, SparsidError, TimestampMismatch
 from .monitor import gram, pe_from_gram
-from .posterior import NoiseModel, initial_horseshoe
-from .simulate import (
-    LorenzConfig,
-    SparseRegressionConfig,
-    case1_truth_payload,
-    gen_sparse_regression,
-    lorenz_truth_payload,
-    simulate_lorenz,
-    write_csv,
-    write_truth_json,
-)
 
 __all__ = ["RunConfig", "run_simulate", "run_fit", "run_monitor", "main"]
 
@@ -108,6 +98,12 @@ class RunConfig:
             raise ConfigError("threshold must be finite and nonnegative")
         if not (math.isfinite(self.alpha1) and self.alpha1 > 0.0):
             raise ConfigError("alpha1 must be finite and positive")
+        if self.policy not in rec.POLICIES:
+            raise ConfigError(f"policy must be one of {rec.POLICIES}")
+        if self.theta_mode not in rec.THETA_MODES:
+            raise ConfigError(f"theta_mode must be one of {rec.THETA_MODES}")
+        if not (0.0 < self.xi <= 1.0):
+            raise ConfigError("xi must be in (0, 1]")
 
 
 _FLAGS = (
@@ -198,6 +194,17 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
 
 
 def run_simulate(cfg: RunConfig) -> None:
+    from .simulate import (
+        LorenzConfig,
+        SparseRegressionConfig,
+        case1_truth_payload,
+        gen_sparse_regression,
+        lorenz_truth_payload,
+        simulate_lorenz,
+        write_csv,
+        write_truth_json,
+    )
+
     if cfg.output is None:
         raise ConfigError("simulate requires --output")
     # validate the whole scenario before touching the filesystem
@@ -467,6 +474,8 @@ class _Fit:
     output_name = "steps.jsonl"
 
     def __init__(self, cfg: RunConfig, spec: DictionarySpec, n_y: int):
+        from .posterior import NoiseModel, initial_horseshoe
+
         self.spec = spec
         try:
             self.rconfig = rec.RecursionConfig(
@@ -521,6 +530,8 @@ def _broadcast_variances(value, n_y: int) -> np.ndarray:
 def _load_truth(cfg: RunConfig, spec: DictionarySpec, n_y: int):
     """The coefficient truth of the `truth` file, else of a truth.json beside
     the input, if there is one; read_truth checks it against the fit."""
+    from .analyze import read_truth
+
     path = Path(cfg.input).parent / "truth.json" if cfg.truth is None else cfg.truth
     if cfg.truth is None and not path.exists():
         return None
@@ -532,6 +543,8 @@ def _load_truth(cfg: RunConfig, spec: DictionarySpec, n_y: int):
 
 
 def run_fit(cfg: RunConfig) -> None:
+    from .analyze import render_equations, score_errors, write_error_csv
+
     fit = _drive(cfg, _Fit)
     out = Path(cfg.output)
     final = rec.snapshot(fit.state)
@@ -551,8 +564,9 @@ def run_fit(cfg: RunConfig) -> None:
 class _Monitor:
     """Diagnostics only: the estimator's audit of each batch, and the
     excitation of the window after the slide from a running window Gram.
-    Every slide is applied; the kappas and PE eigenvalues of a run of
-    batches come from one stacked eigvalsh each."""
+    Every slide is applied, and the full window slides once per read
+    (recursion.audit_run); the kappas and PE eigenvalues of a read come
+    from one stacked eigvalsh each."""
 
     output_name = "monitor.jsonl"
 
@@ -575,14 +589,17 @@ class _Monitor:
         self.gram = gram(rows)
 
     def steps(self, batches: list) -> list:
-        differentials, reports, pushed, held = rec.audit_run(
+        if not batches:
+            return []
+        differentials, reports, pushed = rec.audit_run(
             self.spec, self.window, batches, self.cfg.forget
         )
-        grams = np.empty_like(differentials)
-        for i, (differential, out) in enumerate(zip(differentials, pushed)):
-            self.gram += differential - gram(out) if len(out) else differential
-            grams[i] = self.gram
-        pes = pe_from_gram(grams, held, self.cfg.alpha1)
+        # G_i = G_(i-1) + (differential_i - Gram(pushed_i)), added in step order
+        grams = np.add.accumulate(
+            np.concatenate((self.gram[None], differentials - gram(pushed)))
+        )[1:]
+        self.gram = grams[-1]
+        pes = pe_from_gram(grams, [len(self.window)] * len(batches), self.cfg.alpha1)
         records = []
         for batch, report, pe in zip(batches, reports, pes):
             self.step_index += 1

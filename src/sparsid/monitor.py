@@ -63,9 +63,11 @@ class PeReport:
 
 
 def gram(rows: np.ndarray) -> np.ndarray:
-    """Symmetrized Gram matrix rows.T @ rows of a design block (n_rows x n_p)."""
-    g = rows.T @ rows
-    return 0.5 * (g + g.T)
+    """Symmetrized Gram matrix rows.T @ rows of a design block (n_rows x n_p).
+    A stack of blocks (k x n_rows x n_p) gives the stack of their Grams,
+    with the bytes of one call per block."""
+    g = rows.swapaxes(-1, -2) @ rows
+    return 0.5 * (g + g.swapaxes(-1, -2))
 
 
 def information_differential(

@@ -271,12 +271,16 @@ def _design_and_targets(spec: DictionarySpec, samples: list) -> tuple:
     return build_matrix(spec, states), targets
 
 
-def window_moments(spec: DictionarySpec, samples: list, n_outputs: int) -> tuple:
+def window_moments(
+    spec: DictionarySpec, samples: list, n_outputs: int, rows: np.ndarray | None = None
+) -> tuple:
     """Sufficient statistics of a window: the Gram Psi.T @ Psi (n_p x n_p)
-    and the cross-moment Psi.T @ Y (n_p x n_outputs)."""
+    and the cross-moment Psi.T @ Y (n_p x n_outputs). rows, when given, is
+    Psi, the samples' dictionary rows built already."""
     if len(samples) == 0:
         raise ValueError("cannot fit an empty window")
-    psi, targets = _design_and_targets(spec, samples)
+    psi = build_matrix(spec, [s.state for s in samples]) if rows is None else rows
+    targets = np.asarray([s.observation for s in samples], dtype=float)
     if targets.shape[1] != n_outputs:
         raise DimensionMismatch(
             f"observations have {targets.shape[1]} outputs, noise model has {n_outputs}"
@@ -312,13 +316,15 @@ def batch_fit(
     samples: list,
     noise: NoiseModel,
     horseshoe: HorseshoeState,
+    moments: tuple | None = None,
 ) -> PosteriorState:
     """Exact posterior from one window of samples at fixed prior scales.
 
     Per output i the information block is Gram / sigma_i^2 plus the diagonal
     prior precision, and the information vector is Psi.T @ y_i / sigma_i^2.
+    moments, when given, is the samples' window_moments, taken already.
     """
-    return batch_fit_adaptive(spec, samples, noise, horseshoe, max_outer=0)
+    return batch_fit_adaptive(spec, samples, noise, horseshoe, max_outer=0, moments=moments)
 
 
 def refresh_horseshoe(
@@ -376,14 +382,17 @@ def batch_fit_adaptive(
     horseshoe: HorseshoeState,
     max_outer: int = 20,
     rel_tol: float = 1e-4,
+    moments: tuple | None = None,
 ) -> PosteriorState:
     """Batch fit with the prior scales re-estimated from the fit itself.
 
     Alternates refresh_horseshoe and re-assembly from the window moments
     until the scales settle (at most max_outer times). The returned
-    posterior is exactly batch_fit at the final scales.
+    posterior is exactly batch_fit at the final scales. moments, when
+    given, is the samples' window_moments, taken already.
     """
-    moments = window_moments(spec, samples, noise.n_outputs)
+    if moments is None:
+        moments = window_moments(spec, samples, noise.n_outputs)
     post = posterior_from_moments(spec, noise, horseshoe, *moments, len(samples))
     if not post.is_positive_definite():
         raise NotPositiveDefinite("batch posterior information is not PD")

@@ -15,28 +15,27 @@ pairs with forget == 0 (pure exponential discount). Combining both drains
 window information toward the prior floor on stationary streams, because
 the forgotten block is divided out at full strength while its stored copy
 has already been discounted.
+
+The window code (WindowBuffer, audit, audit_run) needs no posterior, so
+`posterior` is imported only where a posterior is built (init, step,
+snapshot), and a monitor process never loads it.
 """
+
+from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dictionary import DictionarySpec, Sample, build_matrix
 from .errors import ConditionViolated, InsufficientWarmup
 from .monitor import UtilityReport, gram, utility_from_differential
-from .posterior import (
-    HorseshoeState,
-    NoiseModel,
-    PosteriorState,
-    batch_fit,
-    batch_fit_adaptive,
-    initial_horseshoe,
-    posterior_from_moments,
-    refresh_horseshoe,
-    window_moments,
-)
+
+if TYPE_CHECKING:
+    from .posterior import HorseshoeState, NoiseModel, PosteriorState
 
 __all__ = [
     "RecursionConfig",
@@ -269,6 +268,8 @@ def init(
     well-posed warmup window. The initial posterior is the exact batch fit
     of the retained window.
     """
+    from .posterior import batch_fit, batch_fit_adaptive, initial_horseshoe, window_moments
+
     if len(warmup) < config.window:
         raise InsufficientWarmup(
             f"need at least {config.window} warmup samples, got {len(warmup)}"
@@ -282,8 +283,8 @@ def init(
     retained = list(warmup[-config.window :])
     _check_increasing(retained)
 
-    window_gram, cross = window_moments(spec, retained, noise.n_outputs)
     rows = build_matrix(spec, [s.state for s in retained])
+    window_gram, cross = window_moments(spec, retained, noise.n_outputs, rows)
     report = utility_from_differential(window_gram - gram(rows[: config.forget]))
     init_flagged = False
     if report.classification != "informative":
@@ -298,7 +299,7 @@ def init(
             raise ConditionViolated(msg)
 
     fit = batch_fit_adaptive if config.theta_mode == "adaptive" else batch_fit
-    horseshoe = fit(spec, retained, noise, horseshoe).horseshoe
+    horseshoe = fit(spec, retained, noise, horseshoe, moments=(window_gram, cross)).horseshoe
 
     buffer = WindowBuffer(config.window)
     buffer.extend(retained, rows)
@@ -340,26 +341,44 @@ def audit_run(
     spec: DictionarySpec, buffer: WindowBuffer, batches: list, forget: int
 ) -> tuple:
     """Audit the slide of each batch in turn, as audit does, and apply every
-    one: no policy refuses a slide (the monitor's run). The rows of all
-    batches come from one build_matrix call, and the reports from one
-    stacked eigvalsh. Returns (the k differentials Gram(psi_new) -
-    Gram(psi_old) as a k x n_p x n_p stack, their UtilityReports, per batch
-    the rows a full buffer pushed out, per batch the samples held after
-    its slide)."""
+    one: no policy refuses a slide (the monitor's run).
+
+    The buffer must be full, and all batches of one length b. A full buffer
+    stays full, so every batch slides it by the same e rows: e =
+    min(b, capacity) when forget > 0, e = b when forget == 0. In the row
+    sequence [buffer rows; rows of the batches], batch i then audits its
+    last e rows against the e rows from position i*b (none when forget ==
+    0), and pushes out the b rows from position i*b unaudited when
+    forget == 0 (none when forget > 0). These blocks are strided views of
+    that sequence: the rows of all batches come from one build_matrix call,
+    the differentials from one stacked gram, the reports from one stacked
+    eigvalsh, and the buffer takes the entering samples in one extend.
+
+    Returns (the k differentials Gram(psi_new) - Gram(psi_old) as a
+    k x n_p x n_p stack, their UtilityReports, the rows each slide pushed
+    out as a k x m x n_p stack: m = b when forget == 0, else 0)."""
+    capacity = buffer.capacity
+    if len(buffer) != capacity:
+        raise ValueError(f"buffer holds {len(buffer)} samples, not its capacity {capacity}")
+    lengths = set(map(len, batches))
+    if len(lengths) > 1:
+        raise ValueError(f"batches of unequal lengths {sorted(lengths)}")
+    k, n_p = len(batches), spec.n_columns
+    b = lengths.pop() if lengths else 0
+    e = min(b, capacity) if forget else b
     rows = build_matrix(spec, [s.state for batch in batches for s in batch])
-    differentials = np.empty((len(batches), spec.n_columns, spec.n_columns))
-    pushed = []
-    held = []
-    stop = 0
-    for i, batch in enumerate(batches):
-        stop += len(batch)
-        enter, leave = _slide_counts(len(buffer), buffer.capacity, len(batch), forget)
-        psi_new = rows[stop - enter : stop]
-        differentials[i] = gram(psi_new) - gram(buffer.oldest_rows(leave))
-        buffer.pop_oldest(leave)
-        pushed.append(buffer.extend(batch[len(batch) - enter :], psi_new))
-        held.append(len(buffer))
-    return differentials, utility_from_differential(differentials), pushed, held
+    # the k*b oldest rows of [buffer rows; rows], b per batch
+    lead = np.concatenate(
+        (buffer.oldest_rows(min(capacity, k * b)), rows[: max(k * b - capacity, 0)])
+    ).reshape(k, b, n_p)
+    psi_new = rows.reshape(k, b, n_p)[:, b - e :]
+    psi_old = lead[:, : e if forget else 0]
+    pushed = lead[:, : 0 if forget else b]
+    differentials = gram(psi_new) - gram(psi_old)
+    buffer.extend(
+        [s for batch in batches for s in batch[b - e :]], psi_new.reshape(k * e, n_p)
+    )
+    return differentials, utility_from_differential(differentials), pushed
 
 
 def step(state: RecursionState, new_samples: list) -> StepOutcome:
@@ -368,6 +387,8 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     Returns an outcome describing what happened; the emitted record for
     streaming consumers is built from it by step_record.
     """
+    from .posterior import posterior_from_moments, refresh_horseshoe
+
     cfg = state.config
     if len(new_samples) != cfg.batch_in:
         raise ValueError(
@@ -493,6 +514,8 @@ def _residual_rms(state, psi_new, y_new) -> float | None:
 
 def snapshot(state: RecursionState) -> PosteriorState:
     """Immutable copy of the current posterior."""
+    from .posterior import posterior_from_moments
+
     return posterior_from_moments(
         state.spec,
         state.noise,

@@ -369,6 +369,15 @@ def test_fit_exit_codes(tmp_path, linear_csv):
             writer.writerow([float(i), 1.0, 2.0, 3.0])
     cfg = write_fit_config(tmp_path)
     assert main(fit_args(flat, out, ["--config", str(cfg), "--policy", "reject"])) == 4
+    # a policy, theta mode or discount no mode accepts: exit 2 in every mode,
+    # before any input is read
+    for mode in ("fit", "stream", "monitor", "simulate"):
+        for flags in (["--policy", "bogus"], ["--theta-mode", "bogus"],
+                      ["--xi", "0"], ["--xi", "1.5"], ["--xi", "nan"]):
+            args = fit_args(tmp_path / "nope.csv", tmp_path / "bad", flags)
+            args[1] = mode
+            assert main(args) == 2, (mode, flags)
+            assert not (tmp_path / "bad").exists()
     # bad render threshold or excitation level: exit 2 before any input is read
     assert main(fit_args(tmp_path / "nope.csv", out, ["--threshold", "-1"])) == 2
     assert main(fit_args(tmp_path / "nope.csv", out, ["--threshold", "nan"])) == 2
@@ -767,34 +776,78 @@ def test_block_reads_change_no_output(window, batch_in, forget, extra, zero_runs
             assert outputs[mode, policy, block] == (code, written), (mode, policy, block)
 
 
-def test_only_fit_loads_scipy(tmp_path):
-    """Monitor and simulate runs never factor a posterior, so they never
-    import scipy; a fit run imports it at its first factorization."""
+FIT_ONLY_MODULES = (
+    "sparsid.posterior", "sparsid.gaussian", "sparsid.analyze", "sparsid.simulate",
+    "scipy", "scipy.linalg",
+)
+
+
+def loaded_after(cwd, *runs) -> list:
+    """Run the CLI on each argument list in turn, in one fresh process in
+    cwd; returns, after each run, which of FIT_ONLY_MODULES are loaded."""
     script = textwrap.dedent(
-        """
+        f"""
         import json, sys
         from sparsid.cli import main
-        assert main(["--mode", "simulate", "--case", "lorenz", "--t-end", "2.0",
-                     "--output", "sim"]) == 0
-        with open("run.json", "w") as fh:
-            json.dump({"window": 50, "batch_in": 1, "forget": 1}, fh)
-        run = ["--config", "run.json", "--input", "sim/data.csv"]
-        assert main(["--mode", "monitor", "--output", "mon"] + run) == 0
-        print(json.dumps("scipy.linalg" in sys.modules))
-        assert main(["--mode", "fit", "--output", "fit"] + run) == 0
-        print(json.dumps("scipy.linalg" in sys.modules))
+        for args in {list(runs)!r}:
+            assert main(args) == 0
+            print(json.dumps([m for m in {FIT_ONLY_MODULES!r} if m in sys.modules]))
         """
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        [sys.executable, "-c", script], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["false", "true"]
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_only_fit_loads_scipy(tmp_path):
+    """A monitor run never builds, renders or scores a posterior, nor
+    simulates, so it loads none of the modules that do, nor scipy; a fit
+    run in the same process loads them all (scipy at its first
+    factorization). A simulate run loads only `simulate` of them."""
+    simulate = ["--mode", "simulate", "--case", "lorenz", "--t-end", "2.0", "--output", "sim"]
+    assert loaded_after(tmp_path, simulate) == [["sparsid.simulate"]]
+    (tmp_path / "run.json").write_text(json.dumps({"window": 50, "batch_in": 1, "forget": 1}))
+    run = ["--config", "run.json", "--input", "sim/data.csv"]
+    monitor = ["--mode", "monitor", "--output", "mon", *run]
+    fit = ["--mode", "fit", "--output", "fit", *run]
+    assert loaded_after(tmp_path, monitor, fit) == [[], list(FIT_ONLY_MODULES)]
     assert (tmp_path / "mon" / "monitor.jsonl").stat().st_size > 0
     for name in ("steps.jsonl", "equations.txt"):
         assert (tmp_path / "fit" / name).stat().st_size > 0
+
+
+def test_package_names_resolve_on_first_access():
+    """`import sparsid` loads no submodule; every name of `__all__`, and
+    every submodule, resolves on first access, `from sparsid import *`
+    included, and an unknown name raises AttributeError."""
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import sparsid
+        loaded = sorted(m for m in sys.modules if m.startswith("sparsid."))
+        names = {}
+        exec("from sparsid import *", names)
+        missing = [n for n in sparsid.__all__ if n not in names]
+        mismatched = [n for n in sparsid.__all__ if getattr(sparsid, n) is not names.get(n)]
+        sparsid.posterior  # a submodule not imported yet
+        try:
+            sparsid.no_such_name
+            raised = False
+        except AttributeError:
+            raised = True
+        print(json.dumps([loaded, missing, mismatched, raised, len(sparsid.__all__)]))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], [], [], True, 58]
 
 
 def test_importing_cli_skips_numpy_random():

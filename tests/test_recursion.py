@@ -7,7 +7,7 @@ steps must equal the batch fit of the samples currently in the window.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sparsid.recursion as rec
@@ -131,6 +131,87 @@ def test_window_buffer_rows_follow_their_samples(capacity, moves):
 def test_window_buffer_rejects_zero_capacity():
     with pytest.raises(ValueError):
         WindowBuffer(0)
+
+
+# ------------------------------------------------------------------- audit
+
+
+def same_bytes(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def full_window(spec, warmup):
+    buf = WindowBuffer(len(warmup))
+    buf.extend(warmup, build_matrix(spec, [s.state for s in warmup]))
+    return buf
+
+
+@settings(max_examples=100)
+@example(window=3, geometry=(2, 2), n_batches=12, degree=2, zero_runs=[], seed=0)
+@example(window=4, geometry=(9, 0), n_batches=5, degree=1, zero_runs=[(6, 20)], seed=1)
+@example(window=4, geometry=(9, 7), n_batches=5, degree=2, zero_runs=[], seed=2)
+@example(window=1, geometry=(1, 1), n_batches=3, degree=1, zero_runs=[], seed=3)
+@given(
+    window=st.integers(1, 20),
+    geometry=st.integers(1, 25).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, b))),
+    n_batches=st.integers(0, 12),
+    degree=st.integers(1, 2),
+    zero_runs=st.lists(st.tuples(st.integers(0, 300), st.integers(1, 40)), max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_audit_run_equals_one_audit_and_slide_per_batch(
+    window, geometry, n_batches, degree, zero_runs, seed
+):
+    """On a full window, audit_run gives the bytes of one audit plus slide
+    per batch: the differentials, the reports, the rows each slide pushed
+    out, and the buffer's final samples and rows, for any geometry (forget
+    0 to batch_in, batches longer than the window, reads longer than it)
+    and zero-state stretches."""
+    batch_in, forget = geometry
+    spec = DictionarySpec(state_dim=2, poly_degree=degree)
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(window + n_batches * batch_in, 2))
+    for start, length in zero_runs:
+        states[start : start + length] = 0.0
+    samples = [Sample(float(i), x, [0.0]) for i, x in enumerate(states)]
+    warmup, rest = samples[:window], samples[window:]
+    batches = [rest[i : i + batch_in] for i in range(0, len(rest), batch_in)]
+
+    one_by_one = full_window(spec, warmup)
+    expected = []
+    for batch in batches:
+        entering, old, psi_new, _, differential, report = rec.audit(
+            spec, one_by_one, batch, forget
+        )
+        one_by_one.pop_oldest(len(old))
+        expected.append((differential, report, one_by_one.extend(entering, psi_new)))
+
+    run = full_window(spec, warmup)
+    differentials, reports, pushed = rec.audit_run(spec, run, batches, forget)
+    assert len(differentials) == len(reports) == len(pushed) == n_batches
+    for i, (differential, report, out) in enumerate(expected):
+        assert same_bytes(differentials[i], differential), i
+        assert same_bytes(reports[i].kappas, report.kappas), i
+        assert (reports[i].classification, reports[i].differential_trace) == (
+            report.classification, report.differential_trace
+        )
+        assert (reports[i].epsilon, reports[i].note) == (report.epsilon, report.note)
+        assert same_bytes(pushed[i], out), i
+    assert len(run) == len(one_by_one) == window
+    assert all(a is b for a, b in zip(run.items(), one_by_one.items()))
+    assert same_bytes(run.oldest_rows(window), one_by_one.oldest_rows(window))
+    assert run.total_ingested == one_by_one.total_ingested
+
+
+def test_audit_run_needs_a_full_window_and_equal_batches():
+    spec = DictionarySpec(state_dim=1, poly_degree=1)
+    samples = [Sample(float(i), [float(i)], [0.0]) for i in range(10)]
+    partial = WindowBuffer(4)
+    partial.extend(samples[:3], build_matrix(spec, [s.state for s in samples[:3]]))
+    with pytest.raises(ValueError):
+        rec.audit_run(spec, partial, [samples[3:4]], 1)
+    with pytest.raises(ValueError):
+        rec.audit_run(spec, full_window(spec, samples[:3]), [samples[3:5], samples[5:6]], 1)
 
 
 # -------------------------------------------------------------------- init
