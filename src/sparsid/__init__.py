@@ -18,10 +18,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analyze": (
-        "ContributionRecord",
         "ErrorTrace",
         "TruthTrajectory",
-        "contributions",
         "empirical_h",
         "render_equations",
         "score_errors",
@@ -56,11 +54,8 @@ _EXPORTS = {
         "PosteriorState",
         "batch_fit",
         "batch_fit_adaptive",
-        "estimate_noise",
         "initial_horseshoe",
-        "predict",
         "refresh_horseshoe",
-        "snapshot_dict",
     ),
     "recursion": (
         "RecursionConfig",

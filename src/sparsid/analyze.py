@@ -1,31 +1,34 @@
 """Scoring, interpretability, and tracking diagnostics.
 
 Errors are scored against the coefficient truth read_truth reads from
-either format the simulator writes; term contributions decompose a
-prediction into per-column pieces that sum back to it exactly; equations
-render as readable strings in dictionary column order.
+either format the simulator writes; equations render as readable strings
+in dictionary column order; tracking_bound and empirical_h give the
+paper's tracking-error bound and its empirical transfer gain.
 """
+
+from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dictionary import DictionarySpec, build_matrix, build_row
+from .dictionary import DictionarySpec
 from .errors import TimestampMismatch
-from .posterior import PosteriorState, predict
 from .simulate import lorenz_terms
+
+if TYPE_CHECKING:
+    from .posterior import PosteriorState
 
 __all__ = [
     "TruthTrajectory",
     "LorenzTruth",
     "read_truth",
     "ErrorTrace",
-    "ContributionRecord",
     "score_errors",
     "tracking_bound",
     "empirical_h",
-    "contributions",
     "render_equations",
     "write_error_csv",
 ]
@@ -182,46 +185,6 @@ def empirical_h(snapshots: list) -> float:
             product = np.linalg.solve(cur.s_blocks[i], prev.s_blocks[i])
             worst = max(worst, float(np.linalg.norm(product, 2)))
     return worst
-
-
-@dataclass(frozen=True)
-class ContributionRecord:
-    """Per-term contribution decomposition of one prediction.
-
-    raw[j, i] is coefficient (term j, output i) times the dictionary row
-    value; the raw columns sum to the predictive mean exactly. centered
-    subtracts a baseline row (the mean dictionary row over the provided
-    background states) before multiplying, which removes the share a term
-    contributes merely by being constant over the window.
-    """
-
-    labels: tuple
-    raw: np.ndarray
-    centered: np.ndarray | None
-    prediction: np.ndarray
-    residual: np.ndarray
-
-
-def contributions(
-    post: PosteriorState, state, baseline_states=None
-) -> ContributionRecord:
-    """Decompose the predictive mean at `state` into per-term pieces."""
-    row = build_row(post.spec, np.asarray(state, dtype=float))
-    means = post.mean_blocks()  # (n_y, n_p)
-    raw = row[:, None] * means.T  # (n_p, n_y)
-    prediction, _ = predict(post, state)
-    residual = prediction - raw.sum(axis=0)
-    centered = None
-    if baseline_states is not None and len(baseline_states) > 0:
-        baseline = build_matrix(post.spec, baseline_states).mean(axis=0)
-        centered = (row - baseline)[:, None] * means.T
-    return ContributionRecord(
-        labels=post.spec.column_labels,
-        raw=raw,
-        centered=centered,
-        prediction=prediction,
-        residual=residual,
-    )
 
 
 def _sig4(value: float) -> str:

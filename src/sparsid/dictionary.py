@@ -1,16 +1,16 @@
-"""Candidate-term dictionary: polynomial library plus known drift terms.
+"""Candidate-term dictionary: a polynomial library.
 
 Column order is fixed and fully determined by the spec fields: the bias
 column (when enabled) comes first, then monomials in graded lexicographic
-order (total degree, then variable index), then any named drift functions
-in their given order. Stacking more rows can only add information: for any
-row split, Gram(all) - Gram(subset) is positive semidefinite.
+order (total degree, then variable index). Stacking more rows can only
+add information: for any row split, Gram(all) - Gram(subset) is positive
+semidefinite.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,9 +23,6 @@ __all__ = [
     "build_matrix",
     "samples_from_arrays",
 ]
-
-
-DriftFn = Callable[[np.ndarray], float]
 
 
 def _monomial_exponents(state_dim: int, degree: int, include_bias: bool):
@@ -122,33 +119,25 @@ def samples_from_arrays(times, states, observations) -> list:
 
 @dataclass(frozen=True)
 class DictionarySpec:
-    """Configuration of the candidate-term library.
+    """The candidate-term library: every monomial of the state up to a
+    total degree, and nothing else.
 
     Parameters
     ----------
     state_dim : int
         Number of state variables.
     poly_degree : int
-        Maximum total degree of the monomial block.
+        Maximum total degree of the monomials.
     include_bias : bool
         Whether the constant column is present (first column when it is).
-    known_drift : sequence of (name, fn)
-        Extra columns evaluated as scalar functions of the state, appended
-        after the monomials.
-    column_scaling : optional per-column multipliers
-        Applied to every built row; defaults to no scaling.
-    prior_scale_override : optional per-column prior scales
-        Entries that are not None pin the local prior scale of that column
-        (the adaptive refresh leaves them untouched). Defaults to treating
-        all columns identically.
+
+    The spec derives column_labels from these three, one label per column
+    in column order ("1", "x1", ..., "x1*x2", ..., "x3^2").
     """
 
     state_dim: int
     poly_degree: int
     include_bias: bool = True
-    known_drift: tuple = ()
-    column_scaling: tuple | None = None
-    prior_scale_override: tuple | None = None
     column_labels: tuple = field(init=False)
 
     def __post_init__(self):
@@ -156,31 +145,12 @@ class DictionarySpec:
             raise ValueError("state_dim must be at least 1")
         if self.poly_degree < 0:
             raise ValueError("poly_degree must be nonnegative")
-        object.__setattr__(self, "known_drift", tuple(self.known_drift))
-        for entry in self.known_drift:
-            if len(entry) != 2 or not isinstance(entry[0], str) or not callable(entry[1]):
-                raise ValueError("known_drift entries must be (name, callable) pairs")
         exps = _monomial_exponents(self.state_dim, self.poly_degree, self.include_bias)
         labels = [_monomial_label(c) for c in exps]
-        labels.extend(name for name, _ in self.known_drift)
-        if len(labels) != len(set(labels)):
-            raise ValueError("column labels must be distinct")
         if not labels:
             raise ValueError("dictionary has no columns")
         object.__setattr__(self, "column_labels", tuple(labels))
         object.__setattr__(self, "_products", _product_plan(exps))
-        for name, values in (
-            ("column_scaling", self.column_scaling),
-            ("prior_scale_override", self.prior_scale_override),
-        ):
-            if values is not None and len(values) != len(labels):
-                raise DimensionMismatch(
-                    f"{name} must have one entry per column ({len(labels)})"
-                )
-        if self.column_scaling is not None:
-            object.__setattr__(
-                self, "column_scaling", tuple(float(c) for c in self.column_scaling)
-            )
 
     @property
     def n_columns(self) -> int:
@@ -220,11 +190,6 @@ def build_matrix(spec: DictionarySpec, states: Sequence[np.ndarray]) -> np.ndarr
         cols[:, first : first + spec.state_dim] = x
     for start, stop, prefix, var in spec._products:
         cols[:, start:stop] = cols[:, prefix] * x[:, var]
-    offset = spec.n_columns - len(spec.known_drift)
-    for j, (_, fn) in enumerate(spec.known_drift):
-        cols[:, offset + j] = [float(fn(row)) for row in x]
-    if spec.column_scaling is not None:
-        cols *= np.asarray(spec.column_scaling)
     if not np.isfinite(cols).all():
         raise NonFiniteInput("dictionary evaluation produced non-finite values")
     return cols

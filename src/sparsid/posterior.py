@@ -12,11 +12,12 @@ vectorization of the n_p x n_y coefficient matrix).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
-from .dictionary import DictionarySpec, Sample, build_matrix, build_row
+from .dictionary import DictionarySpec, build_matrix
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularInformation
 from .gaussian import InformationForm
 from .monitor import gram
@@ -31,34 +32,10 @@ __all__ = [
     "window_moments",
     "posterior_from_moments",
     "refresh_horseshoe",
-    "predict",
-    "snapshot_dict",
-    "estimate_noise",
 ]
 
 SCALE_FLOOR = 1e-6
 SCALE_CEIL = 1e6
-
-
-class _LazyLinalg:
-    """scipy.linalg, imported at the first factorization: monitor and
-    simulate runs never factor a posterior, so they never load scipy.
-    Looking a function up imports nothing, so `posterior.linalg` can be
-    patched without loading scipy (perfbench/spans.py counts the
-    `cho_factor` calls made through it)."""
-
-    def __getattr__(self, name):
-        def first_call(*args, **kwargs):
-            from scipy import linalg
-
-            fn = getattr(linalg, name)
-            setattr(self, name, fn)  # later calls go straight to scipy
-            return fn(*args, **kwargs)
-
-        return first_call
-
-
-linalg = _LazyLinalg()
 
 
 @dataclass(frozen=True)
@@ -88,15 +65,12 @@ class NoiseModel:
 class HorseshoeState:
     """Sparsity-inducing prior scales: one local scale per coefficient and a
     shared global scale. The implied prior on coefficient (term i, output j)
-    is a zero-mean Gaussian with variance local[i, j]^2 * global^2.
-
-    fixed_mask marks entries whose local scale is pinned (e.g. known drift
-    columns); the adaptive refresh never moves them.
+    is a zero-mean Gaussian with variance local[i, j]^2 * global^2, and
+    refresh_horseshoe moves every scale.
     """
 
     local_scales: np.ndarray
     global_scale: float
-    fixed_mask: np.ndarray | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.local_scales, dtype=float)
@@ -106,15 +80,7 @@ class HorseshoeState:
             raise ValueError("local scales must be finite and positive")
         if not (np.isfinite(self.global_scale) and self.global_scale > 0.0):
             raise ValueError("global scale must be finite and positive")
-        mask = self.fixed_mask
-        if mask is None:
-            mask = np.zeros(lam.shape, dtype=bool)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != lam.shape:
-                raise DimensionMismatch("fixed_mask shape must match local_scales")
         object.__setattr__(self, "local_scales", lam.copy())
-        object.__setattr__(self, "fixed_mask", mask.copy())
 
     @property
     def n_terms(self) -> int:
@@ -137,15 +103,9 @@ class HorseshoeState:
 def initial_horseshoe(
     spec: DictionarySpec, n_outputs: int, scale: float = 1.0, tau: float = 1.0
 ) -> HorseshoeState:
-    """Uniform starting scales, honoring any per-column override in the spec."""
+    """Uniform starting scales: every local scale `scale`, global scale `tau`."""
     lam = np.full((spec.n_columns, n_outputs), float(scale))
-    mask = np.zeros((spec.n_columns, n_outputs), dtype=bool)
-    if spec.prior_scale_override is not None:
-        for i, pinned in enumerate(spec.prior_scale_override):
-            if pinned is not None:
-                lam[i, :] = float(pinned)
-                mask[i, :] = True
-    return HorseshoeState(local_scales=lam, global_scale=float(tau), fixed_mask=mask)
+    return HorseshoeState(local_scales=lam, global_scale=float(tau))
 
 
 class PosteriorState:
@@ -265,12 +225,6 @@ class PosteriorState:
         )
 
 
-def _design_and_targets(spec: DictionarySpec, samples: list) -> tuple:
-    states = np.asarray([s.state for s in samples], dtype=float)
-    targets = np.asarray([s.observation for s in samples], dtype=float)
-    return build_matrix(spec, states), targets
-
-
 def window_moments(
     spec: DictionarySpec, samples: list, n_outputs: int, rows: np.ndarray | None = None
 ) -> tuple:
@@ -348,14 +302,13 @@ def refresh_horseshoe(
     second = (post.mean_blocks() ** 2 + post.std_blocks() ** 2).T
     lam2 = hs.local_scales**2
     tau2 = hs.global_scale**2
-    fixed = hs.fixed_mask
     d = lam2.size
     lo, hi = SCALE_FLOOR**2, SCALE_CEIL**2
     for _ in range(max_sweeps):
         lam_prev, tau_prev = lam2, tau2
         inv_nu = lam2 / (1.0 + lam2)
         proposal = 0.5 * (inv_nu + second / (2.0 * tau2))
-        lam2 = np.where(fixed, lam2, np.clip(proposal, lo, hi))
+        lam2 = np.clip(proposal, lo, hi)
         inv_zeta = tau2 / (1.0 + tau2)
         tau2 = float(
             np.clip(
@@ -370,9 +323,7 @@ def refresh_horseshoe(
         )
         if rel < rel_tol:
             break
-    return HorseshoeState(
-        local_scales=np.sqrt(lam2), global_scale=math.sqrt(tau2), fixed_mask=fixed
-    )
+    return HorseshoeState(local_scales=np.sqrt(lam2), global_scale=math.sqrt(tau2))
 
 
 def batch_fit_adaptive(
@@ -412,46 +363,3 @@ def batch_fit_adaptive(
         if rel < rel_tol:
             break
     return post
-
-
-def predict(post: PosteriorState, state: np.ndarray) -> tuple:
-    """Predictive mean and variance for each output at one state.
-
-    The mean is computed as an elementwise product-and-sum so that a term
-    contribution table built from the same row sums to it exactly.
-    """
-    row = build_row(post.spec, state)
-    means = post.mean_blocks()
-    covs = post.covariance_blocks()
-    mean = np.array([float(np.sum(row * means[i])) for i in range(post.n_outputs)])
-    var = np.array(
-        [
-            float(row @ covs[i] @ row) + float(post.noise.output_variances[i])
-            for i in range(post.n_outputs)
-        ]
-    )
-    return mean, var
-
-
-def snapshot_dict(post: PosteriorState) -> dict:
-    """JSON-serializable snapshot of the posterior."""
-    return {
-        "terms": list(post.spec.column_labels),
-        "coef_mean": post.mean_blocks().tolist(),
-        "coef_std": post.std_blocks().tolist(),
-        "local_scales": post.horseshoe.local_scales.tolist(),
-        "global_scale": float(post.horseshoe.global_scale),
-        "noise_variances": post.noise.output_variances.tolist(),
-        "sample_count": post.sample_count,
-    }
-
-
-def estimate_noise(
-    spec: DictionarySpec, samples: list, coef_means: np.ndarray
-) -> NoiseModel:
-    """Residual-based noise estimate: windowed mean squared residual per
-    output, given coefficient means of shape (n_outputs, n_terms)."""
-    psi, targets = _design_and_targets(spec, samples)
-    resid = targets - psi @ np.asarray(coef_means, dtype=float).T
-    msr = np.mean(resid**2, axis=0)
-    return NoiseModel(output_variances=np.maximum(msr, 1e-12))

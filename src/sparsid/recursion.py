@@ -191,9 +191,7 @@ class StepOutcome:
     flagged: bool
     reason: str | None
     utility: UtilityReport
-    posterior_before: int
-    posterior_after: int
-    residual_rms: np.ndarray | None
+    residual_rms: float | None
     theta_refreshed: bool
     prior_floor: bool
 
@@ -215,7 +213,6 @@ class RecursionState:
         "gram",
         "cross",
         "step_count",
-        "version",
         "samples_since_refresh",
         "pending",
         "init_flagged",
@@ -230,7 +227,6 @@ class RecursionState:
         self.gram = window_gram
         self.cross = cross
         self.step_count = 0
-        self.version = 0
         self.samples_since_refresh = 0
         self.pending: list = []
         self.init_flagged = False
@@ -402,8 +398,6 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
         state.spec, buffer, batch, cfg.forget
     )
     n_y = state.noise.n_outputs
-
-    version_before = state.version
     timestamp = batch[-1].timestamp if batch else (newest.timestamp if newest else 0.0)
 
     flagged = False
@@ -411,7 +405,7 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     if report.classification != "informative":
         if cfg.policy == "reject":
             return _rejected(
-                state, report, version_before, timestamp,
+                state, report, timestamp,
                 reason=f"update {report.classification}; rejected by policy",
             )
         if cfg.policy == "defer":
@@ -419,14 +413,14 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
                 # merging more cannot help: the batch already replaces a
                 # whole window, so retrying it would stall the estimator
                 return _rejected(
-                    state, report, version_before, timestamp,
+                    state, report, timestamp,
                     reason=(
                         f"update {report.classification}; deferred batch "
                         "reached the window length, dropped"
                     ),
                 )
             outcome = _rejected(
-                state, report, version_before, timestamp,
+                state, report, timestamp,
                 reason=f"update {report.classification}; deferred for aggregation",
             )
             state.pending = batch
@@ -448,7 +442,7 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     if not candidate.is_positive_definite():
         # hard invariant: the posterior must stay proper, even under warn
         return _rejected(
-            state, report, version_before, timestamp,
+            state, report, timestamp,
             reason="update would make the information matrix indefinite; rolled back",
         )
 
@@ -457,7 +451,6 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     state.pending = []
     buffer.pop_oldest(len(old))
     buffer.extend(batch, psi_new)
-    state.version += 1
     state.step_count += 1
     state.samples_since_refresh += len(batch)
 
@@ -476,15 +469,13 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
         flagged=flagged or (state.init_flagged and state.step_count == 1),
         reason=reason,
         utility=report,
-        posterior_before=version_before,
-        posterior_after=state.version,
         residual_rms=residual,
         theta_refreshed=theta_refreshed,
         prior_floor=xi < 1.0,
     )
 
 
-def _rejected(state, report, version_before, timestamp, reason):
+def _rejected(state, report, timestamp, reason):
     """Outcome of a step that leaves the posterior as it was and drops the
     batch; defer parks it in state.pending afterwards."""
     state.pending = []
@@ -496,8 +487,6 @@ def _rejected(state, report, version_before, timestamp, reason):
         flagged=True,
         reason=reason,
         utility=report,
-        posterior_before=version_before,
-        posterior_after=version_before,
         residual_rms=None,
         theta_refreshed=False,
         prior_floor=False,
@@ -529,7 +518,6 @@ def snapshot(state: RecursionState) -> PosteriorState:
 def step_record(state: RecursionState, outcome: StepOutcome) -> dict:
     """JSON-serializable record emitted once per step."""
     post = snapshot(state)
-    residual = None if outcome.residual_rms is None else float(outcome.residual_rms)
     return {
         "step": outcome.step_index,
         "t": float(outcome.timestamp),
@@ -541,7 +529,7 @@ def step_record(state: RecursionState, outcome: StepOutcome) -> dict:
         "kappa_max": float(outcome.utility.kappas[-1]),
         "coef_mean": post.mean_blocks().tolist(),
         "coef_std": post.std_blocks().tolist(),
-        "residual_rms": residual,
+        "residual_rms": outcome.residual_rms,
         "theta_refreshed": bool(outcome.theta_refreshed),
         "prior_floor": bool(outcome.prior_floor),
     }

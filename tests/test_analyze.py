@@ -1,4 +1,4 @@
-"""Scoring against ground truth, stability bounds, explanation helpers."""
+"""Scoring against ground truth, stability bounds, equation rendering."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,8 @@ from sparsid import (
     TimestampMismatch,
     batch_fit,
     build_row,
-    contributions,
     empirical_h,
     initial_horseshoe,
-    predict,
     render_equations,
     score_errors,
     tracking_bound,
@@ -146,40 +144,6 @@ def test_empirical_h_from_scaled_snapshots(rng):
     )
     # S halves from one snapshot to the next: solve(S_next, S_prev) = 2I
     assert empirical_h([post, half]) == pytest.approx(2.0, rel=1e-9)
-
-
-# ----------------------------------------------------------- contributions
-
-
-def test_contribution_terms_sum_to_prediction_exactly(rng):
-    spec = DictionarySpec(state_dim=2, poly_degree=2)
-    coef = rng.normal(size=(spec.n_columns, 2))
-    samples = make_samples(rng, spec, coef, 0.2, n=50)
-    post = batch_fit(spec, samples, NoiseModel([0.04, 0.04]), initial_horseshoe(spec, 2))
-    x = rng.normal(size=2)
-    record = contributions(post, x)
-    mean, _ = predict(post, x)
-    np.testing.assert_array_equal(record.prediction, mean)
-    np.testing.assert_array_equal(record.residual, np.zeros(2))
-    np.testing.assert_array_equal(record.raw.sum(axis=0), record.prediction)
-    assert record.labels == post.spec.column_labels
-    assert record.centered is None
-
-
-def test_centered_contributions_use_baseline_window(rng):
-    spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
-    coef = np.array([[2.0], [1.0]])
-    samples = make_samples(rng, spec, coef, 0.1, n=40)
-    post = batch_fit(spec, samples, NoiseModel([0.01]), initial_horseshoe(spec, 1))
-    baseline = [s.state for s in samples[:10]]
-    x = np.array([1.0, -1.0])
-    record = contributions(post, x, baseline_states=baseline)
-    assert record.centered is not None
-    from sparsid import build_matrix, build_row
-
-    base_row = build_matrix(spec, baseline).mean(axis=0)
-    expected = (build_row(spec, x) - base_row)[:, None] * post.mean_blocks().T
-    np.testing.assert_allclose(record.centered, expected, atol=1e-12)
 
 
 # -------------------------------------------------------------- rendering

@@ -806,8 +806,8 @@ def loaded_after(cwd, *runs) -> list:
 def test_only_fit_loads_scipy(tmp_path):
     """A monitor run never builds, renders or scores a posterior, nor
     simulates, so it loads none of the modules that do, nor scipy; a fit
-    run in the same process loads them all (scipy at its first
-    factorization). A simulate run loads only `simulate` of them."""
+    run in the same process loads them all (scipy with `posterior`). A
+    simulate run loads only `simulate` of them."""
     simulate = ["--mode", "simulate", "--case", "lorenz", "--t-end", "2.0", "--output", "sim"]
     assert loaded_after(tmp_path, simulate) == [["sparsid.simulate"]]
     (tmp_path / "run.json").write_text(json.dumps({"window": 50, "batch_in": 1, "forget": 1}))
@@ -847,7 +847,7 @@ def test_package_names_resolve_on_first_access():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], [], [], True, 58]
+    assert json.loads(done.stdout) == [[], [], [], True, 53]
 
 
 def test_importing_cli_skips_numpy_random():

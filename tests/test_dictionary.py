@@ -53,39 +53,11 @@ def test_column_count_matches_binomial(n_x, degree):
     assert no_bias.n_columns == spec.n_columns - 1
 
 
-def test_known_drift_columns_appended():
-    spec = DictionarySpec(
-        state_dim=2,
-        poly_degree=1,
-        known_drift=(("sin(x1)", lambda x: float(np.sin(x[0]))),),
-    )
-    assert spec.column_labels == ("1", "x1", "x2", "sin(x1)")
-    row = build_row(spec, np.array([np.pi / 2.0, 0.0]))
-    assert row[-1] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        DictionarySpec(
-            state_dim=2, poly_degree=1, known_drift=((lambda x: 0.0, "bad"),)
-        )
-
-
-def test_column_scaling_is_elementwise():
-    base = DictionarySpec(state_dim=2, poly_degree=1)
-    scaled = DictionarySpec(state_dim=2, poly_degree=1, column_scaling=(2.0, 1.0, 0.5))
-    x = np.array([3.0, 4.0])
-    np.testing.assert_allclose(
-        build_row(scaled, x), build_row(base, x) * np.array([2.0, 1.0, 0.5])
-    )
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         DictionarySpec(state_dim=0, poly_degree=1)
     with pytest.raises(ValueError):
         DictionarySpec(state_dim=2, poly_degree=-1)
-    with pytest.raises(DimensionMismatch):
-        DictionarySpec(state_dim=2, poly_degree=1, column_scaling=(1.0,))
-    with pytest.raises(DimensionMismatch):
-        DictionarySpec(state_dim=2, poly_degree=1, prior_scale_override=(1.0, 2.0))
     # degree 0 with a bias is a single constant column
     assert DictionarySpec(state_dim=3, poly_degree=0).column_labels == ("1",)
 
@@ -145,10 +117,6 @@ def reference_matrix(spec, states):
     cols = np.empty((len(states), spec.n_columns))
     for j, combo in enumerate(combos):
         cols[:, j] = np.prod(states[:, list(combo)], axis=1) if combo else 1.0
-    for j, (_, fn) in enumerate(spec.known_drift):
-        cols[:, len(combos) + j] = [float(fn(row)) for row in states]
-    if spec.column_scaling is not None:
-        cols *= np.asarray(spec.column_scaling)
     return cols
 
 
@@ -157,13 +125,7 @@ def specs_and_states(draw):
     n_x = draw(st.integers(1, 5))
     degree = draw(st.integers(0, 4))
     bias = draw(st.booleans()) or degree == 0
-    drift = (("sin(x1)", lambda x: float(np.sin(x[0]))),) if draw(st.booleans()) else ()
-    spec = DictionarySpec(n_x, degree, bias, drift)
-    if draw(st.booleans()):
-        scaling = draw(
-            st.lists(st.floats(-4, 4), min_size=spec.n_columns, max_size=spec.n_columns)
-        )
-        spec = DictionarySpec(n_x, degree, bias, drift, column_scaling=tuple(scaling))
+    spec = DictionarySpec(n_x, degree, bias)
     states = draw(
         arrays(
             np.float64,

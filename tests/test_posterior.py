@@ -6,8 +6,6 @@ matrix as a Kronecker product of the output precision with the Gram matrix
 plus the diagonal prior. The oracle below builds that dense system directly.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -21,11 +19,8 @@ from sparsid import (
     batch_fit,
     batch_fit_adaptive,
     build_matrix,
-    estimate_noise,
     initial_horseshoe,
-    predict,
     refresh_horseshoe,
-    snapshot_dict,
 )
 from sparsid.posterior import SCALE_CEIL, SCALE_FLOOR
 
@@ -125,17 +120,6 @@ def test_horseshoe_state_validation():
     np.testing.assert_allclose(hs.prior_precision_blocks(), [[1.0, 1.0]])
 
 
-def test_prior_scale_override_pins_columns():
-    spec = DictionarySpec(
-        state_dim=2, poly_degree=1, include_bias=False,
-        prior_scale_override=(100.0, None),
-    )
-    hs = initial_horseshoe(spec, 1)
-    assert hs.local_scales[0, 0] == 100.0
-    assert hs.fixed_mask[0, 0]
-    assert not hs.fixed_mask[1, 0]
-
-
 # ------------------------------------------------------------- EM refresh
 
 
@@ -185,17 +169,6 @@ def test_refresh_is_idempotent_at_its_fixed_point(rng):
     assert hs2.global_scale == pytest.approx(hs1.global_scale, rel=1e-6)
 
 
-def test_refresh_respects_fixed_mask(rng):
-    spec = DictionarySpec(
-        state_dim=3, poly_degree=1, include_bias=False,
-        prior_scale_override=(7.0, None, None),
-    )
-    samples = make_samples(rng, spec, np.array([[2.0], [0.0], [1.0]]), 0.1, n=200)
-    post = batch_fit(spec, samples, NoiseModel([0.01]), initial_horseshoe(spec, 1))
-    hs = refresh_horseshoe(post)
-    assert hs.local_scales[0, 0] == 7.0
-
-
 def test_adaptive_fit_recovers_sparse_truth(rng):
     spec = DictionarySpec(state_dim=6, poly_degree=1, include_bias=False)
     coef = np.zeros((6, 1))
@@ -208,45 +181,3 @@ def test_adaptive_fit_recovers_sparse_truth(rng):
     assert abs(means[4] + 6.0) < 0.1
     nulls = np.abs(means[[0, 2, 3, 5]])
     assert nulls.max() < 0.02
-
-
-# ---------------------------------------------------------------- utilities
-
-
-def test_predict_matches_covariance_quadratic(rng):
-    spec = DictionarySpec(state_dim=2, poly_degree=2)
-    coef = rng.normal(size=(spec.n_columns, 2))
-    samples = make_samples(rng, spec, coef, noise_std=0.2, n=60)
-    noise = NoiseModel([0.04, 0.09])
-    post = batch_fit(spec, samples, noise, initial_horseshoe(spec, 2))
-    x = rng.normal(size=2)
-    mean, var = predict(post, x)
-    from sparsid import build_row
-
-    row = build_row(spec, x)
-    covs = post.covariance_blocks()
-    for i in range(2):
-        assert mean[i] == pytest.approx(row @ post.mean_blocks()[i], rel=1e-12)
-        assert var[i] == pytest.approx(
-            row @ covs[i] @ row + noise.output_variances[i], rel=1e-9
-        )
-
-
-def test_snapshot_dict_is_json_ready(rng):
-    spec = DictionarySpec(state_dim=2, poly_degree=1)
-    samples = make_samples(rng, spec, np.ones((3, 1)), 0.1, n=20)
-    post = batch_fit(spec, samples, NoiseModel([0.01]), initial_horseshoe(spec, 1))
-    payload = snapshot_dict(post)
-    text = json.dumps(payload, sort_keys=True)
-    back = json.loads(text)
-    assert back["terms"] == ["1", "x1", "x2"]
-    assert back["sample_count"] == 20
-    assert len(back["coef_mean"][0]) == 3
-
-
-def test_estimate_noise_recovers_injected_variance(rng):
-    spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
-    coef = np.array([[3.0], [-1.0]])
-    samples = make_samples(rng, spec, coef, noise_std=0.5, n=4000)
-    est = estimate_noise(spec, samples, coef.T)  # (n_outputs, n_terms)
-    assert est.output_variances[0] == pytest.approx(0.25, rel=0.1)

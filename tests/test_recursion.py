@@ -387,7 +387,7 @@ def test_outcome_metadata(rng):
     out = rec.step(state, samples[30:40])
     assert out.step_index == 1
     assert out.timestamp == samples[39].timestamp
-    assert out.posterior_after == out.posterior_before + 1
+    assert out.accepted
     assert out.residual_rms is not None and out.residual_rms < 1.0
     assert not out.prior_floor  # no discount, no prior re-injection
     record = rec.step_record(state, out)
@@ -417,7 +417,6 @@ def test_reject_policy_leaves_state_untouched(rng):
     out = rec.step(state, dup)
     assert not out.accepted
     assert out.utility.classification == "redundant"
-    assert out.posterior_after == out.posterior_before
     np.testing.assert_array_equal(state.s_blocks, s_before)
     assert state.buffer.total_ingested == ingested
     # an informative batch afterwards goes through
