@@ -192,14 +192,12 @@ def _sig4(value: float) -> str:
     return out.rstrip(".") if out.endswith(".") else out
 
 
-def render_equations(
-    post: PosteriorState, threshold: float, include_std: bool = True
-) -> list:
+def render_equations(post: PosteriorState, threshold: float) -> list:
     """One readable equation string per output.
 
     Terms with |mean| >= threshold appear in dictionary column order with
-    coefficients to 4 significant digits; outputs with no surviving term
-    render as zero.
+    coefficients and their posterior stds to 4 significant digits; outputs
+    with no surviving term render as zero.
     """
     if threshold < 0.0:
         raise ValueError("threshold must be nonnegative")
@@ -213,9 +211,7 @@ def render_equations(
             coef = float(means[i, j])
             if abs(coef) < threshold:
                 continue
-            body = f"{_sig4(abs(coef))}·{label}"
-            if include_std:
-                body += f" ± {_sig4(float(stds[i, j]))}"
+            body = f"{_sig4(abs(coef))}·{label} ± {_sig4(float(stds[i, j]))}"
             if not pieces:
                 pieces.append(body if coef >= 0.0 else f"-{body}")
             else:

@@ -418,8 +418,6 @@ def _drive(cfg: RunConfig, mode_cls):
     """
     if cfg.input is None or cfg.output is None:
         raise ConfigError(f"{cfg.mode} requires --input and --output")
-    if cfg.batch_in < 1:
-        raise ConfigError(f"batch_in must be at least 1 for {cfg.mode} runs")
     stream = cfg.mode == "stream"
     idle_timeout = cfg.idle_timeout if stream else 0.0
     rows = _CsvBlocks(_follow_lines(cfg.input, idle_timeout))
@@ -564,9 +562,10 @@ def run_fit(cfg: RunConfig) -> None:
 class _Monitor:
     """Diagnostics only: the estimator's audit of each batch, and the
     excitation of the window after the slide from a running window Gram.
-    Every slide is applied, and the full window slides once per read
-    (recursion.audit_run); the kappas and PE eigenvalues of a read come
-    from one stacked eigvalsh each."""
+    Every slide is applied: the full window is audited once per read
+    (recursion.audit_run) and then takes the read's entering samples in one
+    extend; the kappas and PE eigenvalues of a read come from one stacked
+    eigvalsh each."""
 
     output_name = "monitor.jsonl"
 
@@ -591,14 +590,18 @@ class _Monitor:
     def steps(self, batches: list) -> list:
         if not batches:
             return []
-        differentials, reports, pushed = rec.audit_run(
+        entering, psi_new, _, pushed, differentials, reports = rec.audit_run(
             self.spec, self.window, batches, self.cfg.forget
         )
-        # G_i = G_(i-1) + (differential_i - Gram(pushed_i)), added in step order
+        # G_i = G_(i-1) + (differential_i - Gram(pushed_i)), added in step order;
+        # pushed may be a view of the window's rows, so it is read before the extend
         grams = np.add.accumulate(
             np.concatenate((self.gram[None], differentials - gram(pushed)))
         )[1:]
         self.gram = grams[-1]
+        self.window.extend(
+            chain.from_iterable(entering), psi_new.reshape(-1, self.spec.n_columns)
+        )
         pes = pe_from_gram(grams, [len(self.window)] * len(batches), self.cfg.alpha1)
         records = []
         for batch, report, pe in zip(batches, reports, pes):

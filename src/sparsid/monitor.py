@@ -81,9 +81,9 @@ def utility_from_differential(differential: np.ndarray) -> UtilityReport | list:
     """Classify a precomputed information differential (n_p x n_p). A stack
     of them (k x n_p x n_p) gives a list of k reports, from one eigvalsh."""
     kappas = np.linalg.eigvalsh(differential)
+    traces = differential.trace(axis1=-2, axis2=-1).tolist()
     if differential.ndim == 2:
-        return _classify(kappas, float(np.trace(differential)))
-    traces = np.trace(differential, axis1=1, axis2=2).tolist()
+        return _classify(kappas, traces)
     return list(map(_classify, kappas, traces))
 
 

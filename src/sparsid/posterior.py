@@ -56,10 +56,6 @@ class NoiseModel:
     def n_outputs(self) -> int:
         return self.output_variances.size
 
-    @property
-    def precisions(self) -> np.ndarray:
-        return 1.0 / self.output_variances
-
 
 @dataclass(frozen=True)
 class HorseshoeState:
@@ -81,14 +77,6 @@ class HorseshoeState:
         if not (np.isfinite(self.global_scale) and self.global_scale > 0.0):
             raise ValueError("global scale must be finite and positive")
         object.__setattr__(self, "local_scales", lam.copy())
-
-    @property
-    def n_terms(self) -> int:
-        return self.local_scales.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.local_scales.shape[1]
 
     def prior_precision_blocks(self) -> np.ndarray:
         """(n_outputs, n_terms) array of 1 / (local^2 * global^2)."""

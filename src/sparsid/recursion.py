@@ -2,12 +2,14 @@
 
 The state is what all outputs share: the window Gram G = Psi.T @ Psi and
 cross-moment C = Psi.T @ Y. Each step discounts both by the forgetting
-factor, adds the new batch and divides out the oldest buffered block. The
+factor and adds the new batch; with forget > 0 it also divides out as many
+of the oldest buffered samples as enter, so the window stays full. The
 prior is not part of that recursion: every posterior is assembled from
 (G, C) and the prior precision in force, so discounting never erodes the
 prior (the posterior never falls below it) and a prior refresh only swaps
-it. The well-posedness of every update is audited through the monitor
-before it is applied; what happens on a violation is a policy choice.
+it. The well-posedness of every slide is audited (audit_run, the one place
+that forms Gram(new) - Gram(old) from the window's rows) before it is
+applied; what happens on a violation is a policy choice.
 
 Operating guidance: division (forget > 0) pairs naturally with
 forgetting_factor == 1 (a pure sliding window), while forgetting_factor < 1
@@ -16,7 +18,7 @@ window information toward the prior floor on stationary streams, because
 the forgotten block is divided out at full strength while its stored copy
 has already been discounted.
 
-The window code (WindowBuffer, audit, audit_run) needs no posterior, so
+The window code (WindowBuffer, audit_run) needs no posterior, so
 `posterior` is imported only where a posterior is built (init, step,
 snapshot), and a monitor process never loads it.
 """
@@ -40,7 +42,6 @@ if TYPE_CHECKING:
 __all__ = [
     "RecursionConfig",
     "WindowBuffer",
-    "audit",
     "audit_run",
     "StepOutcome",
     "RecursionState",
@@ -59,13 +60,15 @@ class RecursionConfig:
     """Window geometry and update behavior.
 
     window: buffer capacity and warmup length.
-    batch_in: new samples ingested per step.
-    forget: oldest buffered samples divided out per step, at most
-        batch_in (more would shrink the buffer every step until it held one
-        batch). With forget > 0 the buffer is a sliding window: a batch that
-        would overflow it also divides out the overflow (never more than the
-        buffer holds), so the posterior always holds exactly the buffered
-        samples. With forget == 0 nothing is divided out.
+    batch_in: new samples ingested per step, at least 1.
+    forget: 0 to batch_in. With forget > 0 the buffer is a sliding window:
+        each accepted slide divides out as many of the oldest samples as
+        enter (min(batch, window) of a batch, a merged deferred one too), so
+        the posterior always holds exactly the buffered samples. With
+        forget == 0 nothing is divided out. Beyond that the value of forget
+        matters only to init: the warmup audit divides out the forget oldest
+        warmup samples, and the geometry check needs window + batch_in -
+        forget above the column count.
     forgetting_factor: exponential discount on history, in (0, 1].
     policy: what to do when an update fails the well-posedness condition
         (reject it, warn and apply anyway, or defer the batch and retry it
@@ -87,8 +90,10 @@ class RecursionConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be at least 1")
-        if self.batch_in < 0 or self.forget < 0:
-            raise ValueError("batch_in and forget must be nonnegative")
+        if self.batch_in < 1:
+            raise ValueError("batch_in must be at least 1")
+        if self.forget < 0:
+            raise ValueError("forget must be nonnegative")
         if self.forget > self.window:
             raise ValueError("cannot forget more samples than the window holds")
         if self.forget > self.batch_in:
@@ -110,8 +115,8 @@ class WindowBuffer:
     The rows live in one array of twice the capacity, the buffered ones
     contiguous from `_lo`; an extend that would run past its end first moves
     them to the front, so the oldest rows are always one slice. The first
-    extend fixes the row width. Pushing into a full window drops its oldest
-    samples and their rows.
+    extend fixes the row width. An extend drops the oldest samples that no
+    longer fit, with their rows.
     """
 
     __slots__ = ("capacity", "_items", "_rows", "_lo", "total_ingested")
@@ -128,32 +133,23 @@ class WindowBuffer:
     def __len__(self) -> int:
         return len(self._items)
 
-    def extend(self, samples, rows: np.ndarray) -> np.ndarray:
-        """Push samples with their dictionary rows, one row per sample;
-        returns the rows that a full buffer pushed out, oldest first."""
+    def extend(self, samples, rows: np.ndarray) -> None:
+        """Push samples with their dictionary rows, one row per sample."""
         samples = list(samples)
         if len(rows) != len(samples):
             raise ValueError(f"{len(samples)} samples but {len(rows)} rows")
         if self._rows is None:
             self._rows = np.empty((2 * self.capacity, rows.shape[1]))
-        held = len(self._items)
-        overflow = max(held + len(samples) - self.capacity, 0)
-        dropped = min(overflow, held)  # the rest of the overflow is the batch's head
-        lo = self._lo
-        out = self._rows[lo : lo + dropped]
-        if overflow:
-            out = np.concatenate((out, rows[: overflow - dropped]))
-        lo += dropped
-        live = held - dropped
-        kept = rows[overflow - dropped :]
-        if lo + live + len(kept) > len(self._rows):
+        rows = rows[-self.capacity :]
+        live = min(len(self._items), self.capacity - len(rows))  # rows that stay
+        lo = self._lo + len(self._items) - live
+        if lo + live + len(rows) > len(self._rows):
             self._rows[:live] = self._rows[lo : lo + live]
             lo = 0
-        self._rows[lo + live : lo + live + len(kept)] = kept
+        self._rows[lo + live : lo + live + len(rows)] = rows
         self._lo = lo
         self._items.extend(samples)
         self.total_ingested += len(samples)
-        return out
 
     def oldest(self, k: int) -> list:
         if k > len(self._items):
@@ -161,24 +157,18 @@ class WindowBuffer:
         return list(islice(self._items, k))
 
     def oldest_rows(self, k: int) -> np.ndarray:
-        """A copy of the dictionary rows of the k oldest samples."""
+        """The dictionary rows of the k oldest samples: a view, valid until
+        the next extend."""
         if k > len(self._items):
             raise ValueError(f"buffer holds {len(self._items)} samples, asked for {k}")
-        return self._rows[self._lo : self._lo + k].copy()
-
-    def pop_oldest(self, k: int) -> list:
-        out = self.oldest(k)
-        for _ in range(k):
-            self._items.popleft()
-        self._lo += k
-        return out
+        return self._rows[self._lo : self._lo + k]
 
     def items(self) -> list:
         return list(self._items)
 
     @property
-    def newest(self) -> Sample | None:
-        return self._items[-1] if self._items else None
+    def newest(self) -> Sample:
+        return self._items[-1]
 
 
 @dataclass(frozen=True)
@@ -304,55 +294,31 @@ def init(
     return state
 
 
-def _slide_counts(held: int, capacity: int, batch_len: int, forget: int) -> tuple:
-    """The window's slide rule, in counts: (samples of a batch that enter a
-    buffer holding `held`, oldest samples that leave it first). With
-    forget > 0 the batch is cut to the capacity, and the `forget` oldest or
-    the overflow leave, whichever is more (never more than are held); with
-    forget == 0 the whole batch enters and nothing leaves (a full buffer
-    then drops its overflow unaudited)."""
-    if forget == 0:
-        return batch_len, 0
-    enter = min(batch_len, capacity)
-    return enter, min(held, max(forget, held + enter - capacity))
-
-
-def audit(spec: DictionarySpec, buffer: WindowBuffer, batch: list, forget: int) -> tuple:
-    """The window's slide, audited: (batch as it enters the buffer, old
-    block that leaves it, their rows psi_new and psi_old, Gram(psi_new) -
-    Gram(psi_old), its UtilityReport). Only the entering batch is expanded;
-    the old block's rows are the buffer's. See _slide_counts for the rule."""
-    enter, leave = _slide_counts(len(buffer), buffer.capacity, len(batch), forget)
-    batch = batch[len(batch) - enter :]
-    psi_new = build_matrix(spec, [s.state for s in batch])
-    psi_old = buffer.oldest_rows(leave)
-    differential = gram(psi_new) - gram(psi_old)
-    return (
-        batch, buffer.oldest(leave), psi_new, psi_old, differential,
-        utility_from_differential(differential),
-    )
-
-
 def audit_run(
     spec: DictionarySpec, buffer: WindowBuffer, batches: list, forget: int
 ) -> tuple:
-    """Audit the slide of each batch in turn, as audit does, and apply every
-    one: no policy refuses a slide (the monitor's run).
+    """Audit the window's slide for each batch in turn without applying
+    any: the buffer is left as it is.
 
-    The buffer must be full, and all batches of one length b. A full buffer
-    stays full, so every batch slides it by the same e rows: e =
-    min(b, capacity) when forget > 0, e = b when forget == 0. In the row
-    sequence [buffer rows; rows of the batches], batch i then audits its
-    last e rows against the e rows from position i*b (none when forget ==
-    0), and pushes out the b rows from position i*b unaudited when
-    forget == 0 (none when forget > 0). These blocks are strided views of
-    that sequence: the rows of all batches come from one build_matrix call,
-    the differentials from one stacked gram, the reports from one stacked
-    eigvalsh, and the buffer takes the entering samples in one extend.
+    The buffer must be full and all batches of one length b. The slide rule:
+    e = min(b, capacity) samples of a batch enter (its last e) and the e
+    oldest leave; with forget == 0 all b enter, none is divided out, and the
+    full window pushes out its b oldest unaudited. Either way a full window
+    stays full, and applying the slides is one `buffer.extend` of the
+    entering samples with their psi_new rows.
 
-    Returns (the k differentials Gram(psi_new) - Gram(psi_old) as a
-    k x n_p x n_p stack, their UtilityReports, the rows each slide pushed
-    out as a k x m x n_p stack: m = b when forget == 0, else 0)."""
+    Batch i's old rows (psi_old, or pushed when forget == 0) are the e rows
+    from position i*e of [buffer rows; rows of the entering samples], so
+    every block is a view of that sequence; while k*e fits in the window
+    they are views of the buffer's rows, valid until its next extend. One
+    build_matrix call, one stacked gram and one stacked eigvalsh serve all
+    k batches.
+
+    Returns (the entering samples of each batch; psi_new, psi_old and the
+    pushed rows as k x e x n_p stacks, psi_old empty (k x 0 x n_p) when
+    forget == 0 and pushed empty when forget > 0; the k differentials
+    Gram(psi_new) - Gram(psi_old) as a k x n_p x n_p stack; their
+    UtilityReports)."""
     capacity = buffer.capacity
     if len(buffer) != capacity:
         raise ValueError(f"buffer holds {len(buffer)} samples, not its capacity {capacity}")
@@ -362,23 +328,24 @@ def audit_run(
     k, n_p = len(batches), spec.n_columns
     b = lengths.pop() if lengths else 0
     e = min(b, capacity) if forget else b
-    rows = build_matrix(spec, [s.state for batch in batches for s in batch])
-    # the k*b oldest rows of [buffer rows; rows], b per batch
-    lead = np.concatenate(
-        (buffer.oldest_rows(min(capacity, k * b)), rows[: max(k * b - capacity, 0)])
-    ).reshape(k, b, n_p)
-    psi_new = rows.reshape(k, b, n_p)[:, b - e :]
-    psi_old = lead[:, : e if forget else 0]
-    pushed = lead[:, : 0 if forget else b]
+    entering = [batch[b - e :] for batch in batches]
+    rows = build_matrix(spec, [s.state for batch in entering for s in batch])
+    # the k*e oldest rows of [buffer rows; rows], e per batch
+    lead = buffer.oldest_rows(min(capacity, k * e))
+    if k * e > capacity:
+        lead = np.concatenate((lead, rows[: k * e - capacity]))
+    psi_new, lead = rows.reshape(k, e, n_p), lead.reshape(k, e, n_p)
+    psi_old, pushed = (lead, lead[:, :0]) if forget else (lead[:, :0], lead)
     differentials = gram(psi_new) - gram(psi_old)
-    buffer.extend(
-        [s for batch in batches for s in batch[b - e :]], psi_new.reshape(k * e, n_p)
+    return (
+        entering, psi_new, psi_old, pushed, differentials,
+        utility_from_differential(differentials),
     )
-    return differentials, utility_from_differential(differentials), pushed
 
 
 def step(state: RecursionState, new_samples: list) -> StepOutcome:
-    """Ingest one batch: audit, apply (or not, per policy), refresh scales.
+    """Ingest one batch: audit its slide (audit_run), apply it with one
+    buffer extend or not (per policy and the PD guard), refresh scales.
 
     Returns an outcome describing what happened; the emitted record for
     streaming consumers is built from it by step_record.
@@ -391,14 +358,15 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
             f"expected a batch of {cfg.batch_in} samples, got {len(new_samples)}"
         )
     buffer = state.buffer
-    newest = buffer.newest
     batch = state.pending + list(new_samples)
-    _check_increasing(batch, after=None if newest is None else newest.timestamp)
-    batch, old, psi_new, psi_old, differential, report = audit(
-        state.spec, buffer, batch, cfg.forget
+    _check_increasing(batch, after=buffer.newest.timestamp)
+    entering, psi_new, psi_old, _, differentials, reports = audit_run(
+        state.spec, buffer, [batch], cfg.forget
     )
+    batch, psi_new, psi_old = entering[0], psi_new[0], psi_old[0]
+    differential, report = differentials[0], reports[0]
     n_y = state.noise.n_outputs
-    timestamp = batch[-1].timestamp if batch else (newest.timestamp if newest else 0.0)
+    timestamp = batch[-1].timestamp
 
     flagged = False
     reason = None
@@ -431,6 +399,7 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     y_new = np.asarray([s.observation for s in batch], dtype=float).reshape(
         len(batch), n_y
     )
+    old = buffer.oldest(len(psi_old))
     y_old = np.asarray([s.observation for s in old], dtype=float).reshape(len(old), n_y)
     xi = cfg.forgetting_factor
     new_gram = xi * state.gram + differential
@@ -449,7 +418,6 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     state.gram = new_gram
     state.cross = new_cross
     state.pending = []
-    buffer.pop_oldest(len(old))
     buffer.extend(batch, psi_new)
     state.step_count += 1
     state.samples_since_refresh += len(batch)
@@ -461,7 +429,7 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
         theta_refreshed = True
         state.samples_since_refresh = 0
 
-    residual = _residual_rms(state, psi_new, y_new)
+    resid = y_new - psi_new @ snapshot(state).mean_blocks().T
     return StepOutcome(
         step_index=state.step_count,
         timestamp=timestamp,
@@ -469,7 +437,7 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
         flagged=flagged or (state.init_flagged and state.step_count == 1),
         reason=reason,
         utility=report,
-        residual_rms=residual,
+        residual_rms=float(np.sqrt(np.mean(resid**2))),
         theta_refreshed=theta_refreshed,
         prior_floor=xi < 1.0,
     )
@@ -491,14 +459,6 @@ def _rejected(state, report, timestamp, reason):
         theta_refreshed=False,
         prior_floor=False,
     )
-
-
-def _residual_rms(state, psi_new, y_new) -> float | None:
-    if psi_new.shape[0] == 0:
-        return None
-    post = snapshot(state)
-    resid = y_new - psi_new @ post.mean_blocks().T
-    return float(np.sqrt(np.mean(resid**2)))
 
 
 def snapshot(state: RecursionState) -> PosteriorState:

@@ -169,20 +169,20 @@ def make_posterior_with_means(means, labels_spec, stds=1e-4):
 def test_render_equations_frozen_format():
     spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
     post = make_posterior_with_means(np.array([[-10.0, 10.0]]), spec)
-    lines = render_equations(post, threshold=0.1, include_std=False)
-    assert lines == ["dx1/dt = -10.00·x1 + 10.00·x2"]
+    lines = render_equations(post, threshold=0.1)
+    assert lines == ["dx1/dt = -10.00·x1 ± 0.0001000 + 10.00·x2 ± 0.0001000"]
 
 
 def test_render_equations_threshold_and_zero():
     spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
     post = make_posterior_with_means(np.array([[0.05, -0.02]]), spec)
-    assert render_equations(post, threshold=0.1, include_std=False) == ["dx1/dt = 0"]
+    assert render_equations(post, threshold=0.1) == ["dx1/dt = 0"]
 
 
 def test_render_equations_includes_uncertainty():
     spec = DictionarySpec(state_dim=1, poly_degree=1, include_bias=False)
     post = make_posterior_with_means(np.array([[2.5]]), spec, stds=0.125)
-    (line,) = render_equations(post, threshold=0.1, include_std=True)
+    (line,) = render_equations(post, threshold=0.1)
     assert line == "dx1/dt = 2.500·x1 ± 0.1250"
 
 
@@ -192,14 +192,14 @@ def test_render_orders_terms_by_dictionary_position():
     means[0, spec.column_labels.index("x2^2")] = 1.0
     means[0, spec.column_labels.index("1")] = -3.0
     post = make_posterior_with_means(means, spec)
-    (line,) = render_equations(post, threshold=0.5, include_std=False)
+    (line,) = render_equations(post, threshold=0.5)
     # bias column renders before the quadratic column, whatever the signs
-    assert line == "dx1/dt = -3.000·1 + 1.000·x2^2"
+    assert line == "dx1/dt = -3.000·1 ± 0.0001000 + 1.000·x2^2 ± 0.0001000"
 
 
 def test_render_multiple_outputs(rng):
     spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
     post = make_posterior_with_means(np.array([[1.0, 0.0], [0.0, 1234.0]]), spec)
-    lines = render_equations(post, threshold=0.5, include_std=False)
-    assert lines[0] == "dx1/dt = 1.000·x1"
-    assert lines[1] == "dx2/dt = 1234·x2"
+    lines = render_equations(post, threshold=0.5)
+    assert lines[0] == "dx1/dt = 1.000·x1 ± 0.0001000"
+    assert lines[1] == "dx2/dt = 1234·x2 ± 0.0001000"

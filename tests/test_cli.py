@@ -355,11 +355,13 @@ def test_fit_exit_codes(tmp_path, linear_csv):
     assert main(fit_args(path, out, ["--config", str(write_fit_config(tmp_path)),
                                      "--window", "2", "--batch-in", "1",
                                      "--forget", "1"])) == 2
-    # forgetting more than arrives would drain the window, in either mode
+    # forgetting more than arrives would drain the window, and an empty batch
+    # would step nothing; in either mode
     for mode in ("fit", "monitor"):
-        args = fit_args(path, out, ["--batch-in", "1", "--forget", "2"])
-        args[1] = mode
-        assert main(args) == 2
+        for flags in (["--batch-in", "1", "--forget", "2"], ["--batch-in", "0"]):
+            args = fit_args(path, out, flags)
+            args[1] = mode
+            assert main(args) == 2, (mode, flags)
     # constant states: init condition fails under the strict policy
     flat = tmp_path / "flat.csv"
     with open(flat, "w", newline="") as fh:

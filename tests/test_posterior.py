@@ -108,7 +108,6 @@ def test_noise_model_validation():
         NoiseModel([1.0, 0.0])
     with pytest.raises(DimensionMismatch):
         NoiseModel([])
-    np.testing.assert_allclose(NoiseModel([0.5, 2.0]).precisions, [2.0, 0.5])
 
 
 def test_horseshoe_state_validation():

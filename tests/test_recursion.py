@@ -5,6 +5,8 @@ prior, and forget == batch_in, the recursive posterior after any number of
 steps must equal the batch fit of the samples currently in the window.
 """
 
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,6 +25,7 @@ from sparsid import (
     build_matrix,
     initial_horseshoe,
 )
+from sparsid.monitor import gram, utility_from_differential
 
 from conftest import make_samples
 
@@ -46,6 +49,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RecursionConfig(window=0, batch_in=1, forget=0)
     with pytest.raises(ValueError):
+        RecursionConfig(window=10, batch_in=0, forget=0)
+    with pytest.raises(ValueError):
         RecursionConfig(window=10, batch_in=1, forget=11)
     with pytest.raises(ValueError):  # would shrink the buffer every step
         RecursionConfig(window=10, batch_in=1, forget=3)
@@ -68,64 +73,55 @@ def test_window_buffer_fifo_and_eviction():
     buf = WindowBuffer(3)
     s = [Sample(float(i), [float(i)], [0.0]) for i in range(9)]
     rows = np.arange(18.0).reshape(9, 2)  # row i belongs to sample i
-    for i in range(3):
-        assert len(buf.extend(s[i : i + 1], rows[i : i + 1])) == 0
-    assert len(buf) == 3
-    assert [x.timestamp for x in buf.items()] == [0.0, 1.0, 2.0]
-    pushed = buf.extend(s[3:4], rows[3:4])  # evicts the oldest
-    np.testing.assert_array_equal(pushed, rows[0:1])
+    buf.extend(s[:2], rows[:2])
+    assert [x.timestamp for x in buf.items()] == [0.0, 1.0]
+    with pytest.raises(ValueError):
+        buf.oldest(3)
+    with pytest.raises(ValueError):
+        buf.oldest_rows(3)
+    buf.extend(s[2:4], rows[2:4])  # fills the buffer and evicts the oldest
     assert len(buf) == 3
     assert [x.timestamp for x in buf.items()] == [1.0, 2.0, 3.0]
+    assert [x.timestamp for x in buf.oldest(2)] == [1.0, 2.0]
     np.testing.assert_array_equal(buf.oldest_rows(3), rows[1:4])
     assert buf.total_ingested == 4
     assert buf.newest.timestamp == 3.0
-    popped = buf.pop_oldest(2)
-    assert [x.timestamp for x in popped] == [1.0, 2.0]
-    assert len(buf) == 1
-    with pytest.raises(ValueError):
-        buf.oldest(2)
-    with pytest.raises(ValueError):
-        buf.oldest_rows(2)
-    assert len(buf.extend(s[4:5], rows[4:5])) == 0
-    assert [x.timestamp for x in buf.items()] == [3.0, 4.0]
-    np.testing.assert_array_equal(buf.oldest_rows(2), rows[3:5])
-    # extend reports what a full buffer pushes out, the batch's own head too
-    pushed = buf.extend(s[5:9], rows[5:9])
-    np.testing.assert_array_equal(pushed, rows[3:6])
+    buf.extend(s[4:9], rows[4:9])  # longer than the buffer: its last 3 stay
     assert [x.timestamp for x in buf.items()] == [6.0, 7.0, 8.0]
     np.testing.assert_array_equal(buf.oldest_rows(3), rows[6:9])
+    assert buf.total_ingested == 9
     with pytest.raises(ValueError):
         buf.extend(s[:2], rows[:1])
 
 
 @given(
-    capacity=st.integers(1, 6),
-    moves=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
+    geometry=st.integers(1, 6).flatmap(
+        lambda c: st.tuples(st.just(c), st.lists(st.integers(0, 2 * c), max_size=30))
+    ),
 )
-def test_window_buffer_rows_follow_their_samples(capacity, moves):
-    """Through any mix of pops and pushes, the buffered rows are exactly the
-    rows pushed with the buffered samples, and extend returns the rows of
-    what a full buffer pushed out."""
+def test_window_buffer_rows_follow_their_samples(geometry):
+    """Through any run of slides of 0 to twice the capacity samples on a
+    full buffer, the buffered rows are exactly the rows pushed with the
+    buffered samples, the newest `capacity` of them."""
+    capacity, slides = geometry
+
+    def block(idx):
+        samples = [Sample(float(i), [float(i)], [0.0]) for i in idx]
+        return samples, np.array([[i, -i] for i in idx], dtype=float).reshape(-1, 2)
+
     buf = WindowBuffer(capacity)
-    reference = []  # indices of the buffered samples, oldest first
-    n = 0
-    for pop, push in moves:
-        pop = min(pop, len(buf))
-        buf.pop_oldest(pop)
-        reference = reference[pop:]
+    reference = list(range(capacity))  # indices of the buffered samples, oldest first
+    buf.extend(*block(reference))
+    n = capacity
+    for push in slides:
         idx = list(range(n, n + push))
         n += push
-        samples = [Sample(float(i), [float(i)], [0.0]) for i in idx]
-        rows = np.array([[i, -i] for i in idx], dtype=float).reshape(push, 2)
-        pushed = buf.extend(samples, rows)
-        spill = max(len(reference) + push - capacity, 0)
-        expected_out = (reference + idx)[:spill]
-        reference = (reference + idx)[spill:]
-        np.testing.assert_array_equal(pushed[:, 0], expected_out)
+        buf.extend(*block(idx))
+        reference = (reference + idx)[-capacity:]
+        assert len(buf) == capacity
         assert [x.timestamp for x in buf.items()] == reference
-        held = buf.oldest_rows(len(buf))
-        expected = np.array([[i, -i] for i in reference], dtype=float).reshape(-1, 2)
-        np.testing.assert_array_equal(held, expected)
+        np.testing.assert_array_equal(buf.oldest_rows(capacity), block(reference)[1])
+        assert buf.total_ingested == n
 
 
 def test_window_buffer_rejects_zero_capacity():
@@ -146,6 +142,10 @@ def full_window(spec, warmup):
     return buf
 
 
+def copies(views) -> list:
+    return [np.array(v) for v in views]
+
+
 @settings(max_examples=100)
 @example(window=3, geometry=(2, 2), n_batches=12, degree=2, zero_runs=[], seed=0)
 @example(window=4, geometry=(9, 0), n_batches=5, degree=1, zero_runs=[(6, 20)], seed=1)
@@ -162,11 +162,15 @@ def full_window(spec, warmup):
 def test_audit_run_equals_one_audit_and_slide_per_batch(
     window, geometry, n_batches, degree, zero_runs, seed
 ):
-    """On a full window, audit_run gives the bytes of one audit plus slide
-    per batch: the differentials, the reports, the rows each slide pushed
-    out, and the buffer's final samples and rows, for any geometry (forget
-    0 to batch_in, batches longer than the window, reads longer than it)
-    and zero-state stretches."""
+    """On a full window, one audit_run over k batches gives the bytes of k
+    one-batch audit_runs, each followed by its slide (one extend), and of
+    the slide rule written out on plain lists: the window holds the last
+    `window` samples, e = min(b, window) samples of a batch enter when
+    forget > 0 (all b when forget == 0), and the e oldest leave when
+    forget > 0 (the b oldest of [window; batch] are pushed out when
+    forget == 0). Any geometry: forget 0 to batch_in, batches longer than
+    the window, reads longer than it, and zero-state stretches. audit_run
+    leaves the buffer as it is."""
     batch_in, forget = geometry
     spec = DictionarySpec(state_dim=2, poly_degree=degree)
     rng = np.random.default_rng(seed)
@@ -177,28 +181,55 @@ def test_audit_run_equals_one_audit_and_slide_per_batch(
     warmup, rest = samples[:window], samples[window:]
     batches = [rest[i : i + batch_in] for i in range(0, len(rest), batch_in)]
 
+    def rows_of(block):
+        return build_matrix(spec, [s.state for s in block])
+
+    def same_samples(a, b) -> bool:
+        return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
     one_by_one = full_window(spec, warmup)
+    reference = list(warmup)
     expected = []
+    e = min(batch_in, window) if forget else batch_in
     for batch in batches:
-        entering, old, psi_new, _, differential, report = rec.audit(
-            spec, one_by_one, batch, forget
+        entering, psi_new, psi_old, pushed, differentials, (report,) = rec.audit_run(
+            spec, one_by_one, [batch], forget
         )
-        one_by_one.pop_oldest(len(old))
-        expected.append((differential, report, one_by_one.extend(entering, psi_new)))
+        new, old = batch[batch_in - e :], reference[: e if forget else 0]
+        out = (reference + batch)[: 0 if forget else batch_in]
+        assert same_samples(entering[0], new)
+        for got, ref in zip((psi_new, psi_old, pushed), (new, old, out)):
+            assert same_bytes(got[0], rows_of(ref))
+        assert same_bytes(differentials[0], gram(rows_of(new)) - gram(rows_of(old)))
+        ref_report = utility_from_differential(differentials[0])
+        assert same_bytes(report.kappas, ref_report.kappas)
+        assert (report.classification, report.differential_trace) == (
+            ref_report.classification, ref_report.differential_trace
+        )
+        # psi_old and pushed may be views of the buffer's rows: copy them first
+        blocks = copies((psi_new[0], psi_old[0], pushed[0], differentials[0]))
+        expected.append((*blocks, report))
+        one_by_one.extend(entering[0], psi_new[0])
+        reference = (reference + new)[-window:]
+        assert same_samples(one_by_one.items(), reference)
 
     run = full_window(spec, warmup)
-    differentials, reports, pushed = rec.audit_run(spec, run, batches, forget)
-    assert len(differentials) == len(reports) == len(pushed) == n_batches
-    for i, (differential, report, out) in enumerate(expected):
-        assert same_bytes(differentials[i], differential), i
+    before = run.oldest_rows(window).copy()
+    entering, *stacks, reports = rec.audit_run(spec, run, batches, forget)
+    assert same_samples(run.items(), warmup)
+    assert same_bytes(run.oldest_rows(window), before)
+    assert len(entering) == len(reports) == n_batches
+    assert all(len(stack) == n_batches for stack in stacks)
+    for i, (*blocks, report) in enumerate(expected):
+        for stack, block in zip(stacks, blocks):
+            assert same_bytes(stack[i], block), i
         assert same_bytes(reports[i].kappas, report.kappas), i
         assert (reports[i].classification, reports[i].differential_trace) == (
             report.classification, report.differential_trace
         )
         assert (reports[i].epsilon, reports[i].note) == (report.epsilon, report.note)
-        assert same_bytes(pushed[i], out), i
-    assert len(run) == len(one_by_one) == window
-    assert all(a is b for a, b in zip(run.items(), one_by_one.items()))
+    run.extend(chain.from_iterable(entering), stacks[0].reshape(-1, spec.n_columns))
+    assert same_samples(run.items(), one_by_one.items())
     assert same_bytes(run.oldest_rows(window), one_by_one.oldest_rows(window))
     assert run.total_ingested == one_by_one.total_ingested
 
@@ -313,7 +344,7 @@ def test_sliding_posterior_is_batch_fit_of_buffer(
         if k in zero_steps:
             batch = [Sample(s.timestamp, np.zeros(2), s.observation) for s in batch]
         rec.step(state, batch)
-        assert len(state.buffer) <= window
+        assert len(state.buffer) == window
         post = rec.snapshot(state)
         ref = batch_fit(LINEAR2, state.buffer.items(), noise, state.horseshoe)
         for a, b in ((post.s_blocks, ref.s_blocks), (post.b_blocks, ref.b_blocks)):
