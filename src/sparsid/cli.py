@@ -104,6 +104,17 @@ class RunConfig:
             raise ConfigError(f"theta_mode must be one of {rec.THETA_MODES}")
         if not (0.0 < self.xi <= 1.0):
             raise ConfigError("xi must be in (0, 1]")
+        if self.refresh_every is not None and self.refresh_every < 1:
+            raise ConfigError("refresh_every must be positive when given")
+        for name in ("initial_scale", "initial_tau"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and positive")
+        variances = self.noise_variances
+        if not isinstance(variances, list):
+            variances = [variances]
+        if not variances or not all(math.isfinite(v) and v > 0.0 for v in variances):
+            raise ConfigError("noise_variances must be finite and positive, at least one")
 
 
 _FLAGS = (

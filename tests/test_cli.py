@@ -380,6 +380,20 @@ def test_fit_exit_codes(tmp_path, linear_csv):
             args[1] = mode
             assert main(args) == 2, (mode, flags)
             assert not (tmp_path / "bad").exists()
+    # a refresh cadence, prior scale or noise variance the estimator would
+    # refuse: exit 2 in every mode, the monitor's too, which builds no estimator
+    for mode in ("fit", "stream", "monitor", "simulate"):
+        for key, value in (("refresh_every", 0), ("refresh_every", -3),
+                           ("initial_scale", 0.0), ("initial_scale", float("inf")),
+                           ("initial_tau", 0), ("initial_tau", -1.0),
+                           ("initial_tau", float("nan")), ("noise_variances", []),
+                           ("noise_variances", 0.0), ("noise_variances", [1.0, -1.0]),
+                           ("noise_variances", [1.0, float("nan")])):
+            cfg = write_fit_config(tmp_path, **{key: value})
+            args = fit_args(path, tmp_path / "bad", ["--config", str(cfg)])
+            args[1] = mode
+            assert main(args) == 2, (mode, key, value)
+            assert not (tmp_path / "bad").exists()
     # bad render threshold or excitation level: exit 2 before any input is read
     assert main(fit_args(tmp_path / "nope.csv", out, ["--threshold", "-1"])) == 2
     assert main(fit_args(tmp_path / "nope.csv", out, ["--threshold", "nan"])) == 2

@@ -6,8 +6,13 @@ matrix as a Kronecker product of the output precision with the Gram matrix
 plus the diagonal prior. The oracle below builds that dense system directly.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sparsid import (
     DictionarySpec,
@@ -166,6 +171,74 @@ def test_refresh_is_idempotent_at_its_fixed_point(rng):
     hs2 = refresh_horseshoe(again)
     np.testing.assert_allclose(hs2.local_scales, hs1.local_scales, rtol=1e-6)
     assert hs2.global_scale == pytest.approx(hs1.global_scale, rel=1e-6)
+
+
+def reference_refresh(post, max_sweeps, rel_tol=1e-7):
+    """refresh_horseshoe's sweeps written with one new array per operation."""
+    hs = post.horseshoe
+    second = (post.mean_blocks() ** 2 + post.std_blocks() ** 2).T
+    lam2 = hs.local_scales**2
+    tau2 = hs.global_scale**2
+    d = lam2.size
+    lo, hi = SCALE_FLOOR**2, SCALE_CEIL**2
+    for _ in range(max_sweeps):
+        lam_prev, tau_prev = lam2, tau2
+        inv_nu = lam2 / (1.0 + lam2)
+        proposal = 0.5 * (inv_nu + second / (2.0 * tau2))
+        lam2 = np.clip(proposal, lo, hi)
+        inv_zeta = tau2 / (1.0 + tau2)
+        tau2 = float(
+            np.clip(
+                (inv_zeta + float(np.sum(second / (2.0 * lam2)))) / ((d + 3) / 2.0),
+                lo,
+                hi,
+            )
+        )
+        rel = max(
+            float(np.max(np.abs(np.sqrt(lam2) - np.sqrt(lam_prev)) / np.sqrt(lam_prev))),
+            abs(math.sqrt(tau2) - math.sqrt(tau_prev)) / math.sqrt(tau_prev),
+        )
+        if rel < rel_tol:
+            break
+    return np.sqrt(lam2), math.sqrt(tau2)
+
+
+@st.composite
+def refresh_cases(draw):
+    """A posterior with diagonal blocks, so that its second moments
+    mean^2 + var are drawn directly over 1e-14..1e14 (both clamps bind),
+    and prior scales anywhere inside the clamps."""
+    n_p = draw(st.integers(1, 60))
+    n_y = draw(st.integers(1, 4))
+
+    def powers(lo, hi, shape):
+        return 10.0 ** draw(arrays(float, shape, elements=st.floats(lo, hi)))
+
+    var = powers(-14.0, 14.0, (n_y, n_p))
+    sign = draw(arrays(float, (n_y, n_p), elements=st.sampled_from([-1.0, 1.0])))
+    mean = sign * powers(-7.0, 7.0, (n_y, n_p))
+    spec = DictionarySpec(state_dim=n_p, poly_degree=1, include_bias=False)
+    hs = HorseshoeState(powers(-6.0, 6.0, (n_p, n_y)), float(powers(-6.0, 6.0, ())))
+    s_blocks = np.zeros((n_y, n_p, n_p))
+    diag = np.arange(n_p)
+    s_blocks[:, diag, diag] = 1.0 / var
+    post = PosteriorState(spec, NoiseModel(np.ones(n_y)), hs, s_blocks, mean / var,
+                          sample_count=1)
+    # a loose tolerance stops on the first sweeps, where a scale can move
+    # by a large factor, so which root the change is taken against matters
+    return post, draw(st.sampled_from([0, 1, 2, 7, 2000])), draw(st.sampled_from([1e-7, 0.5]))
+
+
+@given(refresh_cases())
+def test_refresh_matches_the_allocating_sweeps_bitwise(case):
+    post, max_sweeps, rel_tol = case
+    before = post.horseshoe.local_scales.tobytes()
+    got = refresh_horseshoe(post, max_sweeps=max_sweeps, rel_tol=rel_tol)
+    local, tau = reference_refresh(post, max_sweeps, rel_tol)
+    assert got.local_scales.tobytes() == local.tobytes()
+    assert got.global_scale == tau
+    # the sweeps work in their own buffers, never in the input's scales
+    assert post.horseshoe.local_scales.tobytes() == before
 
 
 def test_adaptive_fit_recovers_sparse_truth(rng):
