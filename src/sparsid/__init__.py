@@ -17,15 +17,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "analyze": (
-        "ErrorTrace",
-        "TruthTrajectory",
-        "empirical_h",
-        "render_equations",
-        "score_errors",
-        "tracking_bound",
-        "write_error_csv",
-    ),
+    "analyze": ("TruthTrajectory", "empirical_h", "render_equations", "tracking_bound"),
     "dictionary": ("DictionarySpec", "Sample", "build_matrix", "build_row"),
     "errors": (
         "ConditionViolated",

@@ -1,7 +1,8 @@
 """Scoring, interpretability, and tracking diagnostics.
 
 Errors are scored against the coefficient truth read_truth reads from
-either format the simulator writes; equations render as readable strings
+either format the simulator writes, one fit step at a time, and appended
+to errors.csv by ErrorWriter; equations render as readable strings
 in dictionary column order; tracking_bound and empirical_h give the
 paper's tracking-error bound and its empirical transfer gain.
 """
@@ -25,12 +26,10 @@ __all__ = [
     "TruthTrajectory",
     "LorenzTruth",
     "read_truth",
-    "ErrorTrace",
-    "score_errors",
+    "ErrorWriter",
     "tracking_bound",
     "empirical_h",
     "render_equations",
-    "write_error_csv",
 ]
 
 
@@ -119,41 +118,47 @@ def read_truth(payload, spec: DictionarySpec, n_y: int):
     return truth
 
 
-@dataclass(frozen=True)
-class ErrorTrace:
-    """Per-step estimation errors against the truth trajectory."""
+class ErrorWriter:
+    """errors.csv of a fit, scored step by step as the fit emits them.
 
-    timestamps: np.ndarray
-    l2_errors: np.ndarray
-    per_coef_abs_errors: np.ndarray
-    switch_steps: tuple
-
-
-def score_errors(estimates, truth) -> ErrorTrace:
-    """Score a sequence of (timestamp, coefficient-vector) estimates.
-
-    truth is a TruthTrajectory or LorenzTruth. Estimates are sorted by
-    timestamp before scoring, so the trace is invariant to input ordering.
-    switch_steps flags the scored step indices at which the truth changes.
+    The file holds t, l2_error, one |error| column per coefficient (output by
+    output) and truth_switch, 1 where the truth differs from that of the
+    previous scored row. add scores one estimate against truth (a
+    TruthTrajectory or LorenzTruth) and keeps its row; flush appends the kept
+    rows to the file. The first flush that has a row creates the file with
+    its header, so a fit that scores nothing writes none. Estimates come in
+    the order of their timestamps.
     """
-    items = sorted(estimates, key=lambda e: e[0])
-    if not items:
-        raise ValueError("nothing to score")
-    times = np.array([t for t, _ in items], dtype=float)
-    est = np.vstack([np.asarray(v, dtype=float).ravel() for _, v in items])
-    true = np.vstack([truth.at(t) for t in times])
-    if est.shape != true.shape:
-        raise ValueError(
-            f"estimate dimension {est.shape[1]} does not match truth {true.shape[1]}"
-        )
-    switches = tuple((np.flatnonzero((true[1:] != true[:-1]).any(axis=1)) + 1).tolist())
-    est -= true  # the signed errors, in place: a long run scores many steps
-    return ErrorTrace(
-        timestamps=times,
-        l2_errors=np.linalg.norm(est, axis=1),
-        per_coef_abs_errors=np.abs(est, out=est),
-        switch_steps=switches,
-    )
+
+    def __init__(self, path, truth):
+        self.path = path
+        self.truth = truth
+        self._rows = []
+        self._previous = None  # the truth of the previous scored row
+        self._mode = "w"
+
+    def add(self, t: float, coef) -> None:
+        true = self.truth.at(t)
+        err = np.ravel(coef) - true
+        # summed as np.linalg.norm(rows, axis=1) sums a row; np.linalg.norm of
+        # a 1-d vector goes through BLAS dot, which can differ in the last bit
+        l2 = np.sqrt(np.add.reduce(err * err))
+        if self._previous is None:  # the first scored row: the header first
+            abs_errs = [f"abs_err_{j + 1}" for j in range(err.size)]
+            self._rows.append(["t", "l2_error", *abs_errs, "truth_switch"])
+            switch = False
+        else:
+            switch = bool((true != self._previous).any())
+        self._previous = true
+        # csv writes a float as its repr, which round-trips exactly
+        self._rows.append([float(t), float(l2), *np.abs(err).tolist(), int(switch)])
+
+    def flush(self) -> None:
+        if self._rows:
+            with open(self.path, self._mode, newline="") as fh:
+                csv.writer(fh).writerows(self._rows)
+            self._rows.clear()
+            self._mode = "a"
 
 
 def tracking_bound(delta: float, xi: float, h: float) -> float:
@@ -219,19 +224,3 @@ def render_equations(post: PosteriorState, threshold: float) -> list:
         rhs = " ".join(pieces) if pieces else "0"
         lines.append(f"dx{i + 1}/dt = {rhs}")
     return lines
-
-
-def write_error_csv(path, trace: ErrorTrace) -> None:
-    """Error trace as CSV: t, l2_error, then one |error| column per
-    coefficient; switch steps are marked in a final column."""
-    switch_set = set(trace.switch_steps)
-    d = trace.per_coef_abs_errors.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "l2_error"] + [f"abs_err_{j + 1}" for j in range(d)] + ["truth_switch"]
-        )
-        times, l2s = trace.timestamps.tolist(), trace.l2_errors.tolist()
-        for i, (t, l2, errs) in enumerate(zip(times, l2s, trace.per_coef_abs_errors)):
-            # csv writes a float as its repr, which round-trips exactly
-            writer.writerow([t, l2, *errs.tolist(), int(i in switch_set)])

@@ -2,14 +2,17 @@
 
 Four modes: `simulate` writes a benchmark stream as CSV plus a ground-truth
 sidecar; `fit` runs the online estimator over a CSV and emits one JSONL
-record per step plus rendered equations; `stream` is fit for a file that is
-still being appended to (stops after an idle timeout); `monitor` runs the
-well-posedness and excitation diagnostics only.
+record per step plus rendered equations and, when a truth is found, scores
+each accepted step against it as the step is emitted (errors.csv, appended
+once per read); `stream` is fit for a file that is still being appended to
+(stops after an idle timeout); `monitor` runs the well-posedness and
+excitation diagnostics only.
 
 Configuration comes from defaults, then an optional JSON config file, then
-command-line flags (flags win). Exit codes: 0 success, 2 configuration
-error, 3 input/output error, 4 well-posedness violation at initialization
-under a strict policy.
+command-line flags (flags win). It is checked in full, the estimator's
+window geometry included, before any input is opened. Exit codes: 0
+success, 2 configuration error, 3 input/output error, 4 well-posedness
+violation at initialization under a strict policy.
 
 Fit, stream and monitor share one single-threaded loop: read the header,
 take `window` warmup samples, then pass the full batches of `batch_in`
@@ -98,14 +101,19 @@ class RunConfig:
             raise ConfigError("threshold must be finite and nonnegative")
         if not (math.isfinite(self.alpha1) and self.alpha1 > 0.0):
             raise ConfigError("alpha1 must be finite and positive")
-        if self.policy not in rec.POLICIES:
-            raise ConfigError(f"policy must be one of {rec.POLICIES}")
-        if self.theta_mode not in rec.THETA_MODES:
-            raise ConfigError(f"theta_mode must be one of {rec.THETA_MODES}")
-        if not (0.0 < self.xi <= 1.0):
-            raise ConfigError("xi must be in (0, 1]")
-        if self.refresh_every is not None and self.refresh_every < 1:
-            raise ConfigError("refresh_every must be positive when given")
+        try:  # the estimator's window geometry and update rules, in every mode
+            recursion = rec.RecursionConfig(
+                window=self.window,
+                batch_in=self.batch_in,
+                forget=self.forget,
+                forgetting_factor=self.xi,
+                policy=self.policy,
+                theta_mode=self.theta_mode,
+                refresh_every=self.refresh_every,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "recursion", recursion)  # not a config key
         for name in ("initial_scale", "initial_tau"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -423,9 +431,11 @@ def _drive(cfg: RunConfig, mode_cls):
     mode's output file. A finished input (fit, monitor) is read up to
     `_BLOCK` batches at a time; stream reads one batch at a time and
     flushes every record, so a reader of the file sees step k before batch
-    k + 1 arrives. A trailing partial batch is dropped. A bad row exits
-    after the batches before it were stepped and written. Returns the mode
-    object, so the caller can write what it keeps after the loop.
+    k + 1 arrives. A mode that writes more than its records (fit's
+    errors.csv) writes it by the end of each read's steps. A trailing
+    partial batch is dropped. A bad row exits after the batches before it
+    were stepped and written. Returns the mode object, so the caller can
+    write the final state.
     """
     if cfg.input is None or cfg.output is None:
         raise ConfigError(f"{cfg.mode} requires --input and --output")
@@ -478,33 +488,30 @@ def _drive(cfg: RunConfig, mode_cls):
 
 
 class _Fit:
-    """Fit and stream: the estimator, stepped once per batch."""
+    """Fit and stream: the estimator, stepped once per batch. With a truth,
+    each accepted step is scored as it is emitted, and the errors.csv rows
+    of a read are appended when the read's steps are done."""
 
     output_name = "steps.jsonl"
 
     def __init__(self, cfg: RunConfig, spec: DictionarySpec, n_y: int):
+        from .analyze import ErrorWriter
         from .posterior import NoiseModel, initial_horseshoe
 
         self.spec = spec
+        self.rconfig = cfg.recursion
         try:
-            self.rconfig = rec.RecursionConfig(
-                window=cfg.window,
-                batch_in=cfg.batch_in,
-                forget=cfg.forget,
-                forgetting_factor=cfg.xi,
-                policy=cfg.policy,
-                theta_mode=cfg.theta_mode,
-                refresh_every=cfg.refresh_every,
-            )
             self.noise = NoiseModel(_broadcast_variances(cfg.noise_variances, n_y))
             self.horseshoe = initial_horseshoe(
                 spec, n_y, scale=cfg.initial_scale, tau=cfg.initial_tau
             )
         except (ValueError, SparsidError) as exc:
             raise ConfigError(str(exc)) from exc
-        self.truth = _load_truth(cfg, spec, n_y)
+        truth = _load_truth(cfg, spec, n_y)
+        self.errors = None
+        if truth is not None:
+            self.errors = ErrorWriter(Path(cfg.output) / "errors.csv", truth)
         self.state = None
-        self.estimates: list = []
 
     def start(self, warmup: list) -> None:
         try:
@@ -515,13 +522,20 @@ class _Fit:
             raise ConfigError(str(exc)) from exc
 
     def steps(self, batches: list):
-        return map(self.step, batches)
+        try:
+            yield from map(self.step, batches)
+        finally:  # also when a step fails: the rows before it are kept
+            if self.errors is not None:
+                self.errors.flush()
 
     def step(self, batch: list) -> dict:
         outcome = rec.step(self.state, batch)
         record = rec.step_record(self.state, outcome)
-        if outcome.accepted and self.truth is not None:
-            self.estimates.append((outcome.timestamp, np.ravel(record["coef_mean"])))
+        if outcome.accepted and self.errors is not None:
+            try:
+                self.errors.add(outcome.timestamp, record["coef_mean"])
+            except TimestampMismatch as exc:
+                raise InputError(f"truth file: {exc}") from exc
         return record
 
 
@@ -552,19 +566,12 @@ def _load_truth(cfg: RunConfig, spec: DictionarySpec, n_y: int):
 
 
 def run_fit(cfg: RunConfig) -> None:
-    from .analyze import render_equations, score_errors, write_error_csv
+    from .analyze import render_equations
 
     fit = _drive(cfg, _Fit)
-    out = Path(cfg.output)
     final = rec.snapshot(fit.state)
-    with open(out / "equations.txt", "w") as fh:
+    with open(Path(cfg.output) / "equations.txt", "w") as fh:
         fh.writelines(f"{line}\n" for line in render_equations(final, cfg.threshold))
-    if fit.estimates:
-        try:
-            errors = score_errors(fit.estimates, fit.truth)
-        except TimestampMismatch as exc:
-            raise InputError(f"truth file: {exc}") from exc
-        write_error_csv(out / "errors.csv", errors)
 
 
 # ----------------------------------------------------------------- monitor
@@ -581,12 +588,6 @@ class _Monitor:
     output_name = "monitor.jsonl"
 
     def __init__(self, cfg: RunConfig, spec: DictionarySpec, n_y: int):
-        try:  # the estimator's window geometry rules
-            rec.RecursionConfig(
-                window=cfg.window, batch_in=cfg.batch_in, forget=cfg.forget
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         self.cfg = cfg
         self.spec = spec
         self.window = rec.WindowBuffer(cfg.window)

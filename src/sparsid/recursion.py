@@ -99,7 +99,7 @@ class RecursionConfig:
         if self.forget > self.batch_in:
             raise ValueError("cannot forget more samples per step than batch_in")
         if not (0.0 < self.forgetting_factor <= 1.0):
-            raise ValueError("forgetting_factor must be in (0, 1]")
+            raise ValueError("forgetting_factor (xi) must be in (0, 1]")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         if self.theta_mode not in THETA_MODES:

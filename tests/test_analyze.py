@@ -1,5 +1,7 @@
 """Scoring against ground truth, stability bounds, equation rendering."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,10 @@ from sparsid import (
     empirical_h,
     initial_horseshoe,
     render_equations,
-    score_errors,
     tracking_bound,
-    write_error_csv,
 )
 
-from sparsid.analyze import read_truth
+from sparsid.analyze import ErrorWriter, read_truth
 from sparsid.simulate import lorenz_coefficients, lorenz_rhs
 
 from conftest import make_samples
@@ -87,38 +87,27 @@ def test_lorenz_truth_reproduces_the_generator(degree, include_bias):
             truth.at(t)  # no sample there
 
 
-def test_score_errors_small_case():
-    truth = piecewise_truth()
-    estimates = [
-        (5.0, np.array([1.0, 0.5])),
-        (12.0, np.array([0.0, 2.0])),
-    ]
-    trace = score_errors(estimates, truth)
-    np.testing.assert_allclose(trace.timestamps, [5.0, 12.0])
-    assert trace.l2_errors[0] == pytest.approx(0.5)
-    assert trace.l2_errors[1] == pytest.approx(0.0)
-    np.testing.assert_allclose(trace.per_coef_abs_errors[0], [0.0, 0.5])
-    assert list(trace.switch_steps) == [1]  # truth changed between the two
-
-
-def test_score_errors_sorts_by_time():
-    truth = piecewise_truth()
-    shuffled = [
-        (12.0, np.array([0.0, 2.0])),
-        (5.0, np.array([1.0, 0.5])),
-    ]
-    trace = score_errors(shuffled, truth)
-    np.testing.assert_allclose(trace.timestamps, [5.0, 12.0])
-
-
-def test_error_csv_roundtrip(tmp_path):
-    truth = piecewise_truth()
-    trace = score_errors([(5.0, np.array([1.0, 0.5]))], truth)
+def test_error_writer_scores_each_row(tmp_path):
     path = tmp_path / "errors.csv"
-    write_error_csv(path, trace)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,l2_error,abs_err_1,abs_err_2,truth_switch"
-    assert len(lines) == 2
+    writer = ErrorWriter(path, piecewise_truth())
+    writer.flush()
+    assert not path.exists()  # nothing scored, no file
+    writer.add(5.0, np.array([1.0, 0.5]))
+    writer.flush()
+    writer.add(7.0, [[1.0, 0.0]])  # a record's coef_mean, one list per output
+    writer.add(12.0, np.array([0.0, 2.0]))
+    writer.flush()
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "l2_error", "abs_err_1", "abs_err_2", "truth_switch"]
+    values = np.array(rows[1:], dtype=float)
+    np.testing.assert_array_equal(values[:, 0], [5.0, 7.0, 12.0])
+    np.testing.assert_allclose(values[:, 1], [0.5, 0.0, 0.0])
+    np.testing.assert_allclose(values[:, 2:4], [[0.0, 0.5], [0.0, 0.0], [0.0, 0.0]])
+    # the truth changed between the second and the third scored row
+    assert values[:, 4].tolist() == [0, 0, 1]
+    with pytest.raises(TimestampMismatch):
+        writer.add(-1.0, np.zeros(2))
 
 
 # ------------------------------------------------------------------ bounds

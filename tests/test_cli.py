@@ -2,6 +2,7 @@
 determinism, stream tailing."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import sparsid.cli as cli
 from sparsid import DictionarySpec, check_pe
+from sparsid.analyze import read_truth
 from sparsid.cli import (
     ConfigError,
     RunConfig,
@@ -270,14 +272,41 @@ def test_fit_rejects_truth_starting_after_scored_steps(tmp_path, linear_csv, cap
     assert "no ground truth at t=" in capsys.readouterr().err
 
 
+def attribute_sizes(obj, prefix="", depth=3) -> dict:
+    """len() of every sized attribute of obj, and of theirs down to depth
+    levels, by dotted name."""
+    names = list(getattr(obj, "__dict__", {})) + list(getattr(type(obj), "__slots__", ()))
+    sizes = {}
+    for name in names:
+        value = getattr(obj, name, None)
+        try:
+            sizes[prefix + name] = len(value)
+        except TypeError:
+            pass
+        if depth > 1:
+            sizes.update(attribute_sizes(value, f"{prefix}{name}.", depth - 1))
+    return sizes
+
+
 def test_fit_keeps_no_estimates_without_truth(tmp_path, linear_csv):
-    path, _ = linear_csv
-    out = tmp_path / "fit"
-    cfg = parse(fit_args(path, out, ["--config", str(write_fit_config(tmp_path))]))
-    fit = cli._drive(cfg, cli._Fit)
-    assert fit.truth is None
-    assert fit.estimates == []
-    assert len((out / "steps.jsonl").read_text().splitlines()) == (160 - 60) // 5
+    """No attribute of a fit grows with its step count, with a truth or
+    without: fits of 8 and of 20 steps end with containers of one size."""
+    path, w = linear_csv
+    short = tmp_path / "short.csv"
+    short.write_text("".join(path.read_text().splitlines(keepends=True)[: 1 + 100]))
+    truth = tmp_path / "coeffs.json"  # not truth.json, which a fit finds itself
+    truth.write_text(json.dumps({"segments": [{"start_t": 0.0, "coeffs": w.tolist()}]}))
+    for extra in ({}, {"truth": str(truth)}):
+        sizes = []
+        for data, steps in ((short, 8), (path, 20)):
+            out = tmp_path / f"fit-{len(extra)}-{steps}"
+            config = write_fit_config(tmp_path, **extra)
+            fit = cli._drive(parse(fit_args(data, out, ["--config", str(config)])), cli._Fit)
+            assert len((out / "steps.jsonl").read_text().splitlines()) == steps
+            assert (out / "errors.csv").exists() == bool(extra)
+            sizes.append(attribute_sizes(fit))
+        assert sizes[0] == sizes[1], extra
+        assert ("errors._rows" in sizes[0]) == bool(extra)
 
 
 def simulate_lorenz_stream(tmp_path, t_end="3.0"):
@@ -315,6 +344,119 @@ def test_fit_scores_lorenz_truth(tmp_path):
         expected = np.linalg.norm(np.array(record["coef_mean"]) - beta)
         assert float(row["t"]) == record["t"]
         assert float(row["l2_error"]) == pytest.approx(expected, rel=1e-12)
+
+
+def reference_errors_csv(records: list, truth) -> bytes:
+    """errors.csv as the fit wrote it when it scored after the run: the
+    coefficients of every accepted record stacked and scored in one pass,
+    then written with csv."""
+    accepted = [r for r in records if r["accepted"]]
+    times = np.array([r["t"] for r in accepted], dtype=float)
+    est = np.vstack([np.ravel(r["coef_mean"]) for r in accepted])
+    true = np.vstack([truth.at(t) for t in times])
+    switches = set((np.flatnonzero((true[1:] != true[:-1]).any(axis=1)) + 1).tolist())
+    est -= true
+    l2s = np.linalg.norm(est, axis=1)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(
+        ["t", "l2_error"] + [f"abs_err_{j + 1}" for j in range(est.shape[1])] + ["truth_switch"]
+    )
+    for i, (t, l2, errs) in enumerate(zip(times.tolist(), l2s.tolist(), np.abs(est))):
+        writer.writerow([t, l2, *errs.tolist(), int(i in switches)])
+    return text.getvalue().encode()
+
+
+def read_records(out) -> list:
+    return [json.loads(line) for line in (out / "steps.jsonl").read_text().splitlines()]
+
+
+def scored_streams(tmp_path) -> dict:
+    """A case1 stream whose truth switches mid-stream and a Lorenz stream:
+    each one's data path, fit flags, config-file settings and truth."""
+    case1 = tmp_path / "case1"
+    (tmp_path / "case1.json").write_text(json.dumps({"switch_at": 150}))
+    assert main(["--mode", "simulate", "--case", "case1", "--m", "6", "--n", "300",
+                 "--seed", "4", "--config", str(tmp_path / "case1.json"),
+                 "--output", str(case1)]) == 0
+    lorenz = simulate_lorenz_stream(tmp_path)
+    streams = {}
+    for name, data, flags, settings, spec, n_y in (
+        ("case1", case1, ["--window", "60", "--batch-in", "5", "--forget", "5",
+                          "--degree", "1"],
+         {"include_bias": False, "noise_variances": 0.1},
+         DictionarySpec(state_dim=6, poly_degree=1, include_bias=False), 1),
+        ("lorenz", lorenz, ["--window", "100", "--batch-in", "1", "--forget", "1"],
+         {}, DictionarySpec(state_dim=3, poly_degree=2), 3),
+    ):
+        truth = read_truth(json.loads((data / "truth.json").read_text()), spec, n_y)
+        streams[name] = (data / "data.csv", flags, settings, truth)
+    return streams
+
+
+def run_scored(stream, mode, data, out, **settings) -> int:
+    """Fit or stream one of scored_streams, from data in place of its own."""
+    _, flags, base, _ = stream
+    config = out.with_name(out.name + ".json")
+    config.write_text(json.dumps({**base, "idle_timeout": 0.1, **settings}))
+    return main(["--mode", mode, "--input", str(data), "--output", str(out), *flags,
+                 "--config", str(config)])
+
+
+def test_errors_csv_matches_the_batch_scoring(tmp_path, monkeypatch):
+    """Scored step by step, errors.csv has the bytes of the old post-run
+    scoring, in fit (one to 128 batches a read) and in stream mode."""
+    for name, stream in scored_streams(tmp_path).items():
+        data, _, _, truth = stream
+        for mode, block in (("fit", 1), ("fit", 2), ("fit", 128), ("stream", 128)):
+            monkeypatch.setattr(cli, "_BLOCK", block)
+            out = tmp_path / f"{name}-{mode}-{block}"
+            assert run_scored(stream, mode, data, out) == 0
+            records = read_records(out)
+            expected = reference_errors_csv(records, truth)
+            assert (out / "errors.csv").read_bytes() == expected, (name, mode, block)
+        if name == "case1":  # the switch is scored
+            assert b",1\r\n" in expected
+        assert expected.count(b"\n") == 1 + len(records)
+
+
+@pytest.mark.parametrize("mode,block", [("fit", 2), ("fit", 128), ("stream", 128)])
+def test_stopped_fit_keeps_its_scoring(tmp_path, monkeypatch, capsys, mode, block):
+    """A fit that stops on a bad row, or on a step its truth does not cover,
+    exits 3 and keeps the records and the errors.csv rows of every step
+    before it, also when the stop falls inside a read."""
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    streams = scored_streams(tmp_path)
+
+    stream = streams["case1"]
+    data, _, _, truth = stream
+    lines = data.read_text().splitlines(keepends=True)
+    bad_row = 60 + 5 * 17 + 2  # inside the batch of step 18
+    lines[1 + bad_row] = "oops\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    out = tmp_path / "bad"
+    assert run_scored(stream, mode, bad, out, truth=str(data.parent / "truth.json")) == 3
+    assert f"line {bad_row + 2}:" in capsys.readouterr().err  # the header is line 1
+    records = read_records(out)
+    assert len(records) == 17
+    assert (out / "errors.csv").read_bytes() == reference_errors_csv(records, truth)
+
+    stream = streams["lorenz"]
+    data, _, _, truth = stream
+    payload = json.loads((data.parent / "truth.json").read_text())
+    gap = 100 + 37  # the sample of step 38
+    missing = payload["t"][gap]
+    for key in ("t", "k1", "k3"):
+        del payload[key][gap]
+    gapped = tmp_path / "gapped.json"
+    gapped.write_text(json.dumps(payload))
+    out = tmp_path / "gap"
+    assert run_scored(stream, mode, data, out, truth=str(gapped)) == 3
+    assert f"no truth sample at t={missing}" in capsys.readouterr().err
+    records = read_records(out)
+    assert len(records) == 37 and records[-1]["t"] < missing
+    assert (out / "errors.csv").read_bytes() == reference_errors_csv(records, truth)
 
 
 def test_fit_rejects_truth_of_neither_format(tmp_path, linear_csv, capsys):
@@ -355,13 +497,15 @@ def test_fit_exit_codes(tmp_path, linear_csv):
     assert main(fit_args(path, out, ["--config", str(write_fit_config(tmp_path)),
                                      "--window", "2", "--batch-in", "1",
                                      "--forget", "1"])) == 2
-    # forgetting more than arrives would drain the window, and an empty batch
-    # would step nothing; in either mode
-    for mode in ("fit", "monitor"):
-        for flags in (["--batch-in", "1", "--forget", "2"], ["--batch-in", "0"]):
-            args = fit_args(path, out, flags)
+    # an empty window or batch, or forgetting more than arrives, which would
+    # drain the window: exit 2 in every mode, before the input is opened
+    for mode in ("fit", "stream", "monitor", "simulate"):
+        for flags in (["--window", "0"], ["--batch-in", "0"],
+                      ["--batch-in", "1", "--forget", "2"]):
+            args = fit_args(tmp_path / "nope.csv", tmp_path / "bad", flags)
             args[1] = mode
             assert main(args) == 2, (mode, flags)
+            assert not (tmp_path / "bad").exists()
     # constant states: init condition fails under the strict policy
     flat = tmp_path / "flat.csv"
     with open(flat, "w", newline="") as fh:
@@ -863,7 +1007,7 @@ def test_package_names_resolve_on_first_access():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], [], [], True, 53]
+    assert json.loads(done.stdout) == [[], [], [], True, 50]
 
 
 def test_importing_cli_skips_numpy_random():
