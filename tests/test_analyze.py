@@ -87,20 +87,14 @@ def test_lorenz_truth_reproduces_the_generator(degree, include_bias):
             truth.at(t)  # no sample there
 
 
-def test_error_writer_scores_each_row(tmp_path):
-    path = tmp_path / "errors.csv"
-    writer = ErrorWriter(path, piecewise_truth())
-    writer.flush()
-    assert not path.exists()  # nothing scored, no file
+def test_score_errors_small_case(tmp_path):
+    writer = ErrorWriter(tmp_path / "errors.csv", piecewise_truth())
     writer.add(5.0, np.array([1.0, 0.5]))
-    writer.flush()
     writer.add(7.0, [[1.0, 0.0]])  # a record's coef_mean, one list per output
     writer.add(12.0, np.array([0.0, 2.0]))
     writer.flush()
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "l2_error", "abs_err_1", "abs_err_2", "truth_switch"]
-    values = np.array(rows[1:], dtype=float)
+    with open(tmp_path / "errors.csv", newline="") as fh:
+        values = np.array(list(csv.reader(fh))[1:], dtype=float)
     np.testing.assert_array_equal(values[:, 0], [5.0, 7.0, 12.0])
     np.testing.assert_allclose(values[:, 1], [0.5, 0.0, 0.0])
     np.testing.assert_allclose(values[:, 2:4], [[0.0, 0.5], [0.0, 0.0], [0.0, 0.0]])
@@ -108,6 +102,23 @@ def test_error_writer_scores_each_row(tmp_path):
     assert values[:, 4].tolist() == [0, 0, 1]
     with pytest.raises(TimestampMismatch):
         writer.add(-1.0, np.zeros(2))
+
+
+def test_error_csv_roundtrip(tmp_path):
+    path = tmp_path / "errors.csv"
+    writer = ErrorWriter(path, piecewise_truth())
+    writer.flush()
+    assert not path.exists()  # nothing scored, no file
+    writer.add(5.0, np.array([1.0, 0.5]))
+    writer.flush()
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "t,l2_error,abs_err_1,abs_err_2,truth_switch"
+    assert len(lines) == 2
+    writer.add(12.0, np.array([0.0, 2.0]))
+    writer.flush()  # appends, with no second header
+    lines = path.read_text().strip().split("\n")
+    assert len(lines) == 3
+    assert lines[2] == "12.0,0.0,0.0,0.0,1"
 
 
 # ------------------------------------------------------------------ bounds
