@@ -10,9 +10,9 @@ excitation diagnostics only.
 
 Configuration comes from defaults, then an optional JSON config file, then
 command-line flags (flags win). It is checked in full, the estimator's
-window geometry included, before any input is opened. Exit codes: 0
-success, 2 configuration error, 3 input/output error, 4 well-posedness
-violation at initialization under a strict policy.
+window geometry and the dictionary's degree included, before any input is
+opened. Exit codes: 0 success, 2 configuration error, 3 input/output
+error, 4 well-posedness violation at initialization under a strict policy.
 
 Fit, stream and monitor share one single-threaded loop: read the header,
 take `window` warmup samples, then pass the full batches of `batch_in`
@@ -54,8 +54,9 @@ class InputError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs. Every CLI flag mirrors one key here; the
-    remaining keys are config-file only."""
+    """Everything a run needs, each setting declared and checked here. The
+    keys named in _FLAGS also have a flag, of the key's type; the remaining
+    keys are config-file only."""
 
     mode: str = "fit"
     case: str = "case1"
@@ -101,6 +102,10 @@ class RunConfig:
             raise ConfigError("threshold must be finite and nonnegative")
         if not (math.isfinite(self.alpha1) and self.alpha1 > 0.0):
             raise ConfigError("alpha1 must be finite and positive")
+        if self.degree < 0:
+            raise ConfigError("degree must be nonnegative")
+        if self.degree == 0 and not self.include_bias:
+            raise ConfigError("degree 0 without include_bias leaves no dictionary columns")
         try:  # the estimator's window geometry and update rules, in every mode
             recursion = rec.RecursionConfig(
                 window=self.window,
@@ -125,24 +130,10 @@ class RunConfig:
             raise ConfigError("noise_variances must be finite and positive, at least one")
 
 
+# the keys that also have a flag: batch_in is --batch-in
 _FLAGS = (
-    ("--mode", "mode", str),
-    ("--case", "case", str),
-    ("--input", "input", str),
-    ("--output", "output", str),
-    ("--window", "window", int),
-    ("--batch-in", "batch_in", int),
-    ("--forget", "forget", int),
-    ("--xi", "xi", float),
-    ("--degree", "degree", int),
-    ("--policy", "policy", str),
-    ("--seed", "seed", int),
-    ("--theta-mode", "theta_mode", str),
-    ("--threshold", "threshold", float),
-    ("--dt", "dt", float),
-    ("--t-end", "t_end", float),
-    ("--m", "m", int),
-    ("--n", "n", int),
+    "mode", "case", "input", "output", "window", "batch_in", "forget", "xi",
+    "degree", "policy", "seed", "theta_mode", "threshold", "dt", "t_end", "m", "n",
 )
 
 
@@ -151,9 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sparsid",
         description="Online sparse Bayesian identification of governing equations.",
     )
-    parser.add_argument("--config", type=str, default=None, help="JSON config file")
-    for flag, dest, typ in _FLAGS:
-        parser.add_argument(flag, dest=dest, type=typ, default=None)
+    parser.add_argument("--config", help="JSON config file")
+    declared = {f.name: f.type for f in fields(RunConfig)}
+    for name in _FLAGS:
+        # an optional key's flag takes the non-None member of its union
+        kinds = typing.get_args(declared[name]) or (declared[name],)
+        (kind,) = set(kinds) - {type(None)}
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
     return parser
 
 
@@ -199,10 +194,10 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
                     f"config key {f.name!r} must be {kind}, got {file_cfg[f.name]!r}"
                 )
         merged.update(file_cfg)
-    for _, dest, _ in _FLAGS:
-        value = getattr(namespace, dest)
+    for name in _FLAGS:
+        value = getattr(namespace, name)
         if value is not None:
-            merged[dest] = value
+            merged[name] = value
     try:
         return RunConfig(**merged)
     except (TypeError, ValueError) as exc:
@@ -432,22 +427,21 @@ def _drive(cfg: RunConfig, mode_cls):
     `_BLOCK` batches at a time; stream reads one batch at a time and
     flushes every record, so a reader of the file sees step k before batch
     k + 1 arrives. A mode that writes more than its records (fit's
-    errors.csv) writes it by the end of each read's steps. A trailing
-    partial batch is dropped. A bad row exits after the batches before it
-    were stepped and written. Returns the mode object, so the caller can
-    write the final state.
+    errors.csv) writes it by the end of each read's steps; those files
+    (`derived_names`) are removed when the records file is truncated, so
+    none of an earlier run's is left beside it. A trailing partial batch is
+    dropped. A bad row exits after the batches before it were stepped and
+    written. Returns the mode object, so the caller can write the final
+    state.
     """
     if cfg.input is None or cfg.output is None:
         raise ConfigError(f"{cfg.mode} requires --input and --output")
     stream = cfg.mode == "stream"
     idle_timeout = cfg.idle_timeout if stream else 0.0
     rows = _CsvBlocks(_follow_lines(cfg.input, idle_timeout))
-    try:
-        spec = DictionarySpec(
-            state_dim=rows.n_x, poly_degree=cfg.degree, include_bias=cfg.include_bias
-        )
-    except (ValueError, SparsidError) as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = DictionarySpec(
+        state_dim=rows.n_x, poly_degree=cfg.degree, include_bias=cfg.include_bias
+    )
     mode = mode_cls(cfg, spec, rows.n_y)
     warmup = rows.take(cfg.window)
     if rows.error is not None:
@@ -463,8 +457,10 @@ def _drive(cfg: RunConfig, mode_cls):
     if not stream:
         per_read *= max(1, min(_BLOCK, _BLOCK_CELLS // (b * rows.width)))
     out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name in mode.derived_names:
+            (out / name).unlink(missing_ok=True)
         with open(out / mode.output_name, "w") as fh:
             while True:
                 samples = rows.take(per_read)
@@ -493,6 +489,7 @@ class _Fit:
     of a read are appended when the read's steps are done."""
 
     output_name = "steps.jsonl"
+    derived_names = ("errors.csv", "equations.txt")
 
     def __init__(self, cfg: RunConfig, spec: DictionarySpec, n_y: int):
         from .analyze import ErrorWriter
@@ -500,13 +497,10 @@ class _Fit:
 
         self.spec = spec
         self.rconfig = cfg.recursion
-        try:
-            self.noise = NoiseModel(_broadcast_variances(cfg.noise_variances, n_y))
-            self.horseshoe = initial_horseshoe(
-                spec, n_y, scale=cfg.initial_scale, tau=cfg.initial_tau
-            )
-        except (ValueError, SparsidError) as exc:
-            raise ConfigError(str(exc)) from exc
+        self.noise = NoiseModel(_broadcast_variances(cfg.noise_variances, n_y))
+        self.horseshoe = initial_horseshoe(
+            spec, n_y, scale=cfg.initial_scale, tau=cfg.initial_tau
+        )
         truth = _load_truth(cfg, spec, n_y)
         self.errors = None
         if truth is not None:
@@ -569,9 +563,12 @@ def run_fit(cfg: RunConfig) -> None:
     from .analyze import render_equations
 
     fit = _drive(cfg, _Fit)
-    final = rec.snapshot(fit.state)
-    with open(Path(cfg.output) / "equations.txt", "w") as fh:
-        fh.writelines(f"{line}\n" for line in render_equations(final, cfg.threshold))
+    lines = render_equations(rec.snapshot(fit.state), cfg.threshold)
+    try:
+        with open(Path(cfg.output) / "equations.txt", "w") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------- monitor
@@ -586,6 +583,7 @@ class _Monitor:
     eigvalsh each."""
 
     output_name = "monitor.jsonl"
+    derived_names = ()
 
     def __init__(self, cfg: RunConfig, spec: DictionarySpec, n_y: int):
         self.cfg = cfg

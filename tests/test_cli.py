@@ -459,6 +459,46 @@ def test_stopped_fit_keeps_its_scoring(tmp_path, monkeypatch, capsys, mode, bloc
     assert (out / "errors.csv").read_bytes() == reference_errors_csv(records, truth)
 
 
+@pytest.mark.parametrize("mode", ["fit", "stream"])
+@pytest.mark.parametrize("rerun", ["unscored", "stopped"])
+def test_rerun_leaves_no_earlier_outputs(tmp_path, capsys, mode, rerun):
+    """A run into a used output directory leaves no errors.csv or
+    equations.txt of the earlier run beside its own steps.jsonl: not when it
+    scores nothing (its rows have no truth beside them), and not when a bad
+    row stops it before it renders its equations."""
+    sim = simulate_lorenz_stream(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"idle_timeout": 0.1}))
+    out = tmp_path / "out"
+
+    def run(data) -> int:
+        return main(["--mode", mode, "--input", str(data), "--output", str(out),
+                     "--window", "100", "--batch-in", "1", "--forget", "1",
+                     "--config", str(config)])
+
+    assert run(sim / "data.csv") == 0
+    assert (out / "errors.csv").exists() and (out / "equations.txt").exists()
+    lines = (sim / "data.csv").read_text().splitlines(keepends=True)
+    if rerun == "unscored":
+        data = tmp_path / "bare" / "data.csv"
+        data.parent.mkdir()
+        data.write_text("".join(lines))
+        assert run(data) == 0
+        assert not (out / "errors.csv").exists()
+        assert (out / "equations.txt").exists()
+    else:
+        lines[199] = "oops\n"  # line 200, after the warmup
+        data = sim / "bad.csv"  # beside the truth: the steps before it are scored
+        data.write_text("".join(lines))
+        assert run(data) == 3
+        assert "line 200:" in capsys.readouterr().err
+        records = read_records(out)
+        assert len(records) == 198 - 100  # the data rows before it, less the warmup
+        scored = (out / "errors.csv").read_text().splitlines()
+        assert len(scored) == 1 + sum(r["accepted"] for r in records)
+        assert not (out / "equations.txt").exists()
+
+
 def test_fit_rejects_truth_of_neither_format(tmp_path, linear_csv, capsys):
     path, _ = linear_csv
     other = tmp_path / "other.json"
@@ -498,10 +538,15 @@ def test_fit_exit_codes(tmp_path, linear_csv):
                                      "--window", "2", "--batch-in", "1",
                                      "--forget", "1"])) == 2
     # an empty window or batch, or forgetting more than arrives, which would
-    # drain the window: exit 2 in every mode, before the input is opened
+    # drain the window; a negative degree, or degree 0 without the bias
+    # column, which leaves no columns: exit 2 in every mode, before the input
+    # is opened (no_columns repeats its degree as a flag, which wins over
+    # fit_args' --degree 1)
+    no_columns = ["--config", str(write_fit_config(tmp_path, degree=0)), "--degree", "0"]
     for mode in ("fit", "stream", "monitor", "simulate"):
         for flags in (["--window", "0"], ["--batch-in", "0"],
-                      ["--batch-in", "1", "--forget", "2"]):
+                      ["--batch-in", "1", "--forget", "2"], ["--degree", "-1"],
+                      no_columns):
             args = fit_args(tmp_path / "nope.csv", tmp_path / "bad", flags)
             args[1] = mode
             assert main(args) == 2, (mode, flags)
@@ -555,6 +600,41 @@ def test_fit_exit_codes(tmp_path, linear_csv):
         args[1] = "stream"
         assert main(args) == 2
         assert not (tmp_path / "str").exists()
+
+
+def test_output_naming_a_file_exits_3(tmp_path, linear_csv, capsys):
+    """An --output that names a file is an input/output error in every mode."""
+    path, _ = linear_csv
+    cfg = write_fit_config(tmp_path, idle_timeout=0.1)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for mode in ("fit", "stream", "monitor", "simulate"):
+        args = fit_args(path, taken, ["--config", str(cfg)])
+        args[1] = mode
+        assert main(args) == 3, mode
+        assert "input error" in capsys.readouterr().err
+
+
+def test_unwritable_equations_exit_3(tmp_path, linear_csv, capsys, monkeypatch):
+    """An equations.txt the fit cannot write is an input/output error: one
+    that is a directory when the fit starts, and one that becomes a
+    directory while the fit runs."""
+    path, _ = linear_csv
+    cfg = write_fit_config(tmp_path)
+    out = tmp_path / "out"
+    (out / "equations.txt").mkdir(parents=True)
+    assert main(fit_args(path, out, ["--config", str(cfg)])) == 3
+    assert "input error" in capsys.readouterr().err
+    (out / "equations.txt").rmdir()
+    snapshot = cli.rec.snapshot
+
+    def snapshot_then_block(state):
+        (out / "equations.txt").mkdir()
+        return snapshot(state)
+
+    monkeypatch.setattr(cli.rec, "snapshot", snapshot_then_block)
+    assert main(fit_args(path, out, ["--config", str(cfg)])) == 3
+    assert "input error" in capsys.readouterr().err
 
 
 def test_fit_rejects_malformed_rows(tmp_path):
