@@ -1,15 +1,15 @@
 """Online sparse Bayesian identification of governing equations.
 
-The pieces compose in layers: exact Gaussian algebra in information form
-(`gaussian`), polynomial feature dictionaries (`dictionary`), sparse batch
-posteriors with adaptive shrinkage (`posterior`), the windowed streaming
-update with well-posedness checks (`recursion`, `monitor`), benchmark
-generators (`simulate`), and scoring plus rendering helpers (`analyze`).
+The pieces compose in layers: polynomial feature dictionaries
+(`dictionary`), sparse information-form posteriors with adaptive shrinkage
+(`posterior`), the windowed streaming update with well-posedness checks
+(`recursion`, `monitor`), benchmark generators (`simulate`), and scoring
+plus rendering helpers (`analyze`).
 
 Importing the package imports none of them: each name below, and each
 module, is imported on first access (PEP 562), so a process loads only the
-modules it uses (a monitor run never loads `posterior`, `gaussian`,
-`analyze` or `simulate`).
+modules it uses (a monitor run never loads `posterior`, `analyze` or
+`simulate`).
 """
 
 import importlib
@@ -26,18 +26,9 @@ _EXPORTS = {
         "NonFiniteInput",
         "NonFiniteState",
         "NotPositiveDefinite",
-        "PrecisionViolation",
         "SingularInformation",
         "SparsidError",
         "TimestampMismatch",
-    ),
-    "gaussian": (
-        "InformationForm",
-        "Moment1D",
-        "divide_gaussian",
-        "divide_information",
-        "multiply_information",
-        "pd_tolerance",
     ),
     "monitor": ("PeReport", "UtilityReport", "check_pe", "information_differential", "utility"),
     "posterior": (

@@ -9,10 +9,13 @@ once per read); `stream` is fit for a file that is still being appended to
 excitation diagnostics only.
 
 Configuration comes from defaults, then an optional JSON config file, then
-command-line flags (flags win). It is checked in full, the estimator's
-window geometry and the dictionary's degree included, before any input is
-opened. Exit codes: 0 success, 2 configuration error, 3 input/output
-error, 4 well-posedness violation at initialization under a strict policy.
+command-line flags (flags win). It is checked before any input is opened,
+the estimator's window geometry and the dictionary's degree included. What
+needs the input's header (the geometry against the dictionary's columns,
+the count of noise variances against the outputs) is checked once the
+header is read, before any output exists. Exit codes: 0 success, 2
+configuration error, 3 input/output error, 4 well-posedness violation at
+initialization under a strict policy.
 
 Fit, stream and monitor share one single-threaded loop: read the header,
 take `window` warmup samples, then pass the full batches of `batch_in`
@@ -420,10 +423,11 @@ _BLOCK_CELLS = 4096
 def _drive(cfg: RunConfig, mode_cls):
     """The one loop of fit, stream and monitor runs.
 
-    Reads the header, builds the dictionary, hands `window` warmup samples
-    to the mode's start, then passes the full batches of `batch_in` samples
-    to its steps and writes each returned record as one JSON line to the
-    mode's output file. A finished input (fit, monitor) is read up to
+    Reads the header, builds the dictionary and checks the window geometry
+    against its columns, hands `window` warmup samples to the mode's start,
+    then passes the full batches of `batch_in` samples to its steps and
+    writes each returned record as one JSON line to the mode's output file.
+    A finished input (fit, monitor) is read up to
     `_BLOCK` batches at a time; stream reads one batch at a time and
     flushes every record, so a reader of the file sees step k before batch
     k + 1 arrives. A mode that writes more than its records (fit's
@@ -442,6 +446,10 @@ def _drive(cfg: RunConfig, mode_cls):
     spec = DictionarySpec(
         state_dim=rows.n_x, poly_degree=cfg.degree, include_bias=cfg.include_bias
     )
+    try:
+        cfg.recursion.check_columns(spec.n_columns)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     mode = mode_cls(cfg, spec, rows.n_y)
     warmup = rows.take(cfg.window)
     if rows.error is not None:
@@ -508,12 +516,9 @@ class _Fit:
         self.state = None
 
     def start(self, warmup: list) -> None:
-        try:
-            self.state = rec.init(
-                self.spec, self.rconfig, warmup, self.noise, self.horseshoe
-            )
-        except ValueError as exc:  # window geometry cannot identify the columns
-            raise ConfigError(str(exc)) from exc
+        self.state = rec.init(
+            self.spec, self.rconfig, warmup, self.noise, self.horseshoe
+        )
 
     def steps(self, batches: list):
         try:

@@ -17,11 +17,6 @@ class NonFiniteInput(SparsidError):
     """An input contains NaN or infinity."""
 
 
-class PrecisionViolation(SparsidError):
-    """Scalar density division requires the numerator variance to be
-    strictly smaller than the denominator variance."""
-
-
 class NotPositiveDefinite(SparsidError):
     """A matrix that must be positive definite is not (beyond round-off)."""
 

@@ -19,7 +19,6 @@ from scipy import linalg
 
 from .dictionary import DictionarySpec, build_matrix
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularInformation
-from .gaussian import InformationForm
 from .monitor import gram
 
 __all__ = [
@@ -99,9 +98,10 @@ def initial_horseshoe(
 class PosteriorState:
     """Gaussian coefficient posterior in information form.
 
-    Built from per-output blocks; the assembled full information form is
-    available through .info. Mean and covariance solves are done per block
-    and cached. Treat instances as immutable.
+    Held as per-output blocks: s_blocks[i] is output i's information matrix
+    and b_blocks[i] its information vector; the joint information matrix is
+    their block diagonal. Mean and covariance solves are done per block and
+    cached. Treat instances as immutable.
     """
 
     __slots__ = (
@@ -113,7 +113,6 @@ class PosteriorState:
         "b_blocks",
         "_mean_blocks",
         "_cov_blocks",
-        "_info",
     )
 
     def __init__(
@@ -144,7 +143,6 @@ class PosteriorState:
         self.b_blocks = b.copy()
         self._mean_blocks = None
         self._cov_blocks = None
-        self._info = None
 
     @property
     def n_outputs(self) -> int:
@@ -153,16 +151,6 @@ class PosteriorState:
     @property
     def n_terms(self) -> int:
         return self.spec.n_columns
-
-    @property
-    def info(self) -> InformationForm:
-        if self._info is None:
-            n_p = self.n_terms
-            full = np.zeros((self.n_outputs * n_p,) * 2)
-            for i, s in enumerate(self.s_blocks):
-                full[i * n_p : (i + 1) * n_p, i * n_p : (i + 1) * n_p] = s
-            self._info = InformationForm(full, self.b_blocks.ravel())
-        return self._info
 
     def _factors(self):
         try:

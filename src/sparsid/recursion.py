@@ -67,8 +67,8 @@ class RecursionConfig:
         the posterior always holds exactly the buffered samples. With
         forget == 0 nothing is divided out. Beyond that the value of forget
         matters only to init: the warmup audit divides out the forget oldest
-        warmup samples, and the geometry check needs window + batch_in -
-        forget above the column count.
+        warmup samples, and check_columns needs window + batch_in - forget
+        above the column count.
     forgetting_factor: exponential discount on history, in (0, 1].
     policy: what to do when an update fails the well-posedness condition
         (reject it, warn and apply anyway, or defer the batch and retry it
@@ -106,6 +106,15 @@ class RecursionConfig:
             raise ValueError(f"theta_mode must be one of {THETA_MODES}")
         if self.refresh_every is not None and self.refresh_every < 1:
             raise ValueError("refresh_every must be positive when given")
+
+    def check_columns(self, n_columns: int) -> None:
+        """Raise ValueError unless the geometry can identify n_columns
+        dictionary columns: window + batch_in - forget must exceed it."""
+        if self.window + self.batch_in - self.forget <= n_columns:
+            raise ValueError(
+                f"window + batch_in - forget must exceed the {n_columns} "
+                "dictionary columns"
+            )
 
 
 class WindowBuffer:
@@ -260,10 +269,7 @@ def init(
         raise InsufficientWarmup(
             f"need at least {config.window} warmup samples, got {len(warmup)}"
         )
-    if config.window + config.batch_in - config.forget <= spec.n_columns:
-        raise ValueError(
-            "window + batch_in - forget must exceed the number of dictionary columns"
-        )
+    config.check_columns(spec.n_columns)
     if horseshoe is None:
         horseshoe = initial_horseshoe(spec, noise.n_outputs)
     retained = list(warmup[-config.window :])

@@ -14,27 +14,24 @@ import sparsid.recursion as rec
 from sparsid import (
     DictionarySpec,
     HorseshoeState,
-    InformationForm,
-    Moment1D,
     NoiseModel,
     RecursionConfig,
     Sample,
     batch_fit,
     build_matrix,
     check_pe,
-    divide_gaussian,
-    divide_information,
     gen_sparse_regression,
     initial_horseshoe,
-    multiply_information,
     simulate_lorenz,
     utility,
 )
 from sparsid.cli import main as cli_main
+from sparsid.monitor import gram
+from sparsid.posterior import posterior_from_moments
 from sparsid.simulate import LorenzConfig, SparseRegressionConfig, lorenz_coefficients
 
 from conftest import make_samples
-from test_posterior import dense_oracle
+from test_posterior import dense_information, dense_oracle
 
 
 def announce(number, name, detail=""):
@@ -45,37 +42,75 @@ def announce(number, name, detail=""):
 # ---------------------------------------------------------------------- 1
 
 
+def random_prior(rng, n_p, n_y):
+    noise = NoiseModel(rng.uniform(0.2, 2.0, size=n_y))
+    hs = HorseshoeState(
+        local_scales=rng.uniform(0.2, 3.0, size=(n_p, n_y)),
+        global_scale=float(rng.uniform(0.5, 2.0)),
+    )
+    return noise, hs
+
+
 def test_criterion_01_gaussian_roundtrip_and_scalar_agreement():
+    """The estimator's own information algebra: a slide adds a batch's Gram
+    and cross term to the window's (G, C), and a later slide divides them
+    out again; the posterior of an n_p = 1 window is the closed-form scalar
+    one."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
+    specs = {
+        n: DictionarySpec(state_dim=n, poly_degree=1, include_bias=False)
+        for n in range(1, 6)
+    }
     worst = 0.0
     for _ in range(1000):
-        dim = int(rng.integers(1, 6))
-        a_mat = rng.normal(size=(dim, dim))
-        b_mat = rng.normal(size=(dim, dim))
-        a = InformationForm(a_mat @ a_mat.T + np.eye(dim), rng.normal(size=dim))
-        b = InformationForm(b_mat @ b_mat.T + np.eye(dim), rng.normal(size=dim))
-        back = divide_information(multiply_information(a, b), b)
+        n_p = int(rng.integers(1, 6))
+        n_y = int(rng.integers(1, 4))
+        psi = rng.normal(size=(int(rng.integers(1, 21)), n_p))
+        window_gram, cross = gram(psi), psi.T @ rng.normal(size=(len(psi), n_y))
+        psi_b = rng.normal(size=(int(rng.integers(1, 11)), n_p))
+        gram_b, cross_b = gram(psi_b), psi_b.T @ rng.normal(size=(len(psi_b), n_y))
+        back_gram = (window_gram + gram_b) - gram_b
+        back_cross = (cross + cross_b) - cross_b
+        noise, hs = random_prior(rng, n_p, n_y)
+        before = posterior_from_moments(specs[n_p], noise, hs, window_gram, cross, 0)
+        after = posterior_from_moments(specs[n_p], noise, hs, back_gram, back_cross, 0)
         worst = max(
             worst,
-            float(np.max(np.abs(back.info_matrix - a.info_matrix))),
-            float(np.max(np.abs(back.info_vector - a.info_vector))),
+            float(np.max(np.abs(back_gram - window_gram))),
+            float(np.max(np.abs(back_cross - cross))),
+            float(np.max(np.abs(after.s_blocks - before.s_blocks))),
+            float(np.max(np.abs(after.b_blocks - before.b_blocks))),
         )
     assert worst < 1e-12
 
+    worst_solve = 0.0
     for _ in range(1000):
-        v_den = float(rng.uniform(0.3, 4.0))
-        num = Moment1D(float(rng.normal()), float(rng.uniform(0.05, 0.95)) * v_den)
-        den = Moment1D(float(rng.normal()), v_den)
-        direct = divide_gaussian(num, den)
-        via = divide_information(
-            num.to_information(), den.to_information()
-        ).to_moment1d()
-        assert direct.mean == via.mean and direct.variance == via.variance
+        psi = rng.normal(size=(int(rng.integers(1, 21)), 1))
+        window_gram, cross = gram(psi), psi.T @ rng.normal(size=(len(psi), 1))
+        noise, hs = random_prior(rng, 1, 1)
+        post = posterior_from_moments(specs[1], noise, hs, window_gram, cross, 0)
+        g, c = float(window_gram[0, 0]), float(cross[0, 0])
+        var = float(noise.output_variances[0])
+        lam, tau = float(hs.local_scales[0, 0]), hs.global_scale
+        # S = g / sigma^2 + 1 / (lambda^2 tau^2), b = c / sigma^2, bit for bit
+        s = g / var + 1.0 / (lam * lam * tau**2)
+        b = c / var
+        assert post.s_blocks[0, 0, 0] == s and post.b_blocks[0, 0] == b
+        # the Cholesky solve rounds differently from one division
+        mean = float(post.mean_blocks()[0, 0])
+        cov = float(post.covariance_blocks()[0, 0, 0])
+        worst_solve = max(
+            worst_solve, abs(mean - b / s) / abs(b / s), abs(cov - 1.0 / s) * s
+        )
+    assert worst_solve <= 1e-15
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    announce(1, "gaussian roundtrip", f"max drift {worst:.2e}, {elapsed:.2f}s")
+    announce(
+        1, "information algebra",
+        f"max drift {worst:.2e}, scalar solve {worst_solve:.2e}, {elapsed:.2f}s",
+    )
 
 
 # ---------------------------------------------------------------------- 2
@@ -102,12 +137,13 @@ def test_criterion_02_blockwise_equals_dense_kronecker_oracle():
         s_ref, b_ref, mu_ref = dense_oracle(
             build_matrix(spec, states), ys, variances, hs.prior_precision
         )
+        s_dense, b_dense = dense_information(post)
         worst = max(
             worst,
-            float(np.max(np.abs(post.info.info_matrix - s_ref))),
+            float(np.max(np.abs(s_dense - s_ref))),
             float(np.max(np.abs(post.mean() - mu_ref))),
         )
-        assert float(np.max(np.abs(post.info.info_vector - b_ref))) < 1e-10
+        assert float(np.max(np.abs(b_dense - b_ref))) < 1e-10
     assert worst < 1e-10
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -145,8 +181,9 @@ def test_criterion_03_recursion_tracks_batch_for_500_steps():
             ref = batch_fit(spec, samples[k + batch - window : k + batch], noise, hs)
             snap = rec.snapshot(state)
             gap_mu = float(np.max(np.abs(snap.mean() - ref.mean())))
-            s_norm = float(np.max(np.abs(ref.info.info_matrix)))
-            gap_s = float(np.max(np.abs(snap.info.info_matrix - ref.info.info_matrix)))
+            s_ref = dense_information(ref)[0]
+            s_norm = float(np.max(np.abs(s_ref)))
+            gap_s = float(np.max(np.abs(dense_information(snap)[0] - s_ref)))
             worst_mu = max(worst_mu, gap_mu)
             worst_s = max(worst_s, gap_s / (1.0 + s_norm))
             assert gap_mu < 1e-8

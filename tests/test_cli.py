@@ -533,10 +533,21 @@ def test_fit_exit_codes(tmp_path, linear_csv):
     assert main(["--mode", "fit", "--input", str(tmp_path / "nope.csv"),
                  "--output", str(out)]) == 3
     assert main(fit_args(path, out, ["--policy", "bogus"])) == 2
-    # two samples cannot identify three columns
-    assert main(fit_args(path, out, ["--config", str(write_fit_config(tmp_path)),
-                                     "--window", "2", "--batch-in", "1",
-                                     "--forget", "1"])) == 2
+    # two samples cannot identify three columns: exit 2 in every mode that
+    # reads an input, once the header is read and before any output exists;
+    # a stream of a header alone exits at once, not after its idle timeout
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("t,x1,x2,x3,y1\n")
+    cfg = write_fit_config(tmp_path, idle_timeout=10.0)
+    small = ["--config", str(cfg), "--window", "2", "--batch-in", "1", "--forget", "1"]
+    for mode in ("fit", "stream", "monitor"):
+        for data in (path, header_only):
+            args = fit_args(data, tmp_path / "bad", small)
+            args[1] = mode
+            started = time.monotonic()
+            assert main(args) == 2, (mode, data)
+            assert time.monotonic() - started < 5.0, (mode, data)
+            assert not (tmp_path / "bad").exists()
     # an empty window or batch, or forgetting more than arrives, which would
     # drain the window; a negative degree, or degree 0 without the bias
     # column, which leaves no columns: exit 2 in every mode, before the input
@@ -641,11 +652,11 @@ def test_fit_rejects_malformed_rows(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,x1,y1\n0.0,1.0,2.0\n1.0,oops,2.0\n")
     assert main(["--mode", "fit", "--input", str(bad), "--output",
-                 str(tmp_path / "o"), "--window", "2"]) == 3
+                 str(tmp_path / "o"), "--window", "2", "--degree", "1"]) == 3
     short = tmp_path / "short.csv"
     short.write_text("t,x1,y1\n0.0,1.0\n")
     assert main(["--mode", "fit", "--input", str(short), "--output",
-                 str(tmp_path / "o2"), "--window", "1"]) == 3
+                 str(tmp_path / "o2"), "--window", "1", "--degree", "0"]) == 3
     headerless = tmp_path / "headerless.csv"
     headerless.write_text("0.0,1.0,2.0\n1.0,1.5,2.5\n")
     assert main(["--mode", "fit", "--input", str(headerless), "--output",
@@ -655,7 +666,7 @@ def test_fit_rejects_malformed_rows(tmp_path):
     cell = "1" * (csv.field_size_limit() + 1)
     huge.write_text(f"t,x1,y1\n0.0,1.0,2.0\n1.0,{cell},2.0\n")
     assert main(["--mode", "fit", "--input", str(huge), "--output",
-                 str(tmp_path / "o4"), "--window", "2"]) == 3
+                 str(tmp_path / "o4"), "--window", "2", "--degree", "1"]) == 3
 
 
 BAD_CELLS = {
@@ -1017,8 +1028,7 @@ def test_block_reads_change_no_output(window, batch_in, forget, extra, zero_runs
 
 
 FIT_ONLY_MODULES = (
-    "sparsid.posterior", "sparsid.gaussian", "sparsid.analyze", "sparsid.simulate",
-    "scipy", "scipy.linalg",
+    "sparsid.posterior", "sparsid.analyze", "sparsid.simulate", "scipy", "scipy.linalg",
 )
 
 
@@ -1087,7 +1097,7 @@ def test_package_names_resolve_on_first_access():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], [], [], True, 50]
+    assert json.loads(done.stdout) == [[], [], [], True, 43]
 
 
 def test_importing_cli_skips_numpy_random():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import linalg
 
 from sparsid import (
     DictionarySpec,
@@ -21,13 +22,14 @@ from sparsid import (
     NoiseModel,
     PosteriorState,
     Sample,
+    SingularInformation,
     batch_fit,
     batch_fit_adaptive,
     build_matrix,
     initial_horseshoe,
     refresh_horseshoe,
 )
-from sparsid.posterior import SCALE_CEIL, SCALE_FLOOR
+from sparsid.posterior import SCALE_CEIL, SCALE_FLOOR, posterior_from_moments
 
 from conftest import make_samples
 
@@ -39,6 +41,12 @@ def dense_oracle(psi, ys, variances, prior_precision):
     s = np.kron(sigma_inv, psi.T @ psi) + np.diag(prior_precision)
     b = (psi.T @ ys @ sigma_inv).ravel(order="F")
     return s, b, np.linalg.solve(s, b)
+
+
+def dense_information(post):
+    """The joint information matrix and vector of a blockwise posterior: the
+    s_blocks on the diagonal, the b_blocks stacked output-major."""
+    return linalg.block_diag(*post.s_blocks), post.b_blocks.ravel()
 
 
 def fit_from_arrays(spec, states, ys, noise, horseshoe):
@@ -74,9 +82,51 @@ def test_blockwise_fit_matches_dense_oracle(rng):
         post = fit_from_arrays(spec, states, ys, NoiseModel(variances), hs)
         psi = build_matrix(spec, states)
         s_ref, b_ref, mu_ref = dense_oracle(psi, ys, variances, hs.prior_precision)
-        assert np.max(np.abs(post.info.info_matrix - s_ref)) < 1e-10
-        assert np.max(np.abs(post.info.info_vector - b_ref)) < 1e-10
+        s_dense, b_dense = dense_information(post)
+        assert np.max(np.abs(s_dense - s_ref)) < 1e-10
+        assert np.max(np.abs(b_dense - b_ref)) < 1e-10
         assert np.max(np.abs(post.mean() - mu_ref)) < 1e-10
+
+
+def test_moments_match_dense_solves(rng):
+    n_y, n_p = 3, 4
+    a = rng.normal(size=(n_y, n_p, n_p))
+    s_blocks = a @ a.transpose(0, 2, 1) + np.eye(n_p)
+    b_blocks = rng.normal(size=(n_y, n_p))
+    spec = DictionarySpec(state_dim=n_p, poly_degree=1, include_bias=False)
+    hs = initial_horseshoe(spec, n_y)
+    post = PosteriorState(spec, NoiseModel(np.ones(n_y)), hs, s_blocks, b_blocks, 0)
+    for s, b, mean, cov in zip(
+        s_blocks, b_blocks, post.mean_blocks(), post.covariance_blocks()
+    ):
+        np.testing.assert_allclose(mean, np.linalg.solve(s, b), rtol=1e-12)
+        np.testing.assert_allclose(cov, np.linalg.inv(s), rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "window_gram,variances",
+    [
+        (np.diag([1.0, -1.5]), [4.0, 0.5]),  # output 1's block is indefinite
+        (np.diag([0.0, -1.0]), [1.0, 4.0]),  # output 0's block is singular
+    ],
+    ids=["indefinite", "singular"],
+)
+def test_posterior_that_lost_definiteness_has_no_moments(window_gram, variances):
+    """What the rollback guard of recursion.step rests on: a window Gram
+    that has lost more information than the prior holds leaves a posterior
+    that reports it and refuses its mean and covariance."""
+    spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
+    hs = initial_horseshoe(spec, 2)  # unit prior precision
+    post = posterior_from_moments(
+        spec, NoiseModel(variances), hs, window_gram, np.zeros((2, 2)), 0
+    )
+    # the other output's block is positive definite: one bad block decides
+    assert sum(np.linalg.eigvalsh(post.s_blocks).min(axis=1) > 0.0) == 1
+    assert not post.is_positive_definite()
+    with pytest.raises(SingularInformation):
+        post.mean_blocks()
+    with pytest.raises(SingularInformation):
+        post.covariance_blocks()
 
 
 def test_flat_prior_limit_recovers_least_squares(rng):
