@@ -41,7 +41,7 @@ import numpy as np
 # paths only, so a monitor process never loads them
 from . import recursion as rec
 from .dictionary import DictionarySpec, build_matrix, samples_from_arrays
-from .errors import ConditionViolated, SparsidError, TimestampMismatch
+from .errors import ConditionViolated, TimestampMismatch
 from .monitor import gram, pe_from_gram
 
 __all__ = ["RunConfig", "run_simulate", "run_fit", "run_monitor", "main"]
@@ -313,7 +313,7 @@ def _is_blank(row: list) -> bool:
 
 
 class _CsvBlocks:
-    """The samples of a CSV line stream, read through one csv.reader and
+    """The rows of a CSV line stream, read through one csv.reader and
     parsed and checked one block of rows at a time.
 
     The header is read when the reader is made. take(k) converts the next
@@ -321,7 +321,7 @@ class _CsvBlocks:
     count of every row, finite cells, and timestamps strictly increasing
     within the block and after the previous block. Blank lines are skipped.
     A bad row stops the read: its InputError, naming its line, is kept in
-    `error`, and only the samples of the rows before it are returned.
+    `error`, and only the rows before it are returned.
     """
 
     def __init__(self, lines):
@@ -334,31 +334,33 @@ class _CsvBlocks:
         self._last_t = -math.inf
         self.error = None
 
-    def take(self, k: int) -> list:
-        """The Samples of the next k rows; fewer only where the input ends
-        or a bad row stops the read (see `error`)."""
-        samples = []
-        while len(samples) < k and self.error is None:
+    def take(self, k: int) -> tuple:
+        """The timestamps (n,), states (n, n_x) and observations (n, n_y)
+        of the next n = k rows; fewer only where the input ends or a bad
+        row stops the read (see `error`)."""
+        blocks = [np.empty((0, self.width))]
+        while (n := sum(map(len, blocks))) < k and self.error is None:
             first_line = self._rows.line_num + 1
             rows = []
             try:
-                rows.extend(islice(self._rows, k - len(samples)))
+                rows.extend(islice(self._rows, k - n))
             except csv.Error as exc:  # rows holds the rows before it
                 self.error = InputError(f"line {self._rows.line_num}: {exc}")
             if not rows:
                 break
             try:
-                samples += self._block(rows)
-            except (ValueError, SparsidError):
+                blocks.append(self._block(rows))
+            except ValueError:
                 rows, error = self._rescan(rows, first_line)
                 self.error = error or self.error
-                samples += self._block(rows)
-        return samples
+                blocks.append(self._block(rows))
+        block, n_x = np.concatenate(blocks), self.n_x
+        return block[:, 0], block[:, 1 : 1 + n_x], block[:, 1 + n_x :]
 
-    def _block(self, rows: list) -> list:
-        if not rows:  # a block of blank lines only
-            return []
+    def _block(self, rows: list) -> np.ndarray:
         width = self.width
+        if not rows:  # a block of blank lines only
+            return np.empty((0, width))
         if set(map(len, rows)) != {width}:
             raise ValueError("rows of the wrong field count")
         values = list(map(float, chain.from_iterable(rows)))
@@ -366,12 +368,10 @@ class _CsvBlocks:
         if not (t[0] > self._last_t and all(map(operator.lt, t, t[1:]))):
             raise ValueError("timestamps not strictly increasing")
         block = np.array(values).reshape(len(rows), width)
-        n_x = self.n_x
-        samples = samples_from_arrays(
-            block[:, 0], block[:, 1 : 1 + n_x], block[:, 1 + n_x :]
-        )
+        if not np.isfinite(block).all():
+            raise ValueError("non-finite cells")
         self._last_t = t[-1]
-        return samples
+        return block
 
     def _rescan(self, rows: list, first_line: int) -> tuple:
         """The error path of take: check a block row by row. Returns the
@@ -424,19 +424,19 @@ def _drive(cfg: RunConfig, mode_cls):
     """The one loop of fit, stream and monitor runs.
 
     Reads the header, builds the dictionary and checks the window geometry
-    against its columns, hands `window` warmup samples to the mode's start,
-    then passes the full batches of `batch_in` samples to its steps and
-    writes each returned record as one JSON line to the mode's output file.
-    A finished input (fit, monitor) is read up to
-    `_BLOCK` batches at a time; stream reads one batch at a time and
-    flushes every record, so a reader of the file sees step k before batch
-    k + 1 arrives. A mode that writes more than its records (fit's
-    errors.csv) writes it by the end of each read's steps; those files
-    (`derived_names`) are removed when the records file is truncated, so
-    none of an earlier run's is left beside it. A trailing partial batch is
-    dropped. A bad row exits after the batches before it were stepped and
-    written. Returns the mode object, so the caller can write the final
-    state.
+    against its columns, hands the (t, x, y) arrays of `window` warmup rows
+    to the mode's start, then passes the full batches of `batch_in` rows of
+    each read to its steps as k x batch_in stacks of t, x and y, and writes
+    each returned record as one JSON line to the mode's output file. A
+    finished input (fit, monitor) is read up to `_BLOCK` batches at a time;
+    stream reads one batch at a time and flushes every record, so a reader
+    of the file sees step k before batch k + 1 arrives. A mode that writes
+    more than its records (fit's errors.csv) writes it by the end of each
+    read's steps; those files (`derived_names`) are removed when the
+    records file is truncated, so none of an earlier run's is left beside
+    it. A trailing partial batch is dropped. A bad row exits after the
+    batches before it were stepped and written. Returns the mode object, so
+    the caller can write the final state.
     """
     if cfg.input is None or cfg.output is None:
         raise ConfigError(f"{cfg.mode} requires --input and --output")
@@ -454,11 +454,11 @@ def _drive(cfg: RunConfig, mode_cls):
     warmup = rows.take(cfg.window)
     if rows.error is not None:
         raise rows.error
-    if len(warmup) < cfg.window:
+    if len(warmup[0]) < cfg.window:
         raise InputError(
-            f"input ended during warmup ({len(warmup)} of {cfg.window} samples)"
+            f"input ended during warmup ({len(warmup[0])} of {cfg.window} samples)"
         )
-    mode.start(warmup)
+    mode.start(*warmup)
 
     b = cfg.batch_in
     per_read = b
@@ -471,15 +471,15 @@ def _drive(cfg: RunConfig, mode_cls):
             (out / name).unlink(missing_ok=True)
         with open(out / mode.output_name, "w") as fh:
             while True:
-                samples = rows.take(per_read)
-                full = len(samples) - len(samples) % b
-                batches = [samples[i : i + b] for i in range(0, full, b)]
-                for record in mode.steps(batches):
+                read = rows.take(per_read)
+                k = len(read[0]) // b
+                batches = [a[: k * b].reshape(k, b, *a.shape[1:]) for a in read]
+                for record in mode.steps(*batches):
                     fh.write(json.dumps(record, sort_keys=True))
                     fh.write("\n")
                     if stream:
                         fh.flush()
-                if len(samples) < per_read:
+                if len(read[0]) < per_read:
                     break
     except OSError as exc:
         raise InputError(str(exc)) from exc
@@ -515,14 +515,16 @@ class _Fit:
             self.errors = ErrorWriter(Path(cfg.output) / "errors.csv", truth)
         self.state = None
 
-    def start(self, warmup: list) -> None:
-        self.state = rec.init(
-            self.spec, self.rconfig, warmup, self.noise, self.horseshoe
-        )
+    def start(self, t, x, y) -> None:
+        samples = samples_from_arrays(t, x, y)
+        self.state = rec.init(self.spec, self.rconfig, samples, self.noise, self.horseshoe)
 
-    def steps(self, batches: list):
+    def steps(self, t, x, y):
+        # rec.step takes Samples: one call wraps the whole read
+        samples = samples_from_arrays(*(a.reshape(t.size, *a.shape[2:]) for a in (t, x, y)))
+        b = t.shape[1]
         try:
-            yield from map(self.step, batches)
+            yield from map(self.step, (samples[i : i + b] for i in range(0, t.size, b)))
         finally:  # also when a step fails: the rows before it are kept
             if self.errors is not None:
                 self.errors.flush()
@@ -585,7 +587,7 @@ class _Monitor:
     Every slide is applied: the full window is audited once per read
     (recursion.audit_run) and then takes the read's entering samples in one
     extend; the kappas and PE eigenvalues of a read come from one stacked
-    eigvalsh each."""
+    eigvalsh each. It works on the read's arrays and builds no Sample."""
 
     output_name = "monitor.jsonl"
     derived_names = ()
@@ -597,16 +599,16 @@ class _Monitor:
         self.gram = None
         self.step_index = 0
 
-    def start(self, warmup: list) -> None:
-        rows = build_matrix(self.spec, [s.state for s in warmup])
-        self.window.extend(warmup, rows)
+    def start(self, t, x, y) -> None:
+        rows = build_matrix(self.spec, x)
+        self.window.extend(t, x, y, rows)
         self.gram = gram(rows)
 
-    def steps(self, batches: list) -> list:
-        if not batches:
+    def steps(self, t, x, y) -> list:
+        if not len(t):
             return []
-        entering, psi_new, _, pushed, differentials, reports = rec.audit_run(
-            self.spec, self.window, batches, self.cfg.forget
+        (t, x, y), psi_new, _, pushed, differentials, reports = rec.audit_run(
+            self.spec, self.window, t, x, y, self.cfg.forget
         )
         # G_i = G_(i-1) + (differential_i - Gram(pushed_i)), added in step order;
         # pushed may be a view of the window's rows, so it is read before the extend
@@ -614,16 +616,14 @@ class _Monitor:
             np.concatenate((self.gram[None], differentials - gram(pushed)))
         )[1:]
         self.gram = grams[-1]
-        self.window.extend(
-            chain.from_iterable(entering), psi_new.reshape(-1, self.spec.n_columns)
-        )
-        pes = pe_from_gram(grams, [len(self.window)] * len(batches), self.cfg.alpha1)
+        self.window.extend(*(a.reshape(t.size, *a.shape[2:]) for a in (t, x, y, psi_new)))
+        pes = pe_from_gram(grams, [len(self.window)] * len(t), self.cfg.alpha1)
         records = []
-        for batch, report, pe in zip(batches, reports, pes):
+        for last_t, report, pe in zip(t[:, -1].tolist(), reports, pes):
             self.step_index += 1
             records.append({
                 "step": self.step_index,
-                "t": float(batch[-1].timestamp),
+                "t": last_t,
                 "classification": report.classification,
                 "kappa_min": float(report.kappas[0]),
                 "kappa_max": float(report.kappas[-1]),

@@ -201,15 +201,12 @@ class PosteriorState:
         )
 
 
-def window_moments(
-    spec: DictionarySpec, samples: list, n_outputs: int, rows: np.ndarray | None = None
-) -> tuple:
+def window_moments(spec: DictionarySpec, samples: list, n_outputs: int) -> tuple:
     """Sufficient statistics of a window: the Gram Psi.T @ Psi (n_p x n_p)
-    and the cross-moment Psi.T @ Y (n_p x n_outputs). rows, when given, is
-    Psi, the samples' dictionary rows built already."""
+    and the cross-moment Psi.T @ Y (n_p x n_outputs)."""
     if len(samples) == 0:
         raise ValueError("cannot fit an empty window")
-    psi = build_matrix(spec, [s.state for s in samples]) if rows is None else rows
+    psi = build_matrix(spec, [s.state for s in samples])
     targets = np.asarray([s.observation for s in samples], dtype=float)
     if targets.shape[1] != n_outputs:
         raise DimensionMismatch(

@@ -16,24 +16,28 @@ forgetting_factor == 1 (a pure sliding window), while forgetting_factor < 1
 pairs with forget == 0 (pure exponential discount). Combining both drains
 window information toward the prior floor on stationary streams, because
 the forgotten block is divided out at full strength while its stored copy
-has already been discounted.
+has already been discounted. Each posterior a step leaves is positive
+definite: an update that would break this is rolled back, and a prior
+refresh that would break it is refused (the previous prior stays, and the
+step is flagged with theta_refreshed false).
 
-The window code (WindowBuffer, audit_run) needs no posterior, so
-`posterior` is imported only where a posterior is built (init, step,
-snapshot), and a monitor process never loads it.
+The window code (WindowBuffer, audit_run) works on arrays and needs no
+posterior; init and step take Samples and stack them once, where they
+enter. `posterior` is imported only where a posterior is built (init, step,
+snapshot), so a monitor process never loads it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
+import operator
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dictionary import DictionarySpec, Sample, build_matrix
-from .errors import ConditionViolated, InsufficientWarmup
+from .dictionary import DictionarySpec, build_matrix, samples_from_arrays
+from .errors import ConditionViolated, DimensionMismatch, InsufficientWarmup
 from .monitor import UtilityReport, gram, utility_from_differential
 
 if TYPE_CHECKING:
@@ -118,66 +122,72 @@ class RecursionConfig:
 
 
 class WindowBuffer:
-    """Fixed-capacity FIFO window of samples, oldest first, each kept with
-    its dictionary row.
+    """Fixed-capacity FIFO window, oldest first: the timestamps t, states x,
+    observations y and dictionary rows of the buffered samples, as four
+    parallel arrays.
 
-    The rows live in one array of twice the capacity, the buffered ones
-    contiguous from `_lo`; an extend that would run past its end first moves
-    them to the front, so the oldest rows are always one slice. The first
-    extend fixes the row width. An extend drops the oldest samples that no
-    longer fit, with their rows.
+    Each array has room for twice the capacity, the buffered entries
+    contiguous from `_lo`; an extend that would run past the end first moves
+    them to the front, all four together, so the oldest entries are always
+    one slice of each. The rows keep their own C-contiguous array, so the
+    gram of a slice of them has the bytes of a fresh block. The first
+    extend fixes the widths. An extend drops the oldest entries that no
+    longer fit.
     """
 
-    __slots__ = ("capacity", "_items", "_rows", "_lo", "total_ingested")
+    __slots__ = ("capacity", "_arrays", "_lo", "_len", "total_ingested")
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self._items: deque = deque(maxlen=capacity)
-        self._rows = None
+        self._arrays = None  # t, x, y and the rows
         self._lo = 0
+        self._len = 0
         self.total_ingested = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._len
 
-    def extend(self, samples, rows: np.ndarray) -> None:
-        """Push samples with their dictionary rows, one row per sample."""
-        samples = list(samples)
-        if len(rows) != len(samples):
-            raise ValueError(f"{len(samples)} samples but {len(rows)} rows")
-        if self._rows is None:
-            self._rows = np.empty((2 * self.capacity, rows.shape[1]))
-        rows = rows[-self.capacity :]
-        live = min(len(self._items), self.capacity - len(rows))  # rows that stay
-        lo = self._lo + len(self._items) - live
-        if lo + live + len(rows) > len(self._rows):
-            self._rows[:live] = self._rows[lo : lo + live]
+    def extend(self, t, x, y, rows) -> None:
+        """Push samples: timestamps t (n,), states x (n, n_x), observations
+        y (n, n_y) and their dictionary rows (n, n_p)."""
+        new = (t, x, y, rows)
+        n = len(t)
+        if set(map(len, new)) != {n}:
+            raise ValueError(f"extend needs n of each, got {list(map(len, new))}")
+        if self._arrays is None:
+            self._arrays = [np.empty((2 * self.capacity, *a.shape[1:])) for a in new]
+        enter = min(n, self.capacity)
+        live = min(self._len, self.capacity - enter)  # entries that stay
+        lo = self._lo + self._len - live
+        if lo + live + enter > 2 * self.capacity:
+            for a in self._arrays:
+                a[:live] = a[lo : lo + live]
             lo = 0
-        self._rows[lo + live : lo + live + len(rows)] = rows
-        self._lo = lo
-        self._items.extend(samples)
-        self.total_ingested += len(samples)
+        for a, v in zip(self._arrays, new):
+            a[lo + live : lo + live + enter] = v[n - enter :]
+        self._lo, self._len = lo, live + enter
+        self.total_ingested += n
 
     def oldest(self, k: int) -> list:
-        if k > len(self._items):
-            raise ValueError(f"buffer holds {len(self._items)} samples, asked for {k}")
-        return list(islice(self._items, k))
-
-    def oldest_rows(self, k: int) -> np.ndarray:
-        """The dictionary rows of the k oldest samples: a view, valid until
-        the next extend."""
-        if k > len(self._items):
-            raise ValueError(f"buffer holds {len(self._items)} samples, asked for {k}")
-        return self._rows[self._lo : self._lo + k]
-
-    def items(self) -> list:
-        return list(self._items)
+        """Views of the k oldest entries, [t, x, y, rows], valid until the
+        next extend."""
+        if k > self._len:
+            raise ValueError(f"buffer holds {self._len} samples, asked for {k}")
+        return [a[self._lo : self._lo + k] for a in self._arrays]
 
     @property
-    def newest(self) -> Sample:
-        return self._items[-1]
+    def last_t(self) -> float:
+        """The newest timestamp; -inf while the buffer is empty."""
+        return float(self._arrays[0][self._lo + self._len - 1]) if self._len else -math.inf
+
+    def items(self) -> list:
+        """The buffered samples, oldest first, as Samples of copies. The
+        states are stored for this only."""
+        if not self._len:
+            return []
+        return samples_from_arrays(*(a.copy() for a in self.oldest(self._len)[:3]))
 
 
 @dataclass(frozen=True)
@@ -239,14 +249,17 @@ class RecursionState:
         return snapshot(self).b_blocks
 
 
-def _check_increasing(samples, after: float | None = None) -> None:
-    prev = after
-    for s in samples:
-        if prev is not None and s.timestamp <= prev:
-            raise ValueError(
-                f"timestamps must be strictly increasing, got {s.timestamp} after {prev}"
-            )
-        prev = s.timestamp
+def _stack(samples: list, after: float, n_y: int) -> tuple:
+    """The (t, x, y) arrays of samples, whose timestamps must increase
+    strictly, the first one after `after`."""
+    t = [s.timestamp for s in samples]
+    if not (t[0] > after and all(map(operator.lt, t, t[1:]))):
+        prev, bad = next(p for p in zip([after, *t], t) if not p[0] < p[1])
+        raise ValueError(f"timestamps must be strictly increasing, got {bad} after {prev}")
+    y = np.array([s.observation for s in samples])
+    if y.shape[1] != n_y:
+        raise DimensionMismatch(f"observations have {y.shape[1]} outputs, not {n_y}")
+    return np.array(t), np.array([s.state for s in samples]), y
 
 
 def init(
@@ -263,7 +276,7 @@ def init(
     well-posed warmup window. The initial posterior is the exact batch fit
     of the retained window.
     """
-    from .posterior import batch_fit, batch_fit_adaptive, initial_horseshoe, window_moments
+    from .posterior import batch_fit, batch_fit_adaptive, initial_horseshoe
 
     if len(warmup) < config.window:
         raise InsufficientWarmup(
@@ -273,10 +286,10 @@ def init(
     if horseshoe is None:
         horseshoe = initial_horseshoe(spec, noise.n_outputs)
     retained = list(warmup[-config.window :])
-    _check_increasing(retained)
+    t, x, y = _stack(retained, -math.inf, noise.n_outputs)
 
-    rows = build_matrix(spec, [s.state for s in retained])
-    window_gram, cross = window_moments(spec, retained, noise.n_outputs, rows)
+    rows = build_matrix(spec, x)
+    window_gram, cross = gram(rows), rows.T @ y
     report = utility_from_differential(window_gram - gram(rows[: config.forget]))
     init_flagged = False
     if report.classification != "informative":
@@ -294,24 +307,25 @@ def init(
     horseshoe = fit(spec, retained, noise, horseshoe, moments=(window_gram, cross)).horseshoe
 
     buffer = WindowBuffer(config.window)
-    buffer.extend(retained, rows)
+    buffer.extend(t, x, y, rows)
     state = RecursionState(spec, config, noise, horseshoe, buffer, window_gram, cross)
     state.init_flagged = init_flagged
     return state
 
 
 def audit_run(
-    spec: DictionarySpec, buffer: WindowBuffer, batches: list, forget: int
+    spec: DictionarySpec, buffer: WindowBuffer, t, x, y, forget: int
 ) -> tuple:
-    """Audit the window's slide for each batch in turn without applying
-    any: the buffer is left as it is.
+    """Audit the window's slide for each of k batches of b samples in turn
+    without applying any: the buffer is left as it is.
 
-    The buffer must be full and all batches of one length b. The slide rule:
-    e = min(b, capacity) samples of a batch enter (its last e) and the e
-    oldest leave; with forget == 0 all b enter, none is divided out, and the
-    full window pushes out its b oldest unaudited. Either way a full window
-    stays full, and applying the slides is one `buffer.extend` of the
-    entering samples with their psi_new rows.
+    The batches come as stacks: timestamps t (k x b), states x (k x b x
+    n_x) and observations y (k x b x n_y). The buffer must be full. The
+    slide rule: e = min(b, capacity) samples of a batch enter (its last e)
+    and the e oldest leave; with forget == 0 all b enter, none is divided
+    out, and the full window pushes out its b oldest unaudited. Either way
+    a full window stays full, and applying the slides is one
+    `buffer.extend` of the entering samples with their psi_new rows.
 
     Batch i's old rows (psi_old, or pushed when forget == 0) are the e rows
     from position i*e of [buffer rows; rows of the entering samples], so
@@ -320,31 +334,27 @@ def audit_run(
     build_matrix call, one stacked gram and one stacked eigvalsh serve all
     k batches.
 
-    Returns (the entering samples of each batch; psi_new, psi_old and the
-    pushed rows as k x e x n_p stacks, psi_old empty (k x 0 x n_p) when
-    forget == 0 and pushed empty when forget > 0; the k differentials
-    Gram(psi_new) - Gram(psi_old) as a k x n_p x n_p stack; their
-    UtilityReports)."""
+    Returns (the entering (t, x, y), views of the stacks (k x e ...);
+    psi_new, psi_old and the pushed rows as k x e x n_p stacks, psi_old
+    empty (k x 0 x n_p) when forget == 0 and pushed empty when forget > 0;
+    the k differentials Gram(psi_new) - Gram(psi_old) as a k x n_p x n_p
+    stack; their UtilityReports)."""
     capacity = buffer.capacity
     if len(buffer) != capacity:
         raise ValueError(f"buffer holds {len(buffer)} samples, not its capacity {capacity}")
-    lengths = set(map(len, batches))
-    if len(lengths) > 1:
-        raise ValueError(f"batches of unequal lengths {sorted(lengths)}")
-    k, n_p = len(batches), spec.n_columns
-    b = lengths.pop() if lengths else 0
+    (k, b), n_p = t.shape, spec.n_columns
     e = min(b, capacity) if forget else b
-    entering = [batch[b - e :] for batch in batches]
-    rows = build_matrix(spec, [s.state for batch in entering for s in batch])
+    t, x, y = t[:, b - e :], x[:, b - e :], y[:, b - e :]
+    rows = build_matrix(spec, x.reshape(k * e, x.shape[-1]))
     # the k*e oldest rows of [buffer rows; rows], e per batch
-    lead = buffer.oldest_rows(min(capacity, k * e))
+    lead = buffer.oldest(min(capacity, k * e))[3]
     if k * e > capacity:
         lead = np.concatenate((lead, rows[: k * e - capacity]))
     psi_new, lead = rows.reshape(k, e, n_p), lead.reshape(k, e, n_p)
     psi_old, pushed = (lead, lead[:, :0]) if forget else (lead[:, :0], lead)
     differentials = gram(psi_new) - gram(psi_old)
     return (
-        entering, psi_new, psi_old, pushed, differentials,
+        (t, x, y), psi_new, psi_old, pushed, differentials,
         utility_from_differential(differentials),
     )
 
@@ -365,13 +375,12 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
         )
     buffer = state.buffer
     batch = state.pending + list(new_samples)
-    _check_increasing(batch, after=buffer.newest.timestamp)
-    entering, psi_new, psi_old, _, differentials, reports = audit_run(
-        state.spec, buffer, [batch], cfg.forget
+    t, x, y = _stack(batch, buffer.last_t, state.noise.n_outputs)
+    (t, x, y), psi_new, psi_old, _, differentials, reports = audit_run(
+        state.spec, buffer, t[None], x[None], y[None], cfg.forget
     )
-    batch, psi_new, psi_old = entering[0], psi_new[0], psi_old[0]
+    t, x, y, psi_new, psi_old = t[0], x[0], y[0], psi_new[0], psi_old[0]
     differential, report = differentials[0], reports[0]
-    n_y = state.noise.n_outputs
     timestamp = batch[-1].timestamp
 
     flagged = False
@@ -402,19 +411,15 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
         flagged = True
         reason = f"update {report.classification}; applied under warn policy"
 
-    y_new = np.asarray([s.observation for s in batch], dtype=float).reshape(
-        len(batch), n_y
-    )
-    old = buffer.oldest(len(psi_old))
-    y_old = np.asarray([s.observation for s in old], dtype=float).reshape(len(old), n_y)
+    y_old = buffer.oldest(len(psi_old))[2]
     xi = cfg.forgetting_factor
     new_gram = xi * state.gram + differential
-    new_cross = xi * state.cross + (psi_new.T @ y_new - psi_old.T @ y_old)
-    candidate = posterior_from_moments(
-        state.spec, state.noise, state.horseshoe, new_gram, new_cross,
-        buffer.total_ingested + len(batch),
+    new_cross = xi * state.cross + (psi_new.T @ y - psi_old.T @ y_old)
+    count = buffer.total_ingested + len(t)
+    post = posterior_from_moments(
+        state.spec, state.noise, state.horseshoe, new_gram, new_cross, count
     )
-    if not candidate.is_positive_definite():
+    if not post.is_positive_definite():
         # hard invariant: the posterior must stay proper, even under warn
         return _rejected(
             state, report, timestamp,
@@ -424,18 +429,26 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     state.gram = new_gram
     state.cross = new_cross
     state.pending = []
-    buffer.extend(batch, psi_new)
+    buffer.extend(t, x, y, psi_new)
     state.step_count += 1
-    state.samples_since_refresh += len(batch)
+    state.samples_since_refresh += len(t)
 
     theta_refreshed = False
     cadence = cfg.refresh_every if cfg.refresh_every is not None else cfg.window
     if cfg.theta_mode == "adaptive" and state.samples_since_refresh >= cadence:
-        state.horseshoe = refresh_horseshoe(snapshot(state))
-        theta_refreshed = True
         state.samples_since_refresh = 0
+        horseshoe = refresh_horseshoe(post)
+        refreshed = posterior_from_moments(
+            state.spec, state.noise, horseshoe, new_gram, new_cross, count
+        )
+        if refreshed.is_positive_definite():
+            state.horseshoe, post, theta_refreshed = horseshoe, refreshed, True
+        else:  # the same invariant: keep the prior that leaves a proper posterior
+            flagged = True
+            refused = "prior refresh would make the information matrix indefinite; refused"
+            reason = refused if reason is None else f"{reason}; {refused}"
 
-    resid = y_new - psi_new @ snapshot(state).mean_blocks().T
+    resid = y - psi_new @ post.mean_blocks().T
     return StepOutcome(
         step_index=state.step_count,
         timestamp=timestamp,

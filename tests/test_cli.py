@@ -753,18 +753,17 @@ def test_batch_reader_matches_per_row_parse(
         path.write_bytes(text.encode())
         reader = cli._CsvBlocks(cli._follow_lines(str(path), idle_timeout=0.0))
         assert (reader.n_x, reader.n_y) == (n_x, n_y)
-        samples = []
+        reads = []
         for k in sizes * (len(t) + 1):
-            block = reader.take(k)
-            samples += block
-            if len(block) < k:
+            reads.append(reader.take(k))
+            if len(reads[-1][0]) < k:
                 break
     expected = reference_rows(text)
-    assert len(samples) == len(t)
-    assert [s.timestamp for s in samples] == expected[:, 0].tolist()
-    for s, row in zip(samples, expected):
-        assert s.state.tolist() == row[1 : 1 + n_x].tolist()
-        assert s.observation.tolist() == row[1 + n_x :].tolist()
+    times, states, observations = (np.concatenate(a) for a in zip(*reads))
+    assert len(times) == len(t)
+    assert times.tolist() == expected[:, 0].tolist()
+    assert states.tolist() == expected[:, 1 : 1 + n_x].tolist()
+    assert observations.tolist() == expected[:, 1 + n_x :].tolist()
 
 
 def test_fit_requires_enough_rows_for_warmup(tmp_path):
@@ -881,6 +880,27 @@ def test_stream_idle_timeout_uses_elapsed_time(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------- monitor
+
+
+def test_monitor_builds_no_sample(tmp_path, linear_csv, monkeypatch):
+    """A monitor run works on the reader's arrays: with samples_from_arrays
+    raising wherever the CLI and the window code import it, it exits 0 with
+    every record."""
+
+    def no_samples(*args):
+        raise AssertionError("a monitor run built Samples")
+
+    for module in (cli, cli.rec):
+        monkeypatch.setattr(module, "samples_from_arrays", no_samples, raising=False)
+    path, _ = linear_csv
+    out = tmp_path / "mon"
+    code = main(
+        ["--mode", "monitor", "--input", str(path), "--output", str(out),
+         "--window", "60", "--batch-in", "5", "--forget", "5", "--degree", "1",
+         "--config", str(write_fit_config(tmp_path))]
+    )
+    assert code == 0
+    assert len((out / "monitor.jsonl").read_text().splitlines()) == (160 - 60) // 5
 
 
 def test_monitor_emits_diagnostics(tmp_path, linear_csv):

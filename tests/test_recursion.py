@@ -5,8 +5,6 @@ prior, and forget == batch_in, the recursive posterior after any number of
 steps must equal the batch fit of the samples currently in the window.
 """
 
-from itertools import chain
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,6 +14,7 @@ import sparsid.recursion as rec
 from sparsid import (
     ConditionViolated,
     DictionarySpec,
+    DimensionMismatch,
     InsufficientWarmup,
     NoiseModel,
     RecursionConfig,
@@ -71,27 +70,33 @@ def test_config_validation():
 
 def test_window_buffer_fifo_and_eviction():
     buf = WindowBuffer(3)
-    s = [Sample(float(i), [float(i)], [0.0]) for i in range(9)]
+    assert buf.last_t == -np.inf and buf.items() == []
+    t = np.arange(9.0)
+    x, y = np.column_stack((t, -t)), 10.0 + t[:, None]
     rows = np.arange(18.0).reshape(9, 2)  # row i belongs to sample i
-    buf.extend(s[:2], rows[:2])
-    assert [x.timestamp for x in buf.items()] == [0.0, 1.0]
+
+    def pushed(i, j):
+        return t[i:j], x[i:j], y[i:j], rows[i:j]
+
+    buf.extend(*pushed(0, 2))
+    assert [s.timestamp for s in buf.items()] == [0.0, 1.0]
     with pytest.raises(ValueError):
         buf.oldest(3)
-    with pytest.raises(ValueError):
-        buf.oldest_rows(3)
-    buf.extend(s[2:4], rows[2:4])  # fills the buffer and evicts the oldest
+    buf.extend(*pushed(2, 4))  # fills the buffer and evicts the oldest
     assert len(buf) == 3
-    assert [x.timestamp for x in buf.items()] == [1.0, 2.0, 3.0]
-    assert [x.timestamp for x in buf.oldest(2)] == [1.0, 2.0]
-    np.testing.assert_array_equal(buf.oldest_rows(3), rows[1:4])
+    assert [s.timestamp for s in buf.items()] == [1.0, 2.0, 3.0]
+    for got, ref in zip(buf.oldest(2), pushed(1, 3)):
+        np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(buf.oldest(3)[3], rows[1:4])
     assert buf.total_ingested == 4
-    assert buf.newest.timestamp == 3.0
-    buf.extend(s[4:9], rows[4:9])  # longer than the buffer: its last 3 stay
-    assert [x.timestamp for x in buf.items()] == [6.0, 7.0, 8.0]
-    np.testing.assert_array_equal(buf.oldest_rows(3), rows[6:9])
+    assert buf.last_t == 3.0
+    buf.extend(*pushed(4, 9))  # longer than the buffer: its last 3 stay
+    assert [s.timestamp for s in buf.items()] == [6.0, 7.0, 8.0]
+    for got, ref in zip(buf.oldest(3), pushed(6, 9)):
+        np.testing.assert_array_equal(got, ref)
     assert buf.total_ingested == 9
     with pytest.raises(ValueError):
-        buf.extend(s[:2], rows[:1])
+        buf.extend(t[:2], x[:2], y[:2], rows[:1])
 
 
 @given(
@@ -101,13 +106,14 @@ def test_window_buffer_fifo_and_eviction():
 )
 def test_window_buffer_rows_follow_their_samples(geometry):
     """Through any run of slides of 0 to twice the capacity samples on a
-    full buffer, the buffered rows are exactly the rows pushed with the
-    buffered samples, the newest `capacity` of them."""
+    full buffer, the buffered timestamps, states, observations and rows are
+    exactly those pushed with the buffered samples, the newest `capacity`
+    of them, and items() rebuilds those samples with the same bytes."""
     capacity, slides = geometry
 
     def block(idx):
-        samples = [Sample(float(i), [float(i)], [0.0]) for i in idx]
-        return samples, np.array([[i, -i] for i in idx], dtype=float).reshape(-1, 2)
+        t = np.array(idx, dtype=float)
+        return t, np.column_stack((t, 2.0 * t)), -t[:, None], np.column_stack((t, -t))
 
     buf = WindowBuffer(capacity)
     reference = list(range(capacity))  # indices of the buffered samples, oldest first
@@ -119,8 +125,13 @@ def test_window_buffer_rows_follow_their_samples(geometry):
         buf.extend(*block(idx))
         reference = (reference + idx)[-capacity:]
         assert len(buf) == capacity
-        assert [x.timestamp for x in buf.items()] == reference
-        np.testing.assert_array_equal(buf.oldest_rows(capacity), block(reference)[1])
+        expected = block(reference)
+        for got, ref in zip(buf.oldest(capacity), expected):
+            np.testing.assert_array_equal(got, ref)
+        samples = buf.items()
+        assert [s.timestamp for s in samples] == reference
+        assert np.array([s.state for s in samples]).tobytes() == expected[1].tobytes()
+        assert np.array([s.observation for s in samples]).tobytes() == expected[2].tobytes()
         assert buf.total_ingested == n
 
 
@@ -136,9 +147,9 @@ def same_bytes(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def full_window(spec, warmup):
-    buf = WindowBuffer(len(warmup))
-    buf.extend(warmup, build_matrix(spec, [s.state for s in warmup]))
+def full_window(spec, t, x, y):
+    buf = WindowBuffer(len(t))
+    buf.extend(t, x, y, build_matrix(spec, x))
     return buf
 
 
@@ -164,10 +175,10 @@ def test_audit_run_equals_one_audit_and_slide_per_batch(
 ):
     """On a full window, one audit_run over k batches gives the bytes of k
     one-batch audit_runs, each followed by its slide (one extend), and of
-    the slide rule written out on plain lists: the window holds the last
-    `window` samples, e = min(b, window) samples of a batch enter when
-    forget > 0 (all b when forget == 0), and the e oldest leave when
-    forget > 0 (the b oldest of [window; batch] are pushed out when
+    the slide rule written out on plain lists of sample indices: the window
+    holds the last `window` samples, e = min(b, window) samples of a batch
+    enter when forget > 0 (all b when forget == 0), and the e oldest leave
+    when forget > 0 (the b oldest of [window; batch] are pushed out when
     forget == 0). Any geometry: forget 0 to batch_in, batches longer than
     the window, reads longer than it, and zero-state stretches. audit_run
     leaves the buffer as it is."""
@@ -177,27 +188,36 @@ def test_audit_run_equals_one_audit_and_slide_per_batch(
     states = rng.normal(size=(window + n_batches * batch_in, 2))
     for start, length in zero_runs:
         states[start : start + length] = 0.0
-    samples = [Sample(float(i), x, [0.0]) for i, x in enumerate(states)]
-    warmup, rest = samples[:window], samples[window:]
-    batches = [rest[i : i + batch_in] for i in range(0, len(rest), batch_in)]
+    times = np.arange(len(states), dtype=float)
+    samples = (times, states, 0.5 - times[:, None])  # t, x and y of each sample
+    warmup = [a[:window] for a in samples]
+    stacks = [a[window:].reshape(n_batches, batch_in, *a.shape[1:]) for a in samples]
 
-    def rows_of(block):
-        return build_matrix(spec, [s.state for s in block])
+    def rows_of(idx):
+        return build_matrix(spec, states[idx])
 
-    def same_samples(a, b) -> bool:
-        return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+    def window_of(idx):
+        return [*(a[idx] for a in samples), rows_of(idx)]
 
-    one_by_one = full_window(spec, warmup)
-    reference = list(warmup)
+    def same_window(buf, idx) -> bool:
+        return all(map(same_bytes, buf.oldest(window), window_of(idx)))
+
+    def flat(arrays) -> list:  # k x e (x n) stacks as one block of k*e rows
+        return [a.reshape(arrays[0].size, *a.shape[2:]) for a in arrays]
+
+    one_by_one = full_window(spec, *warmup)
+    reference = list(range(window))
     expected = []
     e = min(batch_in, window) if forget else batch_in
-    for batch in batches:
+    for i in range(n_batches):
+        batch = list(range(window + i * batch_in, window + (i + 1) * batch_in))
         entering, psi_new, psi_old, pushed, differentials, (report,) = rec.audit_run(
-            spec, one_by_one, [batch], forget
+            spec, one_by_one, *(a[i : i + 1] for a in stacks), forget
         )
         new, old = batch[batch_in - e :], reference[: e if forget else 0]
         out = (reference + batch)[: 0 if forget else batch_in]
-        assert same_samples(entering[0], new)
+        for got, ref in zip(entering, samples):
+            assert same_bytes(got[0], ref[new])
         for got, ref in zip((psi_new, psi_old, pushed), (new, old, out)):
             assert same_bytes(got[0], rows_of(ref))
         assert same_bytes(differentials[0], gram(rows_of(new)) - gram(rows_of(old)))
@@ -207,42 +227,41 @@ def test_audit_run_equals_one_audit_and_slide_per_batch(
             ref_report.classification, ref_report.differential_trace
         )
         # psi_old and pushed may be views of the buffer's rows: copy them first
-        blocks = copies((psi_new[0], psi_old[0], pushed[0], differentials[0]))
-        expected.append((*blocks, report))
-        one_by_one.extend(entering[0], psi_new[0])
+        blocks = copies((*entering, psi_new, psi_old, pushed, differentials))
+        expected.append(([b[0] for b in blocks], report))
+        one_by_one.extend(*flat([*entering, psi_new]))
         reference = (reference + new)[-window:]
-        assert same_samples(one_by_one.items(), reference)
+        assert same_window(one_by_one, reference)
 
-    run = full_window(spec, warmup)
-    before = run.oldest_rows(window).copy()
-    entering, *stacks, reports = rec.audit_run(spec, run, batches, forget)
-    assert same_samples(run.items(), warmup)
-    assert same_bytes(run.oldest_rows(window), before)
-    assert len(entering) == len(reports) == n_batches
-    assert all(len(stack) == n_batches for stack in stacks)
-    for i, (*blocks, report) in enumerate(expected):
-        for stack, block in zip(stacks, blocks):
+    run = full_window(spec, *warmup)
+    entering, *stacks, reports = rec.audit_run(spec, run, *stacks, forget)
+    assert same_window(run, list(range(window)))
+    assert len(reports) == n_batches
+    assert all(len(stack) == n_batches for stack in (*entering, *stacks))
+    for i, (blocks, report) in enumerate(expected):
+        for stack, block in zip((*entering, *stacks), blocks):
             assert same_bytes(stack[i], block), i
         assert same_bytes(reports[i].kappas, report.kappas), i
         assert (reports[i].classification, reports[i].differential_trace) == (
             report.classification, report.differential_trace
         )
         assert (reports[i].epsilon, reports[i].note) == (report.epsilon, report.note)
-    run.extend(chain.from_iterable(entering), stacks[0].reshape(-1, spec.n_columns))
-    assert same_samples(run.items(), one_by_one.items())
-    assert same_bytes(run.oldest_rows(window), one_by_one.oldest_rows(window))
+    run.extend(*flat([*entering, stacks[0]]))
+    assert same_window(run, reference)
+    assert all(map(same_bytes, run.oldest(window), one_by_one.oldest(window)))
     assert run.total_ingested == one_by_one.total_ingested
 
 
 def test_audit_run_needs_a_full_window_and_equal_batches():
+    """A partial window cannot be audited. Batches of unequal lengths cannot
+    be passed at all: audit_run takes them as one k x b stack."""
     spec = DictionarySpec(state_dim=1, poly_degree=1)
-    samples = [Sample(float(i), [float(i)], [0.0]) for i in range(10)]
+    t = np.arange(10.0)
+    x, y = t[:, None], np.zeros((10, 1))
     partial = WindowBuffer(4)
-    partial.extend(samples[:3], build_matrix(spec, [s.state for s in samples[:3]]))
+    partial.extend(t[:3], x[:3], y[:3], build_matrix(spec, x[:3]))
     with pytest.raises(ValueError):
-        rec.audit_run(spec, partial, [samples[3:4]], 1)
-    with pytest.raises(ValueError):
-        rec.audit_run(spec, full_window(spec, samples[:3]), [samples[3:5], samples[5:6]], 1)
+        rec.audit_run(spec, partial, t[None, 3:4], x[None, 3:4], y[None, 3:4], 1)
 
 
 # -------------------------------------------------------------------- init
@@ -292,6 +311,16 @@ def test_init_timestamps_must_increase(rng):
     samples[10] = Sample(samples[9].timestamp, samples[10].state, samples[10].observation)
     with pytest.raises(ValueError):
         rec.init(LINEAR2, fixed_config(), samples, NoiseModel([1.0]))
+
+
+def test_observations_must_match_the_noise_model(rng):
+    samples = stream(rng, n=40)
+    with pytest.raises(DimensionMismatch):
+        rec.init(LINEAR2, fixed_config(), samples, NoiseModel([1.0, 1.0]))
+    state = rec.init(LINEAR2, fixed_config(), samples[:30], NoiseModel([1.0]))
+    wide = [Sample(s.timestamp, s.state, [0.0, 0.0]) for s in samples[30:35]]
+    with pytest.raises(DimensionMismatch):
+        rec.step(state, wide)
 
 
 # ------------------------------------------------------------ equivalence
@@ -441,10 +470,8 @@ def test_reject_policy_leaves_state_untouched(rng):
     ingested = state.buffer.total_ingested
     # replay the exact five samples about to be forgotten: the differential
     # is zero, classified redundant, and the step must be rejected
-    dup = [
-        Sample(40.0 + i, s.state, s.observation)
-        for i, s in enumerate(state.buffer.oldest(5))
-    ]
+    _, x, y, _ = copies(state.buffer.oldest(5))
+    dup = [Sample(40.0 + i, *sample) for i, sample in enumerate(zip(x, y))]
     out = rec.step(state, dup)
     assert not out.accepted
     assert out.utility.classification == "redundant"
@@ -461,10 +488,8 @@ def test_warn_policy_applies_flagged_update(rng):
     state = rec.init(LINEAR2, cfg, samples[:30], NoiseModel([0.0025]))
     # two samples in, two out: differential has rank <= 4 but the dictionary
     # has only 2 columns, so informativeness is possible; force redundancy
-    dup = [
-        Sample(50.0 + i, s.state, s.observation)
-        for i, s in enumerate(state.buffer.oldest(2))
-    ]
+    _, x, y, _ = copies(state.buffer.oldest(2))
+    dup = [Sample(50.0 + i, *sample) for i, sample in enumerate(zip(x, y))]
     out = rec.step(state, dup)
     assert out.accepted
     assert out.flagged
@@ -524,7 +549,7 @@ def test_defer_drops_a_merged_batch_that_fills_the_window():
         assert len(state.pending) < cfg.window
     assert reasons[1].endswith("deferred batch reached the window length, dropped")
     assert reasons[4] is None  # a fresh strong batch beats the oldest six
-    assert state.buffer.newest.timestamp > warmup[-1].timestamp
+    assert state.buffer.last_t > warmup[-1].timestamp
 
 
 def test_defer_bounds_pending_for_a_stuck_sensor(rng):
@@ -545,7 +570,7 @@ def test_defer_bounds_pending_for_a_stuck_sensor(rng):
         rng, LINEAR2, np.array([[3.0], [-2.0]]), noise_std=0.05, n=5, t0=t + 200.0
     )
     assert rec.step(state, live).accepted
-    assert state.buffer.newest.timestamp == live[-1].timestamp
+    assert state.buffer.last_t == live[-1].timestamp
     assert state.pending == []
 
 
@@ -569,6 +594,32 @@ def test_pd_rollback_guard_under_drain(rng):
     assert sawed is not None, "drain never tripped the rollback guard"
     assert "rolled back" in sawed.reason
     assert rec.snapshot(state).is_positive_definite()
+
+
+def test_refresh_that_would_break_definiteness_is_refused(rng):
+    # discount plus full forgetting drains the window Gram below zero, and
+    # a refresh can then weaken the prior past what keeps the drained
+    # posterior proper. The guard runs on the posterior the step leaves,
+    # after the refresh: such a refresh is refused and the previous prior
+    # kept, the step stays accepted and is flagged, and no step raises
+    samples = stream(rng, n=10 + 60 * 2, noise_std=1.0)
+    cfg = RecursionConfig(
+        window=10, batch_in=2, forget=2, forgetting_factor=0.9,
+        policy="warn", theta_mode="adaptive", refresh_every=2,
+    )
+    state = rec.init(LINEAR2, cfg, samples[:10], NoiseModel([1.0]))
+    refused = 0
+    for k in range(10, len(samples), 2):
+        prior = state.horseshoe
+        out = rec.step(state, samples[k : k + 2])
+        if out.accepted:
+            assert rec.snapshot(state).is_positive_definite()
+        if out.reason is not None and out.reason.endswith("refused"):
+            refused += 1
+            assert out.accepted and out.flagged and not out.theta_refreshed
+            assert out.reason.startswith("update ")  # joined to the warn reason
+            assert state.horseshoe is prior
+    assert refused
 
 
 # ----------------------------------------------------------------- refresh
