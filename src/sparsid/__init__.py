@@ -30,7 +30,7 @@ _EXPORTS = {
         "SparsidError",
         "TimestampMismatch",
     ),
-    "monitor": ("PeReport", "UtilityReport", "check_pe", "information_differential", "utility"),
+    "monitor": ("PeReport", "UtilityReport", "check_pe", "utility"),
     "posterior": (
         "HorseshoeState",
         "NoiseModel",

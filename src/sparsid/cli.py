@@ -40,8 +40,8 @@ import numpy as np
 # analyze, posterior and simulate are imported inside the fit and simulate
 # paths only, so a monitor process never loads them
 from . import recursion as rec
-from .dictionary import DictionarySpec, build_matrix, samples_from_arrays
-from .errors import ConditionViolated, TimestampMismatch
+from .dictionary import DictionarySpec, build_matrix
+from .errors import ConditionViolated, NonFiniteInput, TimestampMismatch
 from .monitor import gram, pe_from_gram
 
 __all__ = ["RunConfig", "run_simulate", "run_fit", "run_monitor", "main"]
@@ -238,7 +238,7 @@ def run_simulate(cfg: RunConfig) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         x, y, beta_true = gen_sparse_regression(scenario)
-        samples = samples_from_arrays(np.arange(len(x), dtype=float), x, y)
+        rows = np.arange(len(x), dtype=float), x, y
         truth = case1_truth_payload(scenario, beta_true)
     else:
         try:
@@ -251,12 +251,12 @@ def run_simulate(cfg: RunConfig) -> None:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        samples = simulate_lorenz(scenario)
+        rows = simulate_lorenz(scenario)
         truth = lorenz_truth_payload(scenario)
     out = Path(cfg.output)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "data.csv", samples)
+        write_csv(out / "data.csv", *rows)
         write_truth_json(out / "truth.json", truth)
     except OSError as exc:
         raise InputError(str(exc)) from exc
@@ -516,20 +516,16 @@ class _Fit:
         self.state = None
 
     def start(self, t, x, y) -> None:
-        samples = samples_from_arrays(t, x, y)
-        self.state = rec.init(self.spec, self.rconfig, samples, self.noise, self.horseshoe)
+        self.state = rec.init(self.spec, self.rconfig, (t, x, y), self.noise, self.horseshoe)
 
     def steps(self, t, x, y):
-        # rec.step takes Samples: one call wraps the whole read
-        samples = samples_from_arrays(*(a.reshape(t.size, *a.shape[2:]) for a in (t, x, y)))
-        b = t.shape[1]
         try:
-            yield from map(self.step, (samples[i : i + b] for i in range(0, t.size, b)))
+            yield from map(self.step, zip(t, x, y))
         finally:  # also when a step fails: the rows before it are kept
             if self.errors is not None:
                 self.errors.flush()
 
-    def step(self, batch: list) -> dict:
+    def step(self, batch: tuple) -> dict:
         outcome = rec.step(self.state, batch)
         record = rec.step_record(self.state, outcome)
         if outcome.accepted and self.errors is not None:
@@ -646,16 +642,19 @@ def main(argv=None) -> int:
     namespace = parser.parse_args(argv)
     try:
         cfg = resolve_config(namespace)
-        if cfg.mode == "simulate":
-            run_simulate(cfg)
-        elif cfg.mode in ("fit", "stream"):
-            run_fit(cfg)
-        else:
-            run_monitor(cfg)
+        # an input large enough to overflow ends in one NonFiniteInput line,
+        # with no numpy warning before it
+        with np.errstate(over="ignore"):
+            if cfg.mode == "simulate":
+                run_simulate(cfg)
+            elif cfg.mode in ("fit", "stream"):
+                run_fit(cfg)
+            else:
+                run_monitor(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
+    except (InputError, NonFiniteInput) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except ConditionViolated as exc:

@@ -8,7 +8,6 @@ semidefinite.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,7 +20,7 @@ __all__ = [
     "Sample",
     "build_row",
     "build_matrix",
-    "samples_from_arrays",
+    "stack_rows",
 ]
 
 
@@ -84,37 +83,30 @@ class Sample:
             raise NonFiniteInput("state/observation must be finite")
 
 
-def _checked_sample(timestamp: float, state: np.ndarray, observation: np.ndarray):
-    """A Sample of values samples_from_arrays has already checked."""
-    sample = object.__new__(Sample)
-    sample.__dict__.update(timestamp=timestamp, state=state, observation=observation)
-    return sample
+def stack_rows(rows, n_y: int) -> tuple:
+    """The (t, x, y) arrays of a block of rows, each C-contiguous: the
+    timestamps (n,), states (n, n_x) and observations (n, n_y).
 
-
-def _all_finite(a: np.ndarray) -> bool:
-    return np.count_nonzero(np.isfinite(a)) == a.size
-
-
-def samples_from_arrays(times, states, observations) -> list:
-    """One Sample per row of parallel arrays: times (t,), states (t, n_x)
-    and observations (t, n_y).
-
-    The block is checked once, for its shapes and for finite values. Each
-    Sample then holds its timestamp as a float and row views of the state
-    and observation arrays, and no per-sample check runs.
+    rows is either that tuple of three arrays, checked here for finite
+    values, or a list of Samples, each checked when it was made, stacked in
+    one pass. Either form is checked for its shapes (n_y outputs).
     """
-    t = np.asarray(times, dtype=float)
-    x = np.asarray(states, dtype=float)
-    y = np.asarray(observations, dtype=float)
+    if isinstance(rows, tuple):
+        t, x, y = (np.ascontiguousarray(a, dtype=float) for a in rows)
+        if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(y).all()):
+            raise NonFiniteInput("timestamps, states and observations must be finite")
+    else:
+        t = np.array([s.timestamp for s in rows], dtype=float)
+        x = np.array([s.state for s in rows])
+        y = np.array([s.observation for s in rows])
     if t.ndim != 1 or x.ndim != 2 or y.ndim != 2 or not len(t) == len(x) == len(y):
         raise DimensionMismatch(
             f"need one row per sample, got times {t.shape}, states {x.shape}, "
             f"observations {y.shape}"
         )
-    timestamps = t.tolist()
-    if not (all(map(math.isfinite, timestamps)) and _all_finite(x) and _all_finite(y)):
-        raise NonFiniteInput("timestamps, states and observations must be finite")
-    return list(map(_checked_sample, timestamps, x, y))
+    if y.shape[1] != n_y:
+        raise DimensionMismatch(f"observations have {y.shape[1]} outputs, not {n_y}")
+    return t, x, y
 
 
 @dataclass(frozen=True)

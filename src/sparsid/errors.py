@@ -14,7 +14,7 @@ class DimensionMismatch(SparsidError):
 
 
 class NonFiniteInput(SparsidError):
-    """An input contains NaN or infinity."""
+    """An input contains NaN or infinity, or overflows a dictionary row or Gram."""
 
 
 class NotPositiveDefinite(SparsidError):

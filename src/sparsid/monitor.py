@@ -15,11 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from .dictionary import DictionarySpec, build_matrix
+from .errors import NonFiniteInput
 
 __all__ = [
     "UtilityReport",
     "PeReport",
-    "information_differential",
     "utility",
     "utility_from_differential",
     "check_pe",
@@ -65,16 +65,13 @@ class PeReport:
 def gram(rows: np.ndarray) -> np.ndarray:
     """Symmetrized Gram matrix rows.T @ rows of a design block (n_rows x n_p).
     A stack of blocks (k x n_rows x n_p) gives the stack of their Grams,
-    with the bytes of one call per block."""
+    with the bytes of one call per block. Raises NonFiniteInput when an
+    entry overflows, as it does for finite rows of large enough states."""
     g = rows.swapaxes(-1, -2) @ rows
-    return 0.5 * (g + g.swapaxes(-1, -2))
-
-
-def information_differential(
-    spec: DictionarySpec, new_states: Sequence, old_states: Sequence
-) -> np.ndarray:
-    """Gram(new) - Gram(old), symmetrized. Either block may be empty."""
-    return gram(build_matrix(spec, new_states)) - gram(build_matrix(spec, old_states))
+    g = 0.5 * (g + g.swapaxes(-1, -2))
+    if not np.isfinite(g).all():
+        raise NonFiniteInput("the Gram matrix of the dictionary rows overflows")
+    return g
 
 
 def utility_from_differential(differential: np.ndarray) -> UtilityReport | list:
@@ -112,9 +109,10 @@ def _classify(kappas: np.ndarray, trace: float) -> UtilityReport:
 def utility(
     spec: DictionarySpec, new_states: Sequence, old_states: Sequence
 ) -> UtilityReport:
-    """Classify the update that adds new_states and forgets old_states."""
+    """Classify the update that adds new_states and forgets old_states: the
+    differential Gram(new) - Gram(old). Either block may be empty."""
     return utility_from_differential(
-        information_differential(spec, new_states, old_states)
+        gram(build_matrix(spec, new_states)) - gram(build_matrix(spec, old_states))
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .dictionary import DictionarySpec, build_matrix
+from .dictionary import DictionarySpec, build_matrix, stack_rows
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularInformation
 from .monitor import gram
 
@@ -28,13 +28,14 @@ __all__ = [
     "initial_horseshoe",
     "batch_fit",
     "batch_fit_adaptive",
-    "window_moments",
+    "fit_moments",
     "posterior_from_moments",
     "refresh_horseshoe",
 ]
 
 SCALE_FLOOR = 1e-6
 SCALE_CEIL = 1e6
+MAX_OUTER = 20  # prior refreshes of an adaptive batch fit, at most
 
 
 @dataclass(frozen=True)
@@ -201,20 +202,6 @@ class PosteriorState:
         )
 
 
-def window_moments(spec: DictionarySpec, samples: list, n_outputs: int) -> tuple:
-    """Sufficient statistics of a window: the Gram Psi.T @ Psi (n_p x n_p)
-    and the cross-moment Psi.T @ Y (n_p x n_outputs)."""
-    if len(samples) == 0:
-        raise ValueError("cannot fit an empty window")
-    psi = build_matrix(spec, [s.state for s in samples])
-    targets = np.asarray([s.observation for s in samples], dtype=float)
-    if targets.shape[1] != n_outputs:
-        raise DimensionMismatch(
-            f"observations have {targets.shape[1]} outputs, noise model has {n_outputs}"
-        )
-    return gram(psi), psi.T @ targets
-
-
 def posterior_from_moments(
     spec: DictionarySpec,
     noise: NoiseModel,
@@ -239,19 +226,15 @@ def posterior_from_moments(
 
 
 def batch_fit(
-    spec: DictionarySpec,
-    samples: list,
-    noise: NoiseModel,
-    horseshoe: HorseshoeState,
-    moments: tuple | None = None,
+    spec: DictionarySpec, samples, noise: NoiseModel, horseshoe: HorseshoeState
 ) -> PosteriorState:
     """Exact posterior from one window of samples at fixed prior scales.
 
     Per output i the information block is Gram / sigma_i^2 plus the diagonal
     prior precision, and the information vector is Psi.T @ y_i / sigma_i^2.
-    moments, when given, is the samples' window_moments, taken already.
+    samples is a block of rows, as recursion.init takes it.
     """
-    return batch_fit_adaptive(spec, samples, noise, horseshoe, max_outer=0, moments=moments)
+    return batch_fit_adaptive(spec, samples, noise, horseshoe, max_outer=0)
 
 
 def refresh_horseshoe(
@@ -322,23 +305,41 @@ def refresh_horseshoe(
 
 def batch_fit_adaptive(
     spec: DictionarySpec,
-    samples: list,
+    samples,
     noise: NoiseModel,
     horseshoe: HorseshoeState,
-    max_outer: int = 20,
-    rel_tol: float = 1e-4,
-    moments: tuple | None = None,
+    max_outer: int = MAX_OUTER,
 ) -> PosteriorState:
-    """Batch fit with the prior scales re-estimated from the fit itself.
+    """Batch fit with the prior scales re-estimated from the fit itself:
+    fit_moments of the window's Gram Psi.T @ Psi and cross-moment Psi.T @ Y.
+    samples is a block of rows, as recursion.init takes it.
+    """
+    _, x, y = stack_rows(samples, noise.n_outputs)
+    if len(x) == 0:
+        raise ValueError("cannot fit an empty window")
+    psi = build_matrix(spec, x)
+    return fit_moments(spec, noise, horseshoe, gram(psi), psi.T @ y, len(x), max_outer)
+
+
+def fit_moments(
+    spec: DictionarySpec,
+    noise: NoiseModel,
+    horseshoe: HorseshoeState,
+    window_gram: np.ndarray,
+    cross: np.ndarray,
+    sample_count: int,
+    max_outer: int = MAX_OUTER,
+) -> PosteriorState:
+    """Batch fit of a window given by its Gram and cross-moment, with the
+    prior scales re-estimated from the fit itself.
 
     Alternates refresh_horseshoe and re-assembly from the window moments
-    until the scales settle (at most max_outer times). The returned
-    posterior is exactly batch_fit at the final scales. moments, when
-    given, is the samples' window_moments, taken already.
+    until no scale moves by more than 1e-4, relatively (at most max_outer
+    times; 0 keeps the given scales). The returned posterior is exactly
+    posterior_from_moments at the final scales. Raises NotPositiveDefinite
+    if the first posterior is not PD.
     """
-    if moments is None:
-        moments = window_moments(spec, samples, noise.n_outputs)
-    post = posterior_from_moments(spec, noise, horseshoe, *moments, len(samples))
+    post = posterior_from_moments(spec, noise, horseshoe, window_gram, cross, sample_count)
     if not post.is_positive_definite():
         raise NotPositiveDefinite("batch posterior information is not PD")
     for _ in range(max_outer):
@@ -353,7 +354,9 @@ def batch_fit_adaptive(
             abs(refreshed.global_scale - post.horseshoe.global_scale)
             / post.horseshoe.global_scale,
         )
-        post = posterior_from_moments(spec, noise, refreshed, *moments, len(samples))
-        if rel < rel_tol:
+        post = posterior_from_moments(
+            spec, noise, refreshed, window_gram, cross, sample_count
+        )
+        if rel < 1e-4:
             break
     return post

@@ -21,23 +21,23 @@ definite: an update that would break this is rolled back, and a prior
 refresh that would break it is refused (the previous prior stays, and the
 step is flagged with theta_refreshed false).
 
-The window code (WindowBuffer, audit_run) works on arrays and needs no
-posterior; init and step take Samples and stack them once, where they
-enter. `posterior` is imported only where a posterior is built (init, step,
-snapshot), so a monitor process never loads it.
+Rows are arrays throughout: init and step take (t, x, y) arrays, or a list
+of Samples that dictionary.stack_rows stacks where it enters. The window
+code (WindowBuffer, audit_run) needs no posterior. `posterior` is imported
+only where a posterior is built (init, step, snapshot), so a monitor
+process never loads it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dictionary import DictionarySpec, build_matrix, samples_from_arrays
-from .errors import ConditionViolated, DimensionMismatch, InsufficientWarmup
+from .dictionary import DictionarySpec, Sample, build_matrix, stack_rows
+from .errors import ConditionViolated, InsufficientWarmup
 from .monitor import UtilityReport, gram, utility_from_differential
 
 if TYPE_CHECKING:
@@ -187,7 +187,8 @@ class WindowBuffer:
         states are stored for this only."""
         if not self._len:
             return []
-        return samples_from_arrays(*(a.copy() for a in self.oldest(self._len)[:3]))
+        t, x, y = (a.copy() for a in self.oldest(self._len)[:3])
+        return list(map(Sample, t.tolist(), x, y))
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,8 @@ class RecursionState:
 
     gram (n_p x n_p) and cross (n_p x n_y) are the discounted window
     moments Psi.T @ Psi and Psi.T @ Y; s_blocks and b_blocks are read-only
-    views of the posterior they give (see snapshot).
+    views of the posterior they give (see snapshot). pending is the batch a
+    deferring step parked, as (t, x, y) arrays, or None.
     """
 
     __slots__ = (
@@ -237,7 +239,7 @@ class RecursionState:
         self.cross = cross
         self.step_count = 0
         self.samples_since_refresh = 0
-        self.pending: list = []
+        self.pending = None
         self.init_flagged = False
 
     @property
@@ -249,44 +251,44 @@ class RecursionState:
         return snapshot(self).b_blocks
 
 
-def _stack(samples: list, after: float, n_y: int) -> tuple:
-    """The (t, x, y) arrays of samples, whose timestamps must increase
-    strictly, the first one after `after`."""
-    t = [s.timestamp for s in samples]
-    if not (t[0] > after and all(map(operator.lt, t, t[1:]))):
-        prev, bad = next(p for p in zip([after, *t], t) if not p[0] < p[1])
-        raise ValueError(f"timestamps must be strictly increasing, got {bad} after {prev}")
-    y = np.array([s.observation for s in samples])
-    if y.shape[1] != n_y:
-        raise DimensionMismatch(f"observations have {y.shape[1]} outputs, not {n_y}")
-    return np.array(t), np.array([s.state for s in samples]), y
+def _check_order(t, after: float) -> None:
+    """Raise unless the timestamps t increase strictly, the first one after
+    `after`."""
+    if t[0] > after and (t[1:] > t[:-1]).all():
+        return
+    i = np.flatnonzero(np.diff(t, prepend=after) <= 0.0)[0]
+    prev = t[i - 1] if i else after
+    raise ValueError(f"timestamps must be strictly increasing, got {t[i]} after {prev}")
 
 
 def init(
     spec: DictionarySpec,
     config: RecursionConfig,
-    warmup: list,
+    warmup,
     noise: NoiseModel,
     horseshoe: HorseshoeState | None = None,
 ) -> RecursionState:
     """Start the estimator from a warmup window.
 
-    Requires at least `window` warmup samples (the last `window` are used),
-    window geometry large enough to identify every column, and a
-    well-posed warmup window. The initial posterior is the exact batch fit
-    of the retained window.
+    warmup is a block of rows: (t, x, y) arrays of the timestamps (n,),
+    states (n, n_x) and observations (n, n_y), or a list of n Samples.
+    Requires at least `window` warmup rows (the last `window` are used, and
+    their timestamps must increase strictly), window geometry large enough
+    to identify every column, and a well-posed warmup window. The initial
+    posterior is the exact batch fit of the retained window.
     """
-    from .posterior import batch_fit, batch_fit_adaptive, initial_horseshoe
+    from .posterior import MAX_OUTER, fit_moments, initial_horseshoe
 
-    if len(warmup) < config.window:
+    t, x, y = stack_rows(warmup, noise.n_outputs)
+    if len(t) < config.window:
         raise InsufficientWarmup(
-            f"need at least {config.window} warmup samples, got {len(warmup)}"
+            f"need at least {config.window} warmup samples, got {len(t)}"
         )
     config.check_columns(spec.n_columns)
     if horseshoe is None:
         horseshoe = initial_horseshoe(spec, noise.n_outputs)
-    retained = list(warmup[-config.window :])
-    t, x, y = _stack(retained, -math.inf, noise.n_outputs)
+    t, x, y = t[-config.window :], x[-config.window :], y[-config.window :]
+    _check_order(t, -math.inf)
 
     rows = build_matrix(spec, x)
     window_gram, cross = gram(rows), rows.T @ y
@@ -303,8 +305,10 @@ def init(
             # defer has no meaning before a window exists; treat like reject
             raise ConditionViolated(msg)
 
-    fit = batch_fit_adaptive if config.theta_mode == "adaptive" else batch_fit
-    horseshoe = fit(spec, retained, noise, horseshoe, moments=(window_gram, cross)).horseshoe
+    max_outer = MAX_OUTER if config.theta_mode == "adaptive" else 0
+    horseshoe = fit_moments(
+        spec, noise, horseshoe, window_gram, cross, len(t), max_outer
+    ).horseshoe
 
     buffer = WindowBuffer(config.window)
     buffer.extend(t, x, y, rows)
@@ -359,9 +363,12 @@ def audit_run(
     )
 
 
-def step(state: RecursionState, new_samples: list) -> StepOutcome:
-    """Ingest one batch: audit its slide (audit_run), apply it with one
-    buffer extend or not (per policy and the PD guard), refresh scales.
+def step(state: RecursionState, new_rows) -> StepOutcome:
+    """Ingest one batch of batch_in rows, given as init takes its warmup:
+    audit its slide (audit_run), apply it with one buffer extend or not
+    (per policy and the PD guard), refresh scales. A batch parked by a
+    deferring step is merged in front of it; the timestamps of the merged
+    batch must increase strictly, after the newest buffered one.
 
     Returns an outcome describing what happened; the emitted record for
     streaming consumers is built from it by step_record.
@@ -369,19 +376,22 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
     from .posterior import posterior_from_moments, refresh_horseshoe
 
     cfg = state.config
-    if len(new_samples) != cfg.batch_in:
+    batch = stack_rows(new_rows, state.noise.n_outputs)
+    if len(batch[0]) != cfg.batch_in:
         raise ValueError(
-            f"expected a batch of {cfg.batch_in} samples, got {len(new_samples)}"
+            f"expected a batch of {cfg.batch_in} samples, got {len(batch[0])}"
         )
+    if state.pending is not None:
+        batch = tuple(map(np.concatenate, zip(state.pending, batch)))
     buffer = state.buffer
-    batch = state.pending + list(new_samples)
-    t, x, y = _stack(batch, buffer.last_t, state.noise.n_outputs)
+    t, x, y = batch
+    _check_order(t, buffer.last_t)
+    timestamp = float(t[-1])
     (t, x, y), psi_new, psi_old, _, differentials, reports = audit_run(
         state.spec, buffer, t[None], x[None], y[None], cfg.forget
     )
     t, x, y, psi_new, psi_old = t[0], x[0], y[0], psi_new[0], psi_old[0]
     differential, report = differentials[0], reports[0]
-    timestamp = batch[-1].timestamp
 
     flagged = False
     reason = None
@@ -392,7 +402,7 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
                 reason=f"update {report.classification}; rejected by policy",
             )
         if cfg.policy == "defer":
-            if len(batch) >= buffer.capacity:
+            if len(batch[0]) >= buffer.capacity:
                 # merging more cannot help: the batch already replaces a
                 # whole window, so retrying it would stall the estimator
                 return _rejected(
@@ -428,7 +438,7 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
 
     state.gram = new_gram
     state.cross = new_cross
-    state.pending = []
+    state.pending = None
     buffer.extend(t, x, y, psi_new)
     state.step_count += 1
     state.samples_since_refresh += len(t)
@@ -465,7 +475,7 @@ def step(state: RecursionState, new_samples: list) -> StepOutcome:
 def _rejected(state, report, timestamp, reason):
     """Outcome of a step that leaves the posterior as it was and drops the
     batch; defer parks it in state.pending afterwards."""
-    state.pending = []
+    state.pending = None
     state.step_count += 1
     return StepOutcome(
         step_index=state.step_count,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import samples_from_arrays
 from .errors import NonFiniteState
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "simulate_lorenz",
     "write_csv",
     "write_truth_json",
-    "samples_from_arrays",
     "case1_truth_payload",
     "lorenz_truth_payload",
 ]
@@ -171,11 +169,16 @@ def _rk4_step(x: np.ndarray, t: float, dt: float, drive: np.ndarray) -> np.ndarr
     return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def simulate_lorenz(config: LorenzConfig) -> list:
-    """Integrate the system and return one Sample per time step.
+def simulate_lorenz(config: LorenzConfig) -> tuple:
+    """Integrate the system.
 
-    Each Sample carries the state and the derivative observation at its
-    timestamp. Raises NonFiniteState if the integration blows up.
+    Returns
+    -------
+    times : (n_steps + 1,) sample times, 0, dt, 2 dt, ...
+    states : (n_steps + 1, 3) state at each time
+    observations : (n_steps + 1, 3) derivative observation at each time
+
+    Raises NonFiniteState if the integration blows up.
     """
     n_steps = round(config.t_end / config.dt)
     times = np.arange(n_steps + 1) * config.dt
@@ -212,27 +215,20 @@ def simulate_lorenz(config: LorenzConfig) -> list:
         obs = np.stack([lorenz_rhs(x, t) for x, t in zip(states, times)])
         obs += noise
 
-    return samples_from_arrays(times, states, obs)
+    return times, states, obs
 
 
-def write_csv(path, samples: list) -> None:
-    """Stream CSV: header t,x1..xn,y1..yn, one row per sample."""
-    n_x = samples[0].state.size
-    n_y = samples[0].observation.size
-    header = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(n_x)]
-        + [f"y{i + 1}" for i in range(n_y)]
-    )
+def write_csv(path, times, states, observations) -> None:
+    """Stream CSV: header t,x1..xn,y1..yn, one row per sample of the times
+    (t,), states (t, n) and observations (t, n_y), each value written as
+    the repr of its float, so reading it back gives the same bits."""
+    header = ["t"] + [f"x{i + 1}" for i in range(states.shape[1])]
+    header += [f"y{i + 1}" for i in range(observations.shape[1])]
+    block = np.column_stack((times, states, observations))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for s in samples:
-            writer.writerow(
-                [repr(float(s.timestamp))]
-                + [repr(float(v)) for v in s.state]
-                + [repr(float(v)) for v in s.observation]
-            )
+        writer.writerows(map(repr, row.tolist()) for row in block)
 
 
 def write_truth_json(path, payload: dict) -> None:

@@ -286,7 +286,7 @@ TRUE_SUPPORTS = (
 
 def test_criterion_06_lorenz_structure_and_drift_tracking():
     t0 = time.perf_counter()
-    samples = simulate_lorenz(
+    rows = simulate_lorenz(
         LorenzConfig(dt=0.01, t_end=100.0, noise_std=1.0, seed=6)
     )
     spec = DictionarySpec(state_dim=3, poly_degree=2)
@@ -295,14 +295,14 @@ def test_criterion_06_lorenz_structure_and_drift_tracking():
         window=window, batch_in=batch, forget=batch,
         theta_mode="adaptive", policy="warn",
     )
-    state = rec.init(spec, cfg, samples[:window], NoiseModel([1.0, 1.0, 1.0]))
+    state = rec.init(spec, cfg, tuple(a[:window] for a in rows), NoiseModel([1.0, 1.0, 1.0]))
     labels = list(spec.column_labels)
     idx_x2 = labels.index("x2")
     idx_x3 = labels.index("x3")
     k1_gap = []
     k3_gap = []
-    for k in range(window, len(samples) - batch + 1, batch):
-        out = rec.step(state, samples[k : k + batch])
+    for k in range(window, len(rows[0]) - batch + 1, batch):
+        out = rec.step(state, tuple(a[k : k + batch] for a in rows))
         if not out.accepted:
             continue
         t = out.timestamp

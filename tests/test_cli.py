@@ -19,7 +19,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sparsid.cli as cli
-from sparsid import DictionarySpec, check_pe
+import sparsid.recursion as rec
+from sparsid import (
+    DictionarySpec,
+    NoiseModel,
+    RecursionConfig,
+    Sample,
+    check_pe,
+    initial_horseshoe,
+)
 from sparsid.analyze import read_truth
 from sparsid.cli import (
     ConfigError,
@@ -882,25 +890,37 @@ def test_stream_idle_timeout_uses_elapsed_time(tmp_path, monkeypatch):
 # ---------------------------------------------------------------- monitor
 
 
-def test_monitor_builds_no_sample(tmp_path, linear_csv, monkeypatch):
-    """A monitor run works on the reader's arrays: with samples_from_arrays
-    raising wherever the CLI and the window code import it, it exits 0 with
-    every record."""
+@pytest.mark.parametrize("mode", ["fit", "stream", "monitor"])
+def test_runs_build_no_sample(tmp_path, linear_csv, monkeypatch, mode):
+    """Every run works on the reader's arrays: with the Sample constructor
+    raising, and rec.init and rec.step refusing anything but (t, x, y)
+    arrays, it exits 0 with every record."""
 
-    def no_samples(*args):
-        raise AssertionError("a monitor run built Samples")
+    def no_sample(*args):
+        raise AssertionError(f"a {mode} run built a Sample")
 
-    for module in (cli, cli.rec):
-        monkeypatch.setattr(module, "samples_from_arrays", no_samples, raising=False)
+    def arrays_only(name, position):
+        library = getattr(rec, name)
+
+        def call(*args):
+            assert isinstance(args[position], tuple), f"rec.{name} was passed Samples"
+            return library(*args)
+
+        return call
+
+    monkeypatch.setattr(Sample, "__post_init__", no_sample)
+    monkeypatch.setattr(rec, "init", arrays_only("init", 2))
+    monkeypatch.setattr(rec, "step", arrays_only("step", 1))
     path, _ = linear_csv
-    out = tmp_path / "mon"
+    out = tmp_path / mode
     code = main(
-        ["--mode", "monitor", "--input", str(path), "--output", str(out),
+        ["--mode", mode, "--input", str(path), "--output", str(out),
          "--window", "60", "--batch-in", "5", "--forget", "5", "--degree", "1",
-         "--config", str(write_fit_config(tmp_path))]
+         "--config", str(write_fit_config(tmp_path, idle_timeout=0.1))]
     )
     assert code == 0
-    assert len((out / "monitor.jsonl").read_text().splitlines()) == (160 - 60) // 5
+    name = "monitor.jsonl" if mode == "monitor" else "steps.jsonl"
+    assert len((out / name).read_text().splitlines()) == (160 - 60) // 5
 
 
 def test_monitor_emits_diagnostics(tmp_path, linear_csv):
@@ -1006,11 +1026,11 @@ def write_stalling_stream(path, n, zero_runs, seed):
 )
 def test_block_reads_change_no_output(window, batch_in, forget, extra, zero_runs, seed):
     """Reading a finished input a block of batches at a time gives the bytes
-    that one batch a read gives: monitor.jsonl, and steps.jsonl under warn
-    and defer, for any window geometry (forget 0, batches longer than the
-    window), zero-state stretches, and streams of several blocks."""
+    that one batch a read gives: monitor.jsonl, and steps.jsonl under warn,
+    reject and defer, for any window geometry (forget 0, batches longer
+    than the window), zero-state stretches, and streams of several blocks."""
     forget = min(forget, batch_in, window)
-    runs = [("monitor", "warn"), ("fit", "warn"), ("fit", "defer")]
+    runs = [("monitor", "warn"), ("fit", "warn"), ("fit", "reject"), ("fit", "defer")]
     saved = cli._BLOCK
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -1039,12 +1059,75 @@ def test_block_reads_change_no_output(window, batch_in, forget, extra, zero_runs
             cli._BLOCK = saved
     for mode, policy in runs:
         code, written = outputs[mode, policy, 1]
-        # defer has no meaning before a window exists: a degenerate warmup exits 4
-        assert code == 0 or (policy == "defer" and code == 4 and written is None)
+        # a degenerate warmup exits 4 under the strict policies
+        assert code == 0 or (policy != "warn" and code == 4 and written is None)
         if code == 0:
             assert written.count(b"\n") == extra // batch_in
         for block in (2, 3, saved):
             assert outputs[mode, policy, block] == (code, written), (mode, policy, block)
+
+
+@pytest.mark.parametrize("policy", ["warn", "reject", "defer"])
+@pytest.mark.parametrize("forget", [0, 4])
+def test_fit_writes_the_library_loop_over_samples(tmp_path, policy, forget):
+    """steps.jsonl holds, byte for byte, the sorted JSON of the step records
+    of an init/step loop over Samples read from the same CSV: the CLI's
+    arrays and a library caller's Samples reach one path, under every
+    policy, with forget 0 and forget = batch_in."""
+    window, batch_in = 20, 4
+    data = tmp_path / "data.csv"
+    write_stalling_stream(data, 200, [(60, 90), (130, 150)], seed=3)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"include_bias": False, "noise_variances": 0.01}))
+    out = tmp_path / "fit"
+    assert main(["--mode", "fit", "--input", str(data), "--output", str(out),
+                 "--window", str(window), "--batch-in", str(batch_in),
+                 "--forget", str(forget), "--degree", "1", "--policy", policy,
+                 "--config", str(config)]) == 0
+
+    with open(data, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    samples = [Sample(float(t), [float(x1), float(x2)], [float(y)]) for t, x1, x2, y in rows]
+    spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
+    rconfig = RecursionConfig(window=window, batch_in=batch_in, forget=forget, policy=policy)
+    state = rec.init(spec, rconfig, samples[:window], NoiseModel([0.01]),
+                     initial_horseshoe(spec, 1))
+    lines = []
+    for k in range(window, len(samples) - batch_in + 1, batch_in):
+        outcome = rec.step(state, samples[k : k + batch_in])
+        lines.append(json.dumps(rec.step_record(state, outcome), sort_keys=True) + "\n")
+    written = (out / "steps.jsonl").read_text()
+    assert written == "".join(lines)
+    assert len(lines) == (200 - window) // batch_in
+    if policy != "warn":  # the zero-state stretches are refused
+        assert '"accepted": false' in written
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["fit", "stream", "monitor"])
+@pytest.mark.parametrize("value", ["1e200", "1e100", "1e77"])
+def test_overflowing_state_is_an_input_error(tmp_path, capsys, mode, value):
+    """A finite state whose dictionary row (1e200) or whose Gram (1e100;
+    1e77, whose Gram entry of 1e308 overflows as the Gram is symmetrized)
+    overflows exits 3 with one line on stderr and no warning, and keeps
+    the records written before the read that holds it: fit and stream
+    write each step's record as it goes, the monitor a read's at its end."""
+    sim = simulate_lorenz_stream(tmp_path)
+    lines = (sim / "data.csv").read_text().splitlines(keepends=True)
+    cells = lines[150].split(",")
+    cells[1] = value  # x1 of data row 150, the batch of step 50
+    lines[150] = ",".join(cells)
+    data = tmp_path / "big.csv"
+    data.write_text("".join(lines))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"idle_timeout": 0.1}))
+    out = tmp_path / mode
+    assert main(["--mode", mode, "--input", str(data), "--output", str(out),
+                 "--window", "100", "--batch-in", "1", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    name = "monitor.jsonl" if mode == "monitor" else "steps.jsonl"
+    assert len((out / name).read_text().splitlines()) == (0 if mode == "monitor" else 49)
 
 
 FIT_ONLY_MODULES = (
@@ -1117,7 +1200,7 @@ def test_package_names_resolve_on_first_access():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], [], [], True, 43]
+    assert json.loads(done.stdout) == [[], [], [], True, 42]
 
 
 def test_importing_cli_skips_numpy_random():

@@ -17,7 +17,7 @@ from sparsid import (
     build_matrix,
     build_row,
 )
-from sparsid.dictionary import samples_from_arrays
+from sparsid.dictionary import stack_rows
 
 
 def test_frozen_row_degree_two():
@@ -71,24 +71,27 @@ def test_sample_validation():
     assert s.state.shape == (2,)
 
 
-def test_samples_from_arrays_checks_the_block_once():
+def test_stack_rows_takes_arrays_or_samples():
+    """A block of rows comes as (t, x, y) arrays or as Samples; either way
+    it leaves as C-contiguous float arrays, checked for shapes (the count
+    of outputs included) and for finite values."""
     block = np.arange(12.0).reshape(3, 4)
-    samples = samples_from_arrays(block[:, 0], block[:, 1:3], block[:, 3:])
-    assert [s.timestamp for s in samples] == [0.0, 4.0, 8.0]
-    assert all(type(s.timestamp) is float for s in samples)
-    for s, row in zip(samples, block):
-        assert isinstance(s, Sample)
-        assert np.shares_memory(s.state, block)  # a row view, not a copy
-        np.testing.assert_array_equal(s.state, row[1:3])
-        np.testing.assert_array_equal(s.observation, row[3:])
-    assert samples_from_arrays([], np.zeros((0, 2)), np.zeros((0, 1))) == []
+    rows = block[:, 0], block[:, 1:3], block[:, 3:]
+    samples = [Sample(row[0], row[1:3], row[3:]) for row in block]
+    for given in (rows, samples):
+        stacked = stack_rows(given, 1)
+        for got, ref in zip(stacked, rows):
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, ref)
     with pytest.raises(DimensionMismatch):
-        samples_from_arrays(block[:2, 0], block[:, 1:3], block[:, 3:])
+        stack_rows((block[:2, 0], block[:, 1:3], block[:, 3:]), 1)
+    with pytest.raises(DimensionMismatch):
+        stack_rows(rows, 2)
     for column in range(4):
         bad = block.copy()
         bad[1, column] = np.nan if column % 2 else np.inf
         with pytest.raises(NonFiniteInput):
-            samples_from_arrays(bad[:, 0], bad[:, 1:3], bad[:, 3:])
+            stack_rows((bad[:, 0], bad[:, 1:3], bad[:, 3:]), 1)
 
 
 def test_build_row_dimension_check():

@@ -9,7 +9,6 @@ from sparsid import (
     DictionarySpec,
     build_matrix,
     check_pe,
-    information_differential,
     utility,
 )
 from sparsid.monitor import pe_from_gram, utility_from_differential
@@ -26,8 +25,10 @@ def gram(spec, states):
 def test_differential_is_new_minus_old_gram(rng):
     new = rng.normal(size=(4, 2))
     old = rng.normal(size=(3, 2))
-    diff = information_differential(LINEAR, new, old)
-    np.testing.assert_allclose(diff, gram(LINEAR, new) - gram(LINEAR, old), atol=1e-12)
+    report = utility(LINEAR, new, old)
+    diff = gram(LINEAR, new) - gram(LINEAR, old)
+    np.testing.assert_allclose(report.kappas, np.linalg.eigvalsh(diff), atol=1e-12)
+    np.testing.assert_allclose(report.differential_trace, np.trace(diff), atol=1e-12)
 
 
 def test_scaled_window_is_informative(rng):
@@ -74,8 +75,10 @@ def test_classification_invariant_to_batch_order(rng):
 
 def test_empty_old_block_reduces_to_new_gram(rng):
     new = rng.normal(size=(5, 2))
-    diff = information_differential(LINEAR, new, [])
-    np.testing.assert_allclose(diff, gram(LINEAR, new), atol=1e-12)
+    report = utility(LINEAR, new, [])
+    g = gram(LINEAR, new)
+    np.testing.assert_allclose(report.kappas, np.linalg.eigvalsh(g), atol=1e-12)
+    np.testing.assert_allclose(report.differential_trace, np.trace(g), atol=1e-12)
 
 
 @given(scale=st.floats(0.1, 10.0))

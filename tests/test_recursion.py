@@ -512,7 +512,7 @@ def test_defer_policy_aggregates_until_informative(rng):
         ingested.append(state.buffer.total_ingested)
         if out.accepted:
             accepted_at.append(k)
-            assert len(state.pending) == 0
+            assert state.pending is None
         else:
             assert "deferred" in out.reason
     # single rank-one batches can never be informative in 4 dimensions, so
@@ -546,7 +546,7 @@ def test_defer_drops_a_merged_batch_that_fills_the_window():
         ]
         out = rec.step(state, batch)
         reasons.append(out.reason)
-        assert len(state.pending) < cfg.window
+        assert state.pending is None or len(state.pending[0]) < cfg.window
     assert reasons[1].endswith("deferred batch reached the window length, dropped")
     assert reasons[4] is None  # a fresh strong batch beats the oldest six
     assert state.buffer.last_t > warmup[-1].timestamp
@@ -564,14 +564,14 @@ def test_defer_bounds_pending_for_a_stuck_sensor(rng):
     for k in range(40):
         stuck = [Sample(t + 5 * k + i, np.ones(2), [1.0]) for i in range(5)]
         assert not rec.step(state, stuck).accepted
-        assert len(state.pending) < cfg.window
+        assert state.pending is None or len(state.pending[0]) < cfg.window
     # the sensor recovers: its batch is merged with what is pending and applied
     live = make_samples(
         rng, LINEAR2, np.array([[3.0], [-2.0]]), noise_std=0.05, n=5, t0=t + 200.0
     )
     assert rec.step(state, live).accepted
     assert state.buffer.last_t == live[-1].timestamp
-    assert state.pending == []
+    assert state.pending is None
 
 
 def test_pd_rollback_guard_under_drain(rng):

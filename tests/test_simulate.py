@@ -16,7 +16,6 @@ from sparsid import (
 from sparsid.simulate import (
     case1_truth_payload,
     lorenz_truth_payload,
-    samples_from_arrays,
     write_csv,
 )
 
@@ -106,25 +105,21 @@ def test_simulation_length_and_determinism():
     cfg = LorenzConfig(dt=0.01, t_end=2.0, seed=4)
     a = simulate_lorenz(cfg)
     b = simulate_lorenz(cfg)
-    assert len(a) == 201
-    assert a[0].timestamp == 0.0
-    assert a[-1].timestamp == pytest.approx(2.0)
-    for s, t in zip(a, b):
-        np.testing.assert_array_equal(s.state, t.state)
-        np.testing.assert_array_equal(s.observation, t.observation)
+    times, states, obs = a
+    assert times.shape == (201,) and states.shape == obs.shape == (201, 3)
+    assert times[0] == 0.0
+    assert times[-1] == pytest.approx(2.0)
+    for left, right in zip(a, b):
+        np.testing.assert_array_equal(left, right)
 
 
 def test_derivative_observations_equal_rhs_plus_noise():
     cfg = LorenzConfig(dt=0.01, t_end=1.0, noise_std=0.0, seed=0)
-    samples = simulate_lorenz(cfg)
-    for s in samples[:: 20]:
-        np.testing.assert_allclose(
-            s.observation, lorenz_rhs(s.state, s.timestamp), atol=1e-10
-        )
+    times, states, obs = simulate_lorenz(cfg)
+    for t, x, y in zip(times[::20], states[::20], obs[::20]):
+        np.testing.assert_allclose(y, lorenz_rhs(x, t), atol=1e-10)
     noisy = simulate_lorenz(LorenzConfig(dt=0.01, t_end=1.0, noise_std=1.0, seed=0))
-    gaps = np.array(
-        [n.observation - lorenz_rhs(n.state, n.timestamp) for n in noisy]
-    )
+    gaps = np.array([y - lorenz_rhs(x, t) for t, x, y in zip(*noisy)])
     assert 0.5 < gaps.std() < 1.5  # injected unit noise
 
 
@@ -132,11 +127,10 @@ def test_finite_difference_mode_matches_central_differences():
     cfg = LorenzConfig(
         dt=0.01, t_end=1.0, noise_std=0.0, observation_mode="finite-difference", seed=0
     )
-    samples = simulate_lorenz(cfg)
-    xs = np.array([s.state for s in samples])
+    _, xs, obs = simulate_lorenz(cfg)
     mid = 50
     expected = (xs[mid + 1] - xs[mid - 1]) / (2 * cfg.dt)
-    np.testing.assert_allclose(samples[mid].observation, expected, atol=1e-12)
+    np.testing.assert_allclose(obs[mid], expected, atol=1e-12)
 
 
 def test_integrator_is_fourth_order():
@@ -145,7 +139,7 @@ def test_integrator_is_fourth_order():
     # a lower-order scheme would sit near 2, 4, or 8.
     def endpoint(dt):
         cfg = LorenzConfig(dt=dt, t_end=1.0, noise_std=0.0, seed=0)
-        return simulate_lorenz(cfg)[-1].state
+        return simulate_lorenz(cfg)[1][-1]
 
     ref = endpoint(0.0005)
     errs = [np.linalg.norm(endpoint(dt) - ref) for dt in (0.008, 0.004, 0.002)]
@@ -175,7 +169,7 @@ def test_csv_roundtrip_preserves_floats(tmp_path):
     states = np.array([[1.0 / 3.0, -2.0], [0.125, 9.5]])
     obs = np.array([[np.pi], [-0.7]])
     path = tmp_path / "data.csv"
-    write_csv(path, samples_from_arrays(times, states, obs))
+    write_csv(path, times, states, obs)
     rows = path.read_text().strip().split("\n")
     assert rows[0] == "t,x1,x2,y1"
     cells = rows[1].split(",")
