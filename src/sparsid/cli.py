@@ -14,13 +14,15 @@ the estimator's window geometry and the dictionary's degree included. What
 needs the input's header (the geometry against the dictionary's columns,
 the count of noise variances against the outputs) is checked once the
 header is read, before any output exists. Exit codes: 0 success, 2
-configuration error, 3 input/output error, 4 well-posedness violation at
-initialization under a strict policy.
+configuration error, 3 input/output error (moments that overflow and a
+record that JSON cannot hold included), 4 well-posedness violation at
+initialization: a warmup that fails its audit under a strict policy, or
+whose posterior is not positive definite under any.
 
 Fit, stream and monitor share one single-threaded loop: read the header,
 take `window` warmup samples, then pass the full batches of `batch_in`
-samples of each read to the mode's steps and write each record as one JSON
-line.
+samples of each read to the mode's steps and write each record they return
+as one JSON line.
 """
 
 import argparse
@@ -427,7 +429,7 @@ def _drive(cfg: RunConfig, mode_cls):
     against its columns, hands the (t, x, y) arrays of `window` warmup rows
     to the mode's start, then passes the full batches of `batch_in` rows of
     each read to its steps as k x batch_in stacks of t, x and y, and writes
-    each returned record as one JSON line to the mode's output file. A
+    the JSON lines of the records they return to the mode's output file. A
     finished input (fit, monitor) is read up to `_BLOCK` batches at a time;
     stream reads one batch at a time and flushes every record, so a reader
     of the file sees step k before batch k + 1 arrives. A mode that writes
@@ -474,9 +476,8 @@ def _drive(cfg: RunConfig, mode_cls):
                 read = rows.take(per_read)
                 k = len(read[0]) // b
                 batches = [a[: k * b].reshape(k, b, *a.shape[1:]) for a in read]
-                for record in mode.steps(*batches):
-                    fh.write(json.dumps(record, sort_keys=True))
-                    fh.write("\n")
+                for line in mode.steps(*batches):
+                    fh.write(line)
                     if stream:
                         fh.flush()
                 if len(read[0]) < per_read:
@@ -486,6 +487,15 @@ def _drive(cfg: RunConfig, mode_cls):
     if rows.error is not None:
         raise rows.error
     return mode
+
+
+def _json_line(record: dict) -> str:
+    """The record as one line of JSON. A NaN or an infinity, which JSON
+    cannot hold, is an input error that names the step."""
+    try:
+        return json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InputError(f"step {record['step']}: a non-finite value in its record") from exc
 
 
 # --------------------------------------------------------------- fit modes
@@ -525,15 +535,16 @@ class _Fit:
             if self.errors is not None:
                 self.errors.flush()
 
-    def step(self, batch: tuple) -> dict:
+    def step(self, batch: tuple) -> str:
         outcome = rec.step(self.state, batch)
         record = rec.step_record(self.state, outcome)
+        line = _json_line(record)  # first: errors.csv never runs ahead of it
         if outcome.accepted and self.errors is not None:
             try:
                 self.errors.add(outcome.timestamp, record["coef_mean"])
             except TimestampMismatch as exc:
                 raise InputError(f"truth file: {exc}") from exc
-        return record
+        return line
 
 
 def _broadcast_variances(value, n_y: int) -> np.ndarray:
@@ -611,13 +622,16 @@ class _Monitor:
         grams = np.add.accumulate(
             np.concatenate((self.gram[None], differentials - gram(pushed)))
         )[1:]
+        finite = np.isfinite(grams).all(axis=(1, 2))
+        if not finite.all():
+            raise NonFiniteInput(f"the window Gram overflows at t={t[finite.argmin(), -1]}")
         self.gram = grams[-1]
         self.window.extend(*(a.reshape(t.size, *a.shape[2:]) for a in (t, x, y, psi_new)))
         pes = pe_from_gram(grams, [len(self.window)] * len(t), self.cfg.alpha1)
-        records = []
+        lines = []
         for last_t, report, pe in zip(t[:, -1].tolist(), reports, pes):
             self.step_index += 1
-            records.append({
+            lines.append(_json_line({
                 "step": self.step_index,
                 "t": last_t,
                 "classification": report.classification,
@@ -626,8 +640,8 @@ class _Monitor:
                 "pe_min_avg_eig": pe.min_avg_eig,
                 "pe_max_avg_eig": pe.max_avg_eig,
                 "pe_satisfied": pe.satisfied,
-            })
-        return records
+            }))
+        return lines
 
 
 def run_monitor(cfg: RunConfig) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import linalg
 
 from .dictionary import DictionarySpec, build_matrix, stack_rows
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularInformation
+from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite, SingularInformation
 from .monitor import gram
 
 __all__ = [
@@ -213,16 +213,18 @@ def posterior_from_moments(
     """Posterior of a window given by its Gram G and cross-moment C.
 
     Block i is S_i = G / sigma_i^2 + diag(prior precision of output i) and
-    b_i = C[:, i] / sigma_i^2: all outputs share one Gram. Does not check
-    definiteness; see PosteriorState.is_positive_definite.
+    b_i = C[:, i] / sigma_i^2: all outputs share one Gram. Raises
+    NonFiniteInput when a block overflows. Does not check definiteness; see
+    PosteriorState.is_positive_definite.
     """
     var = noise.output_variances
     s_blocks = window_gram / var[:, None, None]
     diag = np.arange(spec.n_columns)
     s_blocks[:, diag, diag] += horseshoe.prior_precision_blocks()
-    return PosteriorState(
-        spec, noise, horseshoe, s_blocks, cross.T / var[:, None], sample_count
-    )
+    b_blocks = cross.T / var[:, None]
+    if not (np.isfinite(s_blocks).all() and np.isfinite(b_blocks).all()):
+        raise NonFiniteInput("the window moments overflow the posterior information")
+    return PosteriorState(spec, noise, horseshoe, s_blocks, b_blocks, sample_count)
 
 
 def batch_fit(

@@ -2,24 +2,24 @@
 
 The state is what all outputs share: the window Gram G = Psi.T @ Psi and
 cross-moment C = Psi.T @ Y. Each step discounts both by the forgetting
-factor and adds the new batch; with forget > 0 it also divides out as many
-of the oldest buffered samples as enter, so the window stays full. The
-prior is not part of that recursion: every posterior is assembled from
+factor and adds the new batch; when the window slides it also divides out
+as many of the oldest buffered samples as enter, so the window stays full.
+The prior is not part of that recursion: every posterior is assembled from
 (G, C) and the prior precision in force, so discounting never erodes the
 prior (the posterior never falls below it) and a prior refresh only swaps
 it. The well-posedness of every slide is audited (audit_run, the one place
 that forms Gram(new) - Gram(old) from the window's rows) before it is
-applied; what happens on a violation is a policy choice.
+applied; what happens on a violation is a policy choice. Moments that
+overflow are an input error (NonFiniteInput), never a posterior.
 
-Operating guidance: division (forget > 0) pairs naturally with
-forgetting_factor == 1 (a pure sliding window), while forgetting_factor < 1
-pairs with forget == 0 (pure exponential discount). Combining both drains
-window information toward the prior floor on stationary streams, because
-the forgotten block is divided out at full strength while its stored copy
-has already been discounted. Each posterior a step leaves is positive
-definite: an update that would break this is rolled back, and a prior
-refresh that would break it is refused (the previous prior stays, and the
-step is flagged with theta_refreshed false).
+Operating guidance: slide the window (forget == batch_in) with
+forgetting_factor == 1, or grow it (forget == 0) with forgetting_factor < 1.
+Sliding a discounted window drains its information toward the prior floor
+on stationary streams: the forgotten block is divided out at full strength
+while its stored copy has already been discounted. Each posterior a step
+leaves is positive definite: an update that would break this is rolled
+back, and a prior refresh that would break it is refused (the previous
+prior stays, and the step is flagged with theta_refreshed false).
 
 Rows are arrays throughout: init and step take (t, x, y) arrays, or a list
 of Samples that dictionary.stack_rows stacks where it enters. The window
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dictionary import DictionarySpec, Sample, build_matrix, stack_rows
-from .errors import ConditionViolated, InsufficientWarmup
+from .errors import ConditionViolated, InsufficientWarmup, NonFiniteInput, NotPositiveDefinite
 from .monitor import UtilityReport, gram, utility_from_differential
 
 if TYPE_CHECKING:
@@ -65,14 +65,11 @@ class RecursionConfig:
 
     window: buffer capacity and warmup length.
     batch_in: new samples ingested per step, at least 1.
-    forget: 0 to batch_in. With forget > 0 the buffer is a sliding window:
-        each accepted slide divides out as many of the oldest samples as
-        enter (min(batch, window) of a batch, a merged deferred one too), so
-        the posterior always holds exactly the buffered samples. With
-        forget == 0 nothing is divided out. Beyond that the value of forget
-        matters only to init: the warmup audit divides out the forget oldest
-        warmup samples, and check_columns needs window + batch_in - forget
-        above the column count.
+    forget: batch_in or 0. batch_in slides the window: each accepted slide
+        divides out as many of the oldest samples as enter (min(batch,
+        window) of a batch, a merged deferred one too), so the posterior
+        holds exactly the buffered samples. 0 grows it: nothing is divided
+        out, and forgetting_factor < 1 discounts the history.
     forgetting_factor: exponential discount on history, in (0, 1].
     policy: what to do when an update fails the well-posedness condition
         (reject it, warn and apply anyway, or defer the batch and retry it
@@ -96,12 +93,11 @@ class RecursionConfig:
             raise ValueError("window must be at least 1")
         if self.batch_in < 1:
             raise ValueError("batch_in must be at least 1")
-        if self.forget < 0:
-            raise ValueError("forget must be nonnegative")
-        if self.forget > self.window:
-            raise ValueError("cannot forget more samples than the window holds")
-        if self.forget > self.batch_in:
-            raise ValueError("cannot forget more samples per step than batch_in")
+        if self.forget not in (0, self.batch_in):
+            raise ValueError(
+                f"forget must be batch_in ({self.batch_in}), for a sliding window, "
+                f"or 0, for a growing one; got {self.forget}"
+            )
         if not (0.0 < self.forgetting_factor <= 1.0):
             raise ValueError("forgetting_factor (xi) must be in (0, 1]")
         if self.policy not in POLICIES:
@@ -113,7 +109,8 @@ class RecursionConfig:
 
     def check_columns(self, n_columns: int) -> None:
         """Raise ValueError unless the geometry can identify n_columns
-        dictionary columns: window + batch_in - forget must exceed it."""
+        dictionary columns: window + batch_in - forget, the window when it
+        slides and the window plus a batch when it grows, must exceed it."""
         if self.window + self.batch_in - self.forget <= n_columns:
             raise ValueError(
                 f"window + batch_in - forget must exceed the {n_columns} "
@@ -274,8 +271,11 @@ def init(
     states (n, n_x) and observations (n, n_y), or a list of n Samples.
     Requires at least `window` warmup rows (the last `window` are used, and
     their timestamps must increase strictly), window geometry large enough
-    to identify every column, and a well-posed warmup window. The initial
-    posterior is the exact batch fit of the retained window.
+    to identify every column, and a well-posed warmup window: the rows that
+    the first slide keeps (all of them when the window grows) informative,
+    else warn flags the first step. The initial posterior is the exact
+    batch fit of the retained window; not positive definite, it raises
+    ConditionViolated under every policy.
     """
     from .posterior import MAX_OUTER, fit_moments, initial_horseshoe
 
@@ -306,9 +306,12 @@ def init(
             raise ConditionViolated(msg)
 
     max_outer = MAX_OUTER if config.theta_mode == "adaptive" else 0
-    horseshoe = fit_moments(
-        spec, noise, horseshoe, window_gram, cross, len(t), max_outer
-    ).horseshoe
+    try:
+        horseshoe = fit_moments(
+            spec, noise, horseshoe, window_gram, cross, len(t), max_outer
+        ).horseshoe
+    except NotPositiveDefinite as exc:  # no policy can step from it
+        raise ConditionViolated("warmup posterior is not positive definite") from exc
 
     buffer = WindowBuffer(config.window)
     buffer.extend(t, x, y, rows)
@@ -324,12 +327,12 @@ def audit_run(
     without applying any: the buffer is left as it is.
 
     The batches come as stacks: timestamps t (k x b), states x (k x b x
-    n_x) and observations y (k x b x n_y). The buffer must be full. The
-    slide rule: e = min(b, capacity) samples of a batch enter (its last e)
-    and the e oldest leave; with forget == 0 all b enter, none is divided
-    out, and the full window pushes out its b oldest unaudited. Either way
-    a full window stays full, and applying the slides is one
-    `buffer.extend` of the entering samples with their psi_new rows.
+    n_x) and observations y (k x b x n_y). The buffer must be full. A
+    sliding window (forget > 0): e = min(b, capacity) samples of a batch
+    enter (its last e) and the e oldest leave. A growing one (forget == 0):
+    all b enter, none is divided out, and the b oldest are pushed out
+    unaudited. Either way a full window stays full, and applying the slides
+    is one `buffer.extend` of the entering samples with their psi_new rows.
 
     Batch i's old rows (psi_old, or pushed when forget == 0) are the e rows
     from position i*e of [buffer rows; rows of the entering samples], so
@@ -371,7 +374,8 @@ def step(state: RecursionState, new_rows) -> StepOutcome:
     batch must increase strictly, after the newest buffered one.
 
     Returns an outcome describing what happened; the emitted record for
-    streaming consumers is built from it by step_record.
+    streaming consumers is built from it by step_record. Moments that
+    overflow raise NonFiniteInput.
     """
     from .posterior import posterior_from_moments, refresh_horseshoe
 
@@ -426,9 +430,12 @@ def step(state: RecursionState, new_rows) -> StepOutcome:
     new_gram = xi * state.gram + differential
     new_cross = xi * state.cross + (psi_new.T @ y - psi_old.T @ y_old)
     count = buffer.total_ingested + len(t)
-    post = posterior_from_moments(
-        state.spec, state.noise, state.horseshoe, new_gram, new_cross, count
-    )
+    try:
+        post = posterior_from_moments(
+            state.spec, state.noise, state.horseshoe, new_gram, new_cross, count
+        )
+    except NonFiniteInput as exc:  # name the batch that overflows them
+        raise NonFiniteInput(f"{exc} at t={timestamp}") from exc
     if not post.is_positive_definite():
         # hard invariant: the posterior must stay proper, even under warn
         return _rejected(

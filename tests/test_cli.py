@@ -1,6 +1,7 @@
 """Command-line behavior: config precedence, file formats, exit codes,
 determinism, stream tailing."""
 
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,7 @@ import tempfile
 import textwrap
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -556,15 +558,16 @@ def test_fit_exit_codes(tmp_path, linear_csv):
             assert main(args) == 2, (mode, data)
             assert time.monotonic() - started < 5.0, (mode, data)
             assert not (tmp_path / "bad").exists()
-    # an empty window or batch, or forgetting more than arrives, which would
-    # drain the window; a negative degree, or degree 0 without the bias
-    # column, which leaves no columns: exit 2 in every mode, before the input
-    # is opened (no_columns repeats its degree as a flag, which wins over
-    # fit_args' --degree 1)
+    # an empty window or batch; a forget that neither slides the window
+    # (batch_in) nor grows it (0), more or fewer than arrive; a negative
+    # degree, or degree 0 without the bias column, which leaves no columns:
+    # exit 2 in every mode, before the input is opened (no_columns repeats its
+    # degree as a flag, which wins over fit_args' --degree 1)
     no_columns = ["--config", str(write_fit_config(tmp_path, degree=0)), "--degree", "0"]
     for mode in ("fit", "stream", "monitor", "simulate"):
         for flags in (["--window", "0"], ["--batch-in", "0"],
-                      ["--batch-in", "1", "--forget", "2"], ["--degree", "-1"],
+                      ["--batch-in", "1", "--forget", "2"],
+                      ["--batch-in", "5", "--forget", "3"], ["--degree", "-1"],
                       no_columns):
             args = fit_args(tmp_path / "nope.csv", tmp_path / "bad", flags)
             args[1] = mode
@@ -964,23 +967,34 @@ def stalling_stream(tmp_path_factory):
         (window, batch_in, forget)
         for window in (8, 13, 20)
         for batch_in in (1, 3, 6, 25)
-        for forget in range(min(batch_in, window) + 1)
+        for forget in sorted({*range(min(batch_in, window) + 1), batch_in})
     ],
 )
 def test_monitor_slides_its_window_as_fit_does(
     tmp_path, stalling_stream, window, batch_in, forget
 ):
+    """The monitor audits each slide as the fit does, and its PE check sees
+    the last `window` samples read, when the window slides (forget =
+    batch_in, batches longer than the window included) and when it grows
+    (forget = 0). Any other forget exits 2 in both modes, before any
+    output exists."""
     path, states = stalling_stream
     cfg = write_fit_config(tmp_path, theta_mode="fixed", include_bias=True)
+    expected = 0 if forget in (0, batch_in) else 2
     outputs = {}
     for mode in ("fit", "monitor"):
         out = tmp_path / mode
         assert main(["--mode", mode, "--input", str(path), "--output", str(out),
                      "--window", str(window), "--batch-in", str(batch_in),
                      "--forget", str(forget), "--degree", "1", "--policy", "warn",
-                     "--config", str(cfg)]) == 0
+                     "--config", str(cfg)]) == expected
+        if expected:
+            assert not out.exists()
+            continue
         name = "steps.jsonl" if mode == "fit" else "monitor.jsonl"
         outputs[mode] = [json.loads(l) for l in (out / name).read_text().splitlines()]
+    if expected:
+        return
     fit, mon = outputs["fit"], outputs["monitor"]
     assert len(fit) == len(mon) == (len(states) - window) // batch_in
     spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=True)
@@ -1013,23 +1027,25 @@ def write_stalling_stream(path, n, zero_runs, seed):
 
 
 @settings(max_examples=20)
-@example(window=5, batch_in=1, forget=1, extra=300, zero_runs=[(100, 140)], seed=0)
-@example(window=4, batch_in=9, forget=0, extra=40, zero_runs=[(10, 30)], seed=1)
+@example(window=5, batch_in=1, slide=True, extra=300, zero_runs=[(100, 140)], seed=0)
+@example(window=4, batch_in=9, slide=False, extra=40, zero_runs=[(10, 30)], seed=1)
+@example(window=4, batch_in=9, slide=True, extra=40, zero_runs=[(10, 30)], seed=1)
 @given(
     window=st.integers(3, 12),
     batch_in=st.integers(1, 15),
-    forget=st.integers(0, 15),
+    slide=st.booleans(),
     extra=st.integers(0, 90),
     zero_runs=st.lists(st.tuples(st.integers(0, 100), st.integers(1, 30)), max_size=3)
     .map(lambda runs: [(start, start + length) for start, length in runs]),
     seed=st.integers(0, 2**16),
 )
-def test_block_reads_change_no_output(window, batch_in, forget, extra, zero_runs, seed):
+def test_block_reads_change_no_output(window, batch_in, slide, extra, zero_runs, seed):
     """Reading a finished input a block of batches at a time gives the bytes
     that one batch a read gives: monitor.jsonl, and steps.jsonl under warn,
-    reject and defer, for any window geometry (forget 0, batches longer
-    than the window), zero-state stretches, and streams of several blocks."""
-    forget = min(forget, batch_in, window)
+    reject and defer, for any window geometry (a sliding or a growing
+    window, batches longer than the window), zero-state stretches, and
+    streams of several blocks."""
+    forget = batch_in if slide else 0
     runs = [("monitor", "warn"), ("fit", "warn"), ("fit", "reject"), ("fit", "defer")]
     saved = cli._BLOCK
     with tempfile.TemporaryDirectory() as tmp:
@@ -1128,6 +1144,134 @@ def test_overflowing_state_is_an_input_error(tmp_path, capsys, mode, value):
     assert err.startswith("input error: ") and err.count("\n") == 1, err
     name = "monitor.jsonl" if mode == "monitor" else "steps.jsonl"
     assert len((out / name).read_text().splitlines()) == (0 if mode == "monitor" else 49)
+
+
+def strict_json(line: str):
+    """A line parsed as RFC 8259 JSON: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(line, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["fit", "stream", "monitor"])
+@pytest.mark.parametrize(
+    "column,value,rows,expected",
+    [
+        # the fit's residual of y1 = 1e300 overflows: the record of step 50
+        # would hold it; the monitor reads no y and runs through
+        (4, "1e300", range(150, 151), {"fit": (3, 49), "monitor": (0, 201)}),
+        # the monitor's window Gram sums the 40 rows of x1 = 5e76 and
+        # overflows; the fit rolls most of them back, so its moments do not
+        (1, "5e76", range(150, 190), {"fit": (0, 201), "monitor": (3, 0)}),
+    ],
+    ids=["y1-1e300", "x1-5e76"],
+)
+def test_no_non_finite_value_reaches_a_record(
+    tmp_path, capsys, mode, column, value, rows, expected
+):
+    """A finite cell whose sums overflow either ends the run with exit 3,
+    one `input error:` line naming where, and the records before the step
+    (fit, stream) or the read (monitor) that holds it, or the run exits 0:
+    every line written is JSON without NaN or Infinity either way."""
+    sim = simulate_lorenz_stream(tmp_path)
+    lines = (sim / "data.csv").read_text().splitlines(keepends=True)
+    for row in rows:  # data row 150 is the batch of step 50
+        cells = lines[row].split(",")
+        cells[column] = value
+        lines[row] = ",".join(cells)
+    data = tmp_path / "big.csv"
+    data.write_text("".join(lines))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"idle_timeout": 0.1}))
+    out = tmp_path / mode
+    code = main(["--mode", mode, "--input", str(data), "--output", str(out),
+                 "--window", "100", "--batch-in", "1", "--config", str(config)])
+    err = capsys.readouterr().err
+    name = "monitor.jsonl" if mode == "monitor" else "steps.jsonl"
+    records = list(map(strict_json, (out / name).read_text().splitlines()))
+    assert (code, len(records)) == expected["monitor" if mode == "monitor" else "fit"]
+    if code:
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+        where = "step 50:" if column == 4 else "the window Gram overflows at t="
+        assert where in err, err
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(st.integers(0, 59), st.integers(1, 4), st.integers(-308, 308)),
+        min_size=1, max_size=6,
+    ),
+    mode=st.sampled_from(["fit", "monitor"]),
+    policy=st.sampled_from(rec.POLICIES),
+    slide=st.booleans(),
+    batch_in=st.sampled_from([1, 3]),
+    variance=st.sampled_from([1.0, 0.01]),
+    theta_mode=st.sampled_from(rec.THETA_MODES),
+    seed=st.integers(0, 100),
+)
+def test_large_cells_exit_3_or_write_json(
+    cells, mode, policy, slide, batch_in, variance, theta_mode, seed
+):
+    """Cells of +-10^k, k up to 308, in any x or y of a 60-row stream: the
+    run exits 3 or 4 with one line on stderr and no warning, or 0, and
+    every line it writes is JSON without NaN or Infinity."""
+    rng = np.random.default_rng(seed)
+    rows = [[repr(float(v)) for v in row]
+            for row in np.column_stack([np.arange(60.0), rng.normal(size=(60, 4))])]
+    for row, column, k in cells:
+        rows[row][column] = f"{'-' if k < 0 else ''}1e{abs(k)}"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "data.csv"
+        data.write_text("t,x1,x2,x3,y1\n" + "".join(",".join(r) + "\n" for r in rows))
+        config = tmp / "run.json"
+        config.write_text(json.dumps({"noise_variances": variance, "theta_mode": theta_mode}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--mode", mode, "--input", str(data), "--output", str(tmp / "out"),
+                         "--window", "20", "--batch-in", str(batch_in),
+                         "--forget", str(batch_in if slide else 0), "--policy", policy,
+                         "--degree", "2", "--config", str(config)])
+        assert code in (0, 3, 4) and err.getvalue().count("\n") == (code != 0), err.getvalue()
+        name = "monitor.jsonl" if mode == "monitor" else "steps.jsonl"
+        if (tmp / "out" / name).exists():
+            for line in (tmp / "out" / name).read_text().splitlines():
+                strict_json(line)
+
+
+@pytest.mark.parametrize("mode", ["fit", "stream"])
+@pytest.mark.parametrize("theta_mode", ["adaptive", "fixed"])
+def test_warmup_posterior_that_is_not_pd_is_a_violation(tmp_path, capsys, mode, theta_mode):
+    """A sensor stuck at 1e8 over the warmup leaves a rank-one Gram whose
+    entries of 1e32 swamp the prior: its posterior is not positive definite
+    in floating point. Every policy exits 4 with one line and writes
+    nothing, warn included. Stuck at 1e5, the prior still tells, and warn
+    runs."""
+    rng = np.random.default_rng(0)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"idle_timeout": 0.1, "theta_mode": theta_mode}))
+    for stuck in ("1e8", "1e5"):
+        data = tmp_path / f"stuck-{stuck}.csv"
+        with open(data, "w") as fh:
+            fh.write("t,x1,y1\n")
+            for i in range(40):
+                x = stuck if i < 10 else repr(float(rng.normal()))
+                fh.write(f"{float(i)},{x},{float(rng.normal())!r}\n")
+        for policy in rec.POLICIES:
+            out = tmp_path / f"{stuck}-{policy}"
+            code = main(["--mode", mode, "--input", str(data), "--output", str(out),
+                         "--window", "10", "--batch-in", "1", "--policy", policy,
+                         "--config", str(config)])
+            err = capsys.readouterr().err
+            if stuck == "1e5" and policy == "warn":
+                assert code == 0 and not err, err
+                continue
+            assert code == 4, (stuck, policy, err)
+            assert err.startswith("well-posedness violation: ") and err.count("\n") == 1
+            assert not out.exists()
 
 
 FIT_ONLY_MODULES = (

@@ -2,7 +2,8 @@
 
 The load-bearing oracle is batch equivalence: with no discounting, a fixed
 prior, and forget == batch_in, the recursive posterior after any number of
-steps must equal the batch fit of the samples currently in the window.
+steps must equal the batch fit of the samples currently in the window; with
+forget == 0, the batch fit of every sample it has applied.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from sparsid import (
     DimensionMismatch,
     InsufficientWarmup,
     NoiseModel,
+    NonFiniteInput,
     RecursionConfig,
     Sample,
     WindowBuffer,
@@ -53,6 +55,10 @@ def test_config_validation():
         RecursionConfig(window=10, batch_in=1, forget=11)
     with pytest.raises(ValueError):  # would shrink the buffer every step
         RecursionConfig(window=10, batch_in=1, forget=3)
+    with pytest.raises(ValueError):  # neither slides the window nor grows it
+        RecursionConfig(window=10, batch_in=5, forget=3)
+    # a sliding window with batches longer than itself
+    RecursionConfig(window=8, batch_in=25, forget=25)
     with pytest.raises(ValueError):
         RecursionConfig(window=10, batch_in=1, forget=0, forgetting_factor=0.0)
     with pytest.raises(ValueError):
@@ -349,33 +355,41 @@ PROPERTY_STEPS = 12
     policy=st.sampled_from(rec.POLICIES),
     window=st.integers(8, 20),
     batch_in=st.integers(1, 6),
-    forget=st.integers(1, 6),
+    slide=st.booleans(),
     zero_steps=st.sets(st.integers(0, PROPERTY_STEPS - 1), max_size=4),
     seed=st.integers(0, 2**16),
 )
 def test_sliding_posterior_is_batch_fit_of_buffer(
-    policy, window, batch_in, forget, zero_steps, seed
+    policy, window, batch_in, slide, zero_steps, seed
 ):
-    # with forget > 0 and no discount the posterior must hold exactly the
-    # buffered samples after every step, whatever the policy does with the
-    # batch: deferred merges, batches that overflow the window and
-    # zero-state batches (pure information loss without a bias column).
-    # The warmup audit sees Gram(window) - Gram(first `forget`), the Gram of
-    # the last window - forget samples: informative once they span the columns
-    assume(forget <= batch_in and window - forget >= LINEAR2.n_columns)
+    # with no discount the posterior must hold exactly the samples applied
+    # so far after every step, whatever the policy does with the batch:
+    # deferred merges, batches that overflow the window and zero-state
+    # batches (pure information loss without a bias column). A sliding
+    # window (forget = batch_in) holds the buffered samples; a growing one
+    # (forget = 0) the warmup and every applied batch. The warmup audit sees
+    # the Gram of the rows that the first slide keeps: informative once
+    # they span the columns
+    assume(window - min(batch_in, window) >= LINEAR2.n_columns)
     rng = np.random.default_rng(seed)
     samples = stream(rng, n=window + PROPERTY_STEPS * batch_in)
     noise = NoiseModel([0.0025])
+    forget = batch_in if slide else 0
     cfg = fixed_config(window=window, batch_in=batch_in, forget=forget, policy=policy)
     state = rec.init(LINEAR2, cfg, samples[:window], noise)
+    applied, parked = samples[:window], []
     for k in range(PROPERTY_STEPS):
         batch = samples[window + k * batch_in : window + (k + 1) * batch_in]
         if k in zero_steps:
             batch = [Sample(s.timestamp, np.zeros(2), s.observation) for s in batch]
-        rec.step(state, batch)
+        merged = parked + batch
+        if rec.step(state, batch).accepted:
+            applied = applied + merged
+        parked = merged if state.pending is not None else []
         assert len(state.buffer) == window
         post = rec.snapshot(state)
-        ref = batch_fit(LINEAR2, state.buffer.items(), noise, state.horseshoe)
+        held = state.buffer.items() if slide else applied
+        ref = batch_fit(LINEAR2, held, noise, state.horseshoe)
         for a, b in ((post.s_blocks, ref.s_blocks), (post.b_blocks, ref.b_blocks)):
             assert np.linalg.norm(a - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
 
@@ -396,6 +410,34 @@ def test_no_forget_accumulates_information(rng):
     ref = batch_fit(LINEAR2, samples, noise, hs)  # all 80, not just the window
     scale = 1.0 + np.max(np.abs(ref.s_blocks))
     assert np.max(np.abs(state.s_blocks - ref.s_blocks)) < 1e-8 * scale
+
+
+def test_overflowing_moments_raise_non_finite_input(rng):
+    """rec.step checks the information it builds from the moments it sums: a
+    growing window whose Gram passes the largest double on its third batch
+    of 8e153 states (each batch's own Gram is finite), a Gram that is finite
+    but not once divided by a noise variance of 0.0025, and a cross-moment
+    of observations of 1e300 raise NonFiniteInput naming the batch's t, and
+    leave the state as it was."""
+    samples = stream(rng, n=40)
+    cfg = fixed_config(window=20, batch_in=2, forget=0)
+
+    def batch(t, scale, y):
+        return np.array([t, t + 1.0]), scale * np.eye(2), np.full((2, 1), y)
+
+    with np.errstate(over="ignore"):
+        state = rec.init(LINEAR2, cfg, samples[:20], NoiseModel([1.0]))
+        assert rec.step(state, batch(100.0, 8e153, 0.0)).accepted
+        assert rec.step(state, batch(102.0, 8e153, 0.0)).accepted
+        gram, cross = state.gram.copy(), state.cross.copy()
+        with pytest.raises(NonFiniteInput, match="t=105.0"):
+            rec.step(state, batch(104.0, 8e153, 0.0))
+        with pytest.raises(NonFiniteInput, match="t=107.0"):
+            rec.step(state, batch(106.0, 1e10, 1e300))
+        assert same_bytes(state.gram, gram) and same_bytes(state.cross, cross)
+        state = rec.init(LINEAR2, cfg, samples[:20], NoiseModel([0.0025]))
+        with pytest.raises(NonFiniteInput, match="t=101.0"):
+            rec.step(state, batch(100.0, 2e153, 0.0))
 
 
 @pytest.mark.parametrize("theta_mode", ["fixed", "adaptive"])
