@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analyze": ("TruthTrajectory", "empirical_h", "render_equations", "tracking_bound"),
-    "dictionary": ("DictionarySpec", "Sample", "build_matrix", "build_row"),
+    "dictionary": ("DictionarySpec", "Sample", "build_matrix"),
     "errors": (
         "ConditionViolated",
         "DimensionMismatch",
@@ -26,7 +26,6 @@ _EXPORTS = {
         "NonFiniteInput",
         "NonFiniteState",
         "NotPositiveDefinite",
-        "SingularInformation",
         "SparsidError",
         "TimestampMismatch",
     ),
@@ -36,7 +35,6 @@ _EXPORTS = {
         "NoiseModel",
         "PosteriorState",
         "batch_fit",
-        "batch_fit_adaptive",
         "initial_horseshoe",
         "refresh_horseshoe",
     ),

@@ -43,7 +43,7 @@ import numpy as np
 # paths only, so a monitor process never loads them
 from . import recursion as rec
 from .dictionary import DictionarySpec, build_matrix
-from .errors import ConditionViolated, NonFiniteInput, TimestampMismatch
+from .errors import ConditionViolated, NonFiniteInput, NonFiniteState, TimestampMismatch
 from .monitor import gram, pe_from_gram
 
 __all__ = ["RunConfig", "run_simulate", "run_fit", "run_monitor", "main"]
@@ -85,7 +85,6 @@ class RunConfig:
     noise_variance: float = 0.1
     switch_at: int | None = None
     lorenz_noise_std: float = 1.0
-    observation_mode: str = "derivative"
     # fit/monitor extras (config-file only)
     include_bias: bool = True
     noise_variances: float | list = 1.0  # one per output, or one for all
@@ -128,6 +127,15 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and positive")
+        # the prior they make, as HorseshoeState checks it
+        with np.errstate(all="ignore"):
+            squares = np.square([self.initial_scale, self.initial_tau])
+            prior = (*squares, 1.0 / squares.prod())
+        if not all(math.isfinite(f) and f > 0.0 for f in prior):
+            raise ConfigError(
+                "initial_scale and initial_tau must make lambda^2, tau^2 and the prior "
+                "precision 1 / (lambda^2 tau^2) finite and positive floats"
+            )
         variances = self.noise_variances
         if not isinstance(variances, list):
             variances = [variances]
@@ -248,12 +256,13 @@ def run_simulate(cfg: RunConfig) -> None:
                 dt=cfg.dt,
                 t_end=cfg.t_end,
                 noise_std=cfg.lorenz_noise_std,
-                observation_mode=cfg.observation_mode,
                 seed=cfg.seed,
             )
+            rows = simulate_lorenz(scenario)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        rows = simulate_lorenz(scenario)
+        except NonFiniteState as exc:  # the step is too long for the dynamics
+            raise ConfigError(f"{exc} with dt={cfg.dt}; use a smaller dt") from exc
         truth = lorenz_truth_payload(scenario)
     out = Path(cfg.output)
     try:

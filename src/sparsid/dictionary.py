@@ -18,7 +18,6 @@ from .errors import DimensionMismatch, NonFiniteInput
 __all__ = [
     "DictionarySpec",
     "Sample",
-    "build_row",
     "build_matrix",
     "stack_rows",
 ]
@@ -147,11 +146,6 @@ class DictionarySpec:
     @property
     def n_columns(self) -> int:
         return len(self.column_labels)
-
-
-def build_row(spec: DictionarySpec, state: np.ndarray) -> np.ndarray:
-    """Evaluate every dictionary column at one state."""
-    return build_matrix(spec, np.asarray(state, dtype=float)[None, :])[0]
 
 
 def build_matrix(spec: DictionarySpec, states: Sequence[np.ndarray]) -> np.ndarray:

@@ -18,11 +18,8 @@ class NonFiniteInput(SparsidError):
 
 
 class NotPositiveDefinite(SparsidError):
-    """A matrix that must be positive definite is not (beyond round-off)."""
-
-
-class SingularInformation(SparsidError):
-    """An information matrix cannot be factorized; moments are undefined."""
+    """A matrix that must be positive definite is not (beyond round-off), so
+    it cannot be factorized and the posterior moments are undefined."""
 
 
 class InsufficientWarmup(SparsidError):

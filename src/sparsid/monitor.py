@@ -27,38 +27,30 @@ __all__ = [
     "gram",
 ]
 
-# Note printed on boundary cases: semidefinite differentials are enough for
-# the stacking argument (no direction loses information) but not for the
-# strict per-step condition, so they only proceed under a permissive policy.
-_BOUNDARY_NOTE = (
-    "differential is positive semidefinite but not strictly definite; "
-    "the update adds no information in at least one direction and "
-    "proceeds only under a permissive policy"
-)
-
-
 @dataclass(frozen=True)
 class UtilityReport:
     """Eigenvalue audit of one window update.
 
-    kappas are the eigenvalues of the information differential, ascending.
+    kappas are the eigenvalues of the information differential, ascending;
+    epsilon, the tolerance they are classified with, grows with the
+    differential's trace. A redundant (semidefinite) differential is enough
+    for the stacking argument (no direction loses information) but not for
+    the strict per-step condition, so it proceeds only under warn.
     """
 
     kappas: np.ndarray
     classification: str
     differential_trace: float
     epsilon: float
-    note: str | None = None
 
 
 @dataclass(frozen=True)
 class PeReport:
-    """Extreme eigenvalues of the per-sample average Gram over a window."""
+    """Extreme eigenvalues of the per-sample average Gram over a window, and
+    whether the lower one reaches the excitation level."""
 
-    window_len: int
     min_avg_eig: float
     max_avg_eig: float
-    alpha1: float
     satisfied: bool
 
 
@@ -74,25 +66,21 @@ def gram(rows: np.ndarray) -> np.ndarray:
     return g
 
 
-def utility_from_differential(differential: np.ndarray) -> UtilityReport | list:
-    """Classify a precomputed information differential (n_p x n_p). A stack
-    of them (k x n_p x n_p) gives a list of k reports, from one eigvalsh."""
-    kappas = np.linalg.eigvalsh(differential)
-    traces = differential.trace(axis1=-2, axis2=-1).tolist()
-    if differential.ndim == 2:
-        return _classify(kappas, traces)
+def utility_from_differential(differentials: np.ndarray) -> list:
+    """Classify a stack of k precomputed information differentials (k x n_p
+    x n_p): a list of k reports, from one eigvalsh."""
+    kappas = np.linalg.eigvalsh(differentials)
+    traces = differentials.trace(axis1=-2, axis2=-1).tolist()
     return list(map(_classify, kappas, traces))
 
 
 def _classify(kappas: np.ndarray, trace: float) -> UtilityReport:
     eps = 1e-8 * (1.0 + abs(trace) / len(kappas))
     min_kappa = float(kappas[0])
-    note = None
     if min_kappa > eps:
         classification = "informative"
     elif abs(min_kappa) <= eps:
         classification = "redundant"
-        note = _BOUNDARY_NOTE
     elif float(kappas[-1]) > eps:
         classification = "mixed"
     else:
@@ -102,7 +90,6 @@ def _classify(kappas: np.ndarray, trace: float) -> UtilityReport:
         classification=classification,
         differential_trace=trace,
         epsilon=eps,
-        note=note,
     )
 
 
@@ -111,42 +98,25 @@ def utility(
 ) -> UtilityReport:
     """Classify the update that adds new_states and forgets old_states: the
     differential Gram(new) - Gram(old). Either block may be empty."""
-    return utility_from_differential(
-        gram(build_matrix(spec, new_states)) - gram(build_matrix(spec, old_states))
-    )
+    differential = gram(build_matrix(spec, new_states)) - gram(build_matrix(spec, old_states))
+    return utility_from_differential(differential[None])[0]
 
 
 def check_pe(spec: DictionarySpec, states: Sequence, alpha1: float) -> PeReport:
     """Persistent-excitation check on a window of states (see pe_from_gram)."""
-    return pe_from_gram(gram(build_matrix(spec, states)), len(states), alpha1)
+    return pe_from_gram(gram(build_matrix(spec, states))[None], [len(states)], alpha1)[0]
 
 
-def pe_from_gram(window_gram: np.ndarray, window_len, alpha1: float) -> PeReport | list:
-    """Persistent-excitation check on the Gram of a window of window_len
-    samples: the extreme eigenvalues of the per-sample average Gram, the
-    lower one tested against the configured excitation level alpha1.
-
-    A stack of Grams (k x n_p x n_p) with a sequence of k window lengths
-    gives a list of k reports, from one eigvalsh."""
+def pe_from_gram(window_grams: np.ndarray, window_lens, alpha1: float) -> list:
+    """Persistent-excitation check on a stack of k window Grams (k x n_p x
+    n_p) of windows of window_lens samples (a sequence of k): for each, the
+    extreme eigenvalues of the per-sample average Gram, the lower one tested
+    against the configured excitation level alpha1. A list of k reports,
+    from one eigvalsh."""
     if alpha1 <= 0.0:
         raise ValueError("alpha1 must be positive")
-    if window_gram.ndim == 2:
-        if window_len == 0:
-            raise ValueError("window is empty")
-        eigs = np.linalg.eigvalsh(window_gram / window_len)
-        return _pe_report(eigs, window_len, alpha1)
-    lens = np.asarray(window_len)
+    lens = np.asarray(window_lens)
     if not lens.all():
         raise ValueError("window is empty")
-    eigs = np.linalg.eigvalsh(window_gram / lens[:, None, None])
-    return [_pe_report(e, n, alpha1) for e, n in zip(eigs, lens.tolist())]
-
-
-def _pe_report(eigs: np.ndarray, window_len: int, alpha1: float) -> PeReport:
-    return PeReport(
-        window_len=window_len,
-        min_avg_eig=float(eigs[0]),
-        max_avg_eig=float(eigs[-1]),
-        alpha1=alpha1,
-        satisfied=bool(eigs[0] >= alpha1),
-    )
+    eigs = np.linalg.eigvalsh(window_grams / lens[:, None, None])
+    return [PeReport(float(e[0]), float(e[-1]), bool(e[0] >= alpha1)) for e in eigs]

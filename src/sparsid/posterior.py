@@ -18,7 +18,7 @@ import numpy as np
 from scipy import linalg
 
 from .dictionary import DictionarySpec, build_matrix, stack_rows
-from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite, SingularInformation
+from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 from .monitor import gram
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "PosteriorState",
     "initial_horseshoe",
     "batch_fit",
-    "batch_fit_adaptive",
     "fit_moments",
     "posterior_from_moments",
     "refresh_horseshoe",
@@ -62,7 +61,9 @@ class HorseshoeState:
     """Sparsity-inducing prior scales: one local scale per coefficient and a
     shared global scale. The implied prior on coefficient (term i, output j)
     is a zero-mean Gaussian with variance local[i, j]^2 * global^2, and
-    refresh_horseshoe moves every scale.
+    refresh_horseshoe moves every scale. Each scale must be finite and
+    positive, and so must each float that the prior is made of: local^2,
+    global^2 and the precision 1 / (local^2 * global^2).
     """
 
     local_scales: np.ndarray
@@ -76,6 +77,14 @@ class HorseshoeState:
             raise ValueError("local scales must be finite and positive")
         if not (np.isfinite(self.global_scale) and self.global_scale > 0.0):
             raise ValueError("global scale must be finite and positive")
+        with np.errstate(all="ignore"):  # an overflow is what this looks for
+            lam2, tau2 = lam**2, np.float64(self.global_scale) ** 2
+            floats = (lam2, tau2, 1.0 / (lam2 * tau2))
+        if not all(np.isfinite(f).all() and (f > 0.0).all() for f in floats):
+            raise ValueError(
+                "the prior's local^2, global^2 and precision 1 / (local^2 * global^2) "
+                "must be finite and positive"
+            )
         object.__setattr__(self, "local_scales", lam.copy())
 
     def prior_precision_blocks(self) -> np.ndarray:
@@ -109,7 +118,6 @@ class PosteriorState:
         "spec",
         "noise",
         "horseshoe",
-        "sample_count",
         "s_blocks",
         "b_blocks",
         "_mean_blocks",
@@ -123,7 +131,6 @@ class PosteriorState:
         horseshoe: HorseshoeState,
         s_blocks: np.ndarray,
         b_blocks: np.ndarray,
-        sample_count: int,
     ):
         n_y = noise.n_outputs
         n_p = spec.n_columns
@@ -139,7 +146,6 @@ class PosteriorState:
         self.spec = spec
         self.noise = noise
         self.horseshoe = horseshoe
-        self.sample_count = int(sample_count)
         self.s_blocks = s.copy()
         self.b_blocks = b.copy()
         self._mean_blocks = None
@@ -157,7 +163,7 @@ class PosteriorState:
         try:
             return [linalg.cho_factor(s, lower=True) for s in self.s_blocks]
         except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's
-            raise SingularInformation(
+            raise NotPositiveDefinite(
                 "posterior information block is not positive definite"
             ) from exc
 
@@ -191,15 +197,12 @@ class PosteriorState:
     def is_positive_definite(self) -> bool:
         try:
             self._factors()
-        except SingularInformation:
+        except NotPositiveDefinite:
             return False
         return True
 
     def __repr__(self):
-        return (
-            f"PosteriorState(n_terms={self.n_terms}, n_outputs={self.n_outputs}, "
-            f"sample_count={self.sample_count})"
-        )
+        return f"PosteriorState(n_terms={self.n_terms}, n_outputs={self.n_outputs})"
 
 
 def posterior_from_moments(
@@ -208,7 +211,6 @@ def posterior_from_moments(
     horseshoe: HorseshoeState,
     window_gram: np.ndarray,
     cross: np.ndarray,
-    sample_count: int,
 ) -> PosteriorState:
     """Posterior of a window given by its Gram G and cross-moment C.
 
@@ -224,19 +226,30 @@ def posterior_from_moments(
     b_blocks = cross.T / var[:, None]
     if not (np.isfinite(s_blocks).all() and np.isfinite(b_blocks).all()):
         raise NonFiniteInput("the window moments overflow the posterior information")
-    return PosteriorState(spec, noise, horseshoe, s_blocks, b_blocks, sample_count)
+    return PosteriorState(spec, noise, horseshoe, s_blocks, b_blocks)
 
 
 def batch_fit(
-    spec: DictionarySpec, samples, noise: NoiseModel, horseshoe: HorseshoeState
+    spec: DictionarySpec,
+    rows,
+    noise: NoiseModel,
+    horseshoe: HorseshoeState,
+    max_outer: int = 0,
 ) -> PosteriorState:
-    """Exact posterior from one window of samples at fixed prior scales.
+    """Posterior of one window of rows: fit_moments of its Gram Psi.T @ Psi
+    and cross-moment Psi.T @ Y. rows is a block of rows, as recursion.init
+    takes it.
 
     Per output i the information block is Gram / sigma_i^2 plus the diagonal
     prior precision, and the information vector is Psi.T @ y_i / sigma_i^2.
-    samples is a block of rows, as recursion.init takes it.
+    With max_outer 0 (the default) the prior scales stay as given; with
+    max_outer > 0 (MAX_OUTER, say) they are re-estimated from the fit itself.
     """
-    return batch_fit_adaptive(spec, samples, noise, horseshoe, max_outer=0)
+    _, x, y = stack_rows(rows, noise.n_outputs)
+    if len(x) == 0:
+        raise ValueError("cannot fit an empty window")
+    psi = build_matrix(spec, x)
+    return fit_moments(spec, noise, horseshoe, gram(psi), psi.T @ y, max_outer)
 
 
 def refresh_horseshoe(
@@ -254,7 +267,7 @@ def refresh_horseshoe(
     between the two factors slides multiplicatively and only settles once a
     clamp is reached, hence the generous sweep budget. On the benchmark
     streams (seed 1) the first refresh of a Lorenz W=1000 warmup takes 290
-    sweeps and the later ones 104-165; batch_fit_adaptive stops at its
+    sweeps and the later ones 104-165; an adaptive batch fit stops at its
     20-refresh cap on both Lorenz warmups and after 16 refreshes on case1
     (m=50, W=200). Refreshes inside the stream take a median of 103.5 sweeps
     on lorenz-b1, 46 on lorenz-b50 and 48.5 on case1-m50.
@@ -305,31 +318,12 @@ def refresh_horseshoe(
     return HorseshoeState(local_scales=root, global_scale=tau)
 
 
-def batch_fit_adaptive(
-    spec: DictionarySpec,
-    samples,
-    noise: NoiseModel,
-    horseshoe: HorseshoeState,
-    max_outer: int = MAX_OUTER,
-) -> PosteriorState:
-    """Batch fit with the prior scales re-estimated from the fit itself:
-    fit_moments of the window's Gram Psi.T @ Psi and cross-moment Psi.T @ Y.
-    samples is a block of rows, as recursion.init takes it.
-    """
-    _, x, y = stack_rows(samples, noise.n_outputs)
-    if len(x) == 0:
-        raise ValueError("cannot fit an empty window")
-    psi = build_matrix(spec, x)
-    return fit_moments(spec, noise, horseshoe, gram(psi), psi.T @ y, len(x), max_outer)
-
-
 def fit_moments(
     spec: DictionarySpec,
     noise: NoiseModel,
     horseshoe: HorseshoeState,
     window_gram: np.ndarray,
     cross: np.ndarray,
-    sample_count: int,
     max_outer: int = MAX_OUTER,
 ) -> PosteriorState:
     """Batch fit of a window given by its Gram and cross-moment, with the
@@ -341,7 +335,7 @@ def fit_moments(
     posterior_from_moments at the final scales. Raises NotPositiveDefinite
     if the first posterior is not PD.
     """
-    post = posterior_from_moments(spec, noise, horseshoe, window_gram, cross, sample_count)
+    post = posterior_from_moments(spec, noise, horseshoe, window_gram, cross)
     if not post.is_positive_definite():
         raise NotPositiveDefinite("batch posterior information is not PD")
     for _ in range(max_outer):
@@ -356,9 +350,7 @@ def fit_moments(
             abs(refreshed.global_scale - post.horseshoe.global_scale)
             / post.horseshoe.global_scale,
         )
-        post = posterior_from_moments(
-            spec, noise, refreshed, window_gram, cross, sample_count
-        )
+        post = posterior_from_moments(spec, noise, refreshed, window_gram, cross)
         if rel < 1e-4:
             break
     return post

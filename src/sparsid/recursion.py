@@ -200,7 +200,6 @@ class StepOutcome:
     utility: UtilityReport
     residual_rms: float | None
     theta_refreshed: bool
-    prior_floor: bool
 
 
 class RecursionState:
@@ -292,7 +291,7 @@ def init(
 
     rows = build_matrix(spec, x)
     window_gram, cross = gram(rows), rows.T @ y
-    report = utility_from_differential(window_gram - gram(rows[: config.forget]))
+    (report,) = utility_from_differential((window_gram - gram(rows[: config.forget]))[None])
     init_flagged = False
     if report.classification != "informative":
         msg = (
@@ -307,9 +306,7 @@ def init(
 
     max_outer = MAX_OUTER if config.theta_mode == "adaptive" else 0
     try:
-        horseshoe = fit_moments(
-            spec, noise, horseshoe, window_gram, cross, len(t), max_outer
-        ).horseshoe
+        horseshoe = fit_moments(spec, noise, horseshoe, window_gram, cross, max_outer).horseshoe
     except NotPositiveDefinite as exc:  # no policy can step from it
         raise ConditionViolated("warmup posterior is not positive definite") from exc
 
@@ -429,10 +426,9 @@ def step(state: RecursionState, new_rows) -> StepOutcome:
     xi = cfg.forgetting_factor
     new_gram = xi * state.gram + differential
     new_cross = xi * state.cross + (psi_new.T @ y - psi_old.T @ y_old)
-    count = buffer.total_ingested + len(t)
     try:
         post = posterior_from_moments(
-            state.spec, state.noise, state.horseshoe, new_gram, new_cross, count
+            state.spec, state.noise, state.horseshoe, new_gram, new_cross
         )
     except NonFiniteInput as exc:  # name the batch that overflows them
         raise NonFiniteInput(f"{exc} at t={timestamp}") from exc
@@ -456,7 +452,7 @@ def step(state: RecursionState, new_rows) -> StepOutcome:
         state.samples_since_refresh = 0
         horseshoe = refresh_horseshoe(post)
         refreshed = posterior_from_moments(
-            state.spec, state.noise, horseshoe, new_gram, new_cross, count
+            state.spec, state.noise, horseshoe, new_gram, new_cross
         )
         if refreshed.is_positive_definite():
             state.horseshoe, post, theta_refreshed = horseshoe, refreshed, True
@@ -475,7 +471,6 @@ def step(state: RecursionState, new_rows) -> StepOutcome:
         utility=report,
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         theta_refreshed=theta_refreshed,
-        prior_floor=xi < 1.0,
     )
 
 
@@ -493,7 +488,6 @@ def _rejected(state, report, timestamp, reason):
         utility=report,
         residual_rms=None,
         theta_refreshed=False,
-        prior_floor=False,
     )
 
 
@@ -502,12 +496,7 @@ def snapshot(state: RecursionState) -> PosteriorState:
     from .posterior import posterior_from_moments
 
     return posterior_from_moments(
-        state.spec,
-        state.noise,
-        state.horseshoe,
-        state.gram,
-        state.cross,
-        state.buffer.total_ingested,
+        state.spec, state.noise, state.horseshoe, state.gram, state.cross
     )
 
 
@@ -527,5 +516,6 @@ def step_record(state: RecursionState, outcome: StepOutcome) -> dict:
         "coef_std": post.std_blocks().tolist(),
         "residual_rms": outcome.residual_rms,
         "theta_refreshed": bool(outcome.theta_refreshed),
-        "prior_floor": bool(outcome.prior_floor),
+        # the prior floors an accepted posterior whose data information is discounted
+        "prior_floor": bool(outcome.accepted and state.config.forgetting_factor < 1.0),
     }

@@ -107,17 +107,14 @@ class LorenzConfig:
     derivative target. Driving the state matters because the drifting
     coefficients stabilise the equilibria partway through the run; without
     the kicks the path parks on a fixed point and stops carrying
-    information. observation_mode "derivative" pairs the perturbed path
-    with exact-derivative targets plus noise; "finite-difference" holds the
-    disturbance over each step inside the integrator and differentiates the
-    perturbed path with central differences.
+    information. The targets are the exact derivatives along the perturbed
+    path plus noise.
     """
 
     dt: float = 0.01
     t_end: float = 100.0
     x0: tuple = (-8.0, 7.0, 27.0)
     noise_std: float = 1.0
-    observation_mode: str = "derivative"
     seed: int = 0
 
     def __post_init__(self):
@@ -129,8 +126,6 @@ class LorenzConfig:
             raise ValueError("x0 must have 3 components")
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
             raise ValueError("noise_std must be finite and nonnegative")
-        if self.observation_mode not in ("derivative", "finite-difference"):
-            raise ValueError("observation_mode must be derivative or finite-difference")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -161,11 +156,11 @@ def lorenz_terms(k1: float, k3: float) -> tuple:
     )
 
 
-def _rk4_step(x: np.ndarray, t: float, dt: float, drive: np.ndarray) -> np.ndarray:
-    k1 = lorenz_rhs(x, t) + drive
-    k2 = lorenz_rhs(x + 0.5 * dt * k1, t + 0.5 * dt) + drive
-    k3 = lorenz_rhs(x + 0.5 * dt * k2, t + 0.5 * dt) + drive
-    k4 = lorenz_rhs(x + dt * k3, t + dt) + drive
+def _rk4_step(x: np.ndarray, t: float, dt: float) -> np.ndarray:
+    k1 = lorenz_rhs(x, t)
+    k2 = lorenz_rhs(x + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = lorenz_rhs(x + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = lorenz_rhs(x + dt * k3, t + dt)
     return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -193,28 +188,15 @@ def simulate_lorenz(config: LorenzConfig) -> tuple:
 
     states = np.empty((n_steps + 1, 3))
     states[0] = np.asarray(config.x0, dtype=float)
-    zoh_drive = config.observation_mode == "finite-difference"
     # blow-ups surface as a typed error, not as overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            if zoh_drive:
-                states[i + 1] = _rk4_step(states[i], times[i], config.dt, kicks[i])
-            else:
-                states[i + 1] = (
-                    _rk4_step(states[i], times[i], config.dt, np.zeros(3)) + kicks[i]
-                )
+            states[i + 1] = _rk4_step(states[i], times[i], config.dt) + kicks[i]
             if not np.isfinite(states[i + 1]).all():
                 raise NonFiniteState(f"integration diverged at t={times[i + 1]:.3f}")
 
-    if zoh_drive:
-        obs = np.empty_like(states)
-        obs[1:-1] = (states[2:] - states[:-2]) / (2.0 * config.dt)
-        obs[0] = (states[1] - states[0]) / config.dt
-        obs[-1] = (states[-1] - states[-2]) / config.dt
-    else:
-        obs = np.stack([lorenz_rhs(x, t) for x, t in zip(states, times)])
-        obs += noise
-
+    obs = np.stack([lorenz_rhs(x, t) for x, t in zip(states, times)])
+    obs += noise
     return times, states, obs
 
 

@@ -2,7 +2,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from sparsid import DictionarySpec, Sample, build_row
+from sparsid import DictionarySpec, Sample, build_matrix
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
@@ -24,7 +24,7 @@ def make_samples(rng, spec: DictionarySpec, coef, noise_std=0.0, n=100, t0=0.0):
     states = rng.normal(size=(n, spec.state_dim))
     out = []
     for i in range(n):
-        row = build_row(spec, states[i])
+        row = build_matrix(spec, states[i][None])[0]
         y = row @ coef
         if noise_std > 0.0:
             y = y + noise_std * rng.normal(size=coef.shape[1])

@@ -73,8 +73,8 @@ def test_criterion_01_gaussian_roundtrip_and_scalar_agreement():
         back_gram = (window_gram + gram_b) - gram_b
         back_cross = (cross + cross_b) - cross_b
         noise, hs = random_prior(rng, n_p, n_y)
-        before = posterior_from_moments(specs[n_p], noise, hs, window_gram, cross, 0)
-        after = posterior_from_moments(specs[n_p], noise, hs, back_gram, back_cross, 0)
+        before = posterior_from_moments(specs[n_p], noise, hs, window_gram, cross)
+        after = posterior_from_moments(specs[n_p], noise, hs, back_gram, back_cross)
         worst = max(
             worst,
             float(np.max(np.abs(back_gram - window_gram))),
@@ -89,7 +89,7 @@ def test_criterion_01_gaussian_roundtrip_and_scalar_agreement():
         psi = rng.normal(size=(int(rng.integers(1, 21)), 1))
         window_gram, cross = gram(psi), psi.T @ rng.normal(size=(len(psi), 1))
         noise, hs = random_prior(rng, 1, 1)
-        post = posterior_from_moments(specs[1], noise, hs, window_gram, cross, 0)
+        post = posterior_from_moments(specs[1], noise, hs, window_gram, cross)
         g, c = float(window_gram[0, 0]), float(cross[0, 0])
         var = float(noise.output_variances[0])
         lam, tau = float(hs.local_scales[0, 0]), hs.global_scale
@@ -375,7 +375,7 @@ def test_criterion_08_discounted_information_stays_in_rayleigh_band():
     for i, k in enumerate(range(window, 420)):
         out = rec.step(state, [samples[k]])
         assert out.accepted
-        assert out.prior_floor  # the discounted prior share is re-injected
+        assert rec.step_record(state, out)["prior_floor"]  # the prior floors the posterior
         if i >= burn_in:
             for block in state.s_blocks:
                 eigs_seen.append(np.linalg.eigvalsh(block))

@@ -11,7 +11,7 @@ from sparsid import (
     PosteriorState,
     TimestampMismatch,
     batch_fit,
-    build_row,
+    build_matrix,
     empirical_h,
     initial_horseshoe,
     render_equations,
@@ -79,7 +79,7 @@ def test_lorenz_truth_reproduces_the_generator(degree, include_bias):
         x = rng.normal(scale=10.0, size=3)
         beta = truth.at(t).reshape(3, spec.n_columns)
         np.testing.assert_allclose(
-            beta @ build_row(spec, x), lorenz_rhs(x, t), rtol=1e-12, atol=1e-9
+            beta @ build_matrix(spec, x[None])[0], lorenz_rhs(x, t), rtol=1e-12, atol=1e-9
         )
     np.testing.assert_array_equal(truth.at(times[3] + 1e-10), truth.at(times[3]))
     for t in (times[0] - 1e-3, times[3] + 1e-3, times[-1] + 1e-3):
@@ -139,9 +139,7 @@ def test_empirical_h_from_scaled_snapshots(rng):
     noise = NoiseModel([1.0])
     hs = initial_horseshoe(spec, 1)
     post = batch_fit(spec, samples, noise, hs)
-    half = PosteriorState(
-        spec, noise, hs, 0.5 * post.s_blocks, 0.5 * post.b_blocks, sample_count=20
-    )
+    half = PosteriorState(spec, noise, hs, 0.5 * post.s_blocks, 0.5 * post.b_blocks)
     # S halves from one snapshot to the next: solve(S_next, S_prev) = 2I
     assert empirical_h([post, half]) == pytest.approx(2.0, rel=1e-9)
 
@@ -162,7 +160,6 @@ def make_posterior_with_means(means, labels_spec, stds=1e-4):
         initial_horseshoe(labels_spec, n_y),
         s_blocks,
         b_blocks,
-        sample_count=1,
     )
 
 

@@ -190,6 +190,22 @@ def test_simulate_rejects_bad_dt(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_diverging_simulation_is_a_configuration_error(tmp_path, capsys):
+    """dt = 0.5 is too long a step for the Lorenz dynamics, and the
+    integration blows up at t = 2: exit 2 with one line that names t and
+    dt, and no output directory."""
+    out = tmp_path / "sim"
+    assert main(["--mode", "simulate", "--case", "lorenz", "--dt", "0.5",
+                 "--t-end", "100", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "configuration error: integration diverged at t=2.000 with dt=0.5; "
+        "use a smaller dt\n"
+    )
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- fit
 
 
@@ -1274,6 +1290,37 @@ def test_warmup_posterior_that_is_not_pd_is_a_violation(tmp_path, capsys, mode, 
             assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["fit", "stream", "monitor", "simulate"])
+@pytest.mark.parametrize("theta_mode", ["adaptive", "fixed"])
+@pytest.mark.parametrize(
+    "prior",
+    [{"initial_tau": 1e155}, {"initial_scale": 1e155}, {"initial_scale": 1e-155},
+     {"initial_scale": 1e-200}, {"initial_scale": 1e100, "initial_tau": 1e100}],
+    ids=["tau-1e155", "scale-1e155", "scale-1e-155", "scale-1e-200", "product-1e400"],
+)
+def test_prior_that_no_float_holds_is_a_configuration_error(
+    tmp_path, capsys, mode, theta_mode, prior
+):
+    """Each setting is finite and positive, but lambda^2, tau^2 or the
+    prior precision 1 / (lambda^2 tau^2) is not a finite positive float:
+    every mode exits 2 with one line and no warning, before it opens the
+    input, and writes nothing."""
+    sim = tmp_path / "sim"
+    assert main(["--mode", "simulate", "--case", "lorenz", "--t-end", "1.19",
+                 "--seed", "1", "--output", str(sim)]) == 0
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"idle_timeout": 0.1, "theta_mode": theta_mode, **prior}))
+    out = tmp_path / "out"
+    assert main(["--mode", mode, "--case", "lorenz", "--input", str(sim / "data.csv"),
+                 "--output", str(out), "--window", "100", "--batch-in", "1",
+                 "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: initial_scale and initial_tau")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 FIT_ONLY_MODULES = (
     "sparsid.posterior", "sparsid.analyze", "sparsid.simulate", "scipy", "scipy.linalg",
 )
@@ -1344,7 +1391,7 @@ def test_package_names_resolve_on_first_access():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], [], [], True, 42]
+    assert json.loads(done.stdout) == [[], [], [], True, 39]
 
 
 def test_importing_cli_skips_numpy_random():

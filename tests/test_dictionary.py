@@ -15,14 +15,13 @@ from sparsid import (
     NonFiniteInput,
     Sample,
     build_matrix,
-    build_row,
 )
 from sparsid.dictionary import stack_rows
 
 
 def test_frozen_row_degree_two():
     spec = DictionarySpec(state_dim=2, poly_degree=2)
-    row = build_row(spec, np.array([2.0, 3.0]))
+    row = build_matrix(spec, np.array([[2.0, 3.0]]))[0]
     # 1, x1, x2, x1^2, x1*x2, x2^2 at (2, 3)
     np.testing.assert_array_equal(row, [1.0, 2.0, 3.0, 4.0, 6.0, 9.0])
 
@@ -38,7 +37,7 @@ def test_labels_graded_then_lexicographic():
 
 def test_cross_terms_at_reference_point():
     spec = DictionarySpec(state_dim=3, poly_degree=2)
-    row = build_row(spec, np.array([-8.0, 7.0, 27.0]))
+    row = build_matrix(spec, np.array([[-8.0, 7.0, 27.0]]))[0]
     labels = list(spec.column_labels)
     assert row[labels.index("x1*x2")] == -56.0
     assert row[labels.index("x1*x3")] == -216.0
@@ -97,7 +96,7 @@ def test_stack_rows_takes_arrays_or_samples():
 def test_build_row_dimension_check():
     spec = DictionarySpec(state_dim=3, poly_degree=1)
     with pytest.raises(DimensionMismatch):
-        build_row(spec, np.array([1.0, 2.0]))
+        build_matrix(spec, np.array([[1.0, 2.0]]))
 
 
 def test_build_matrix_stacks_rows(rng):
@@ -106,7 +105,7 @@ def test_build_matrix_stacks_rows(rng):
     mat = build_matrix(spec, states)
     assert mat.shape == (7, spec.n_columns)
     for i in range(7):
-        np.testing.assert_array_equal(mat[i], build_row(spec, states[i]))
+        np.testing.assert_array_equal(mat[i], build_matrix(spec, states[i][None])[0])
 
 
 def reference_matrix(spec, states):

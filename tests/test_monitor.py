@@ -45,7 +45,6 @@ def test_duplicated_window_is_redundant(rng):
     states = rng.normal(size=(6, 2))
     report = utility(LINEAR, states, states)
     assert report.classification == "redundant"
-    assert report.note is not None
     assert abs(report.kappas).max() <= report.epsilon
 
 
@@ -84,7 +83,7 @@ def test_empty_old_block_reduces_to_new_gram(rng):
 @given(scale=st.floats(0.1, 10.0))
 def test_epsilon_tracks_trace_magnitude(scale):
     diff = scale * np.eye(3)
-    report = utility_from_differential(diff)
+    (report,) = utility_from_differential(diff[None])
     assert report.epsilon == pytest.approx(1e-8 * (1.0 + 3.0 * scale / 3.0))
     assert report.classification == "informative"
 
@@ -97,7 +96,6 @@ def test_check_pe_thresholds(rng):
     assert ok.satisfied
     assert ok.min_avg_eig == pytest.approx(eigs[0], rel=1e-12)
     assert ok.max_avg_eig == pytest.approx(eigs[-1], rel=1e-12)
-    assert ok.window_len == 30
     bad = check_pe(LINEAR, states, alpha1=eigs[0] * 1.001)
     assert not bad.satisfied
 
@@ -123,8 +121,8 @@ def test_check_pe_validation(rng):
     shape=st.sampled_from(["psd", "zero", "negative", "indefinite"]),
 )
 def test_stacked_reports_equal_one_by_one(n, k, seed, shape):
-    """A stack gives, report for report, the bits one call per matrix gives:
-    kappas, trace, epsilon, class; and the same PE eigenvalues."""
+    """A stack gives, report for report, the bits a stack of one matrix
+    gives: kappas, trace, epsilon, class; and the same PE eigenvalues."""
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(k, n + 2, n))
     grams = np.einsum("kri,krj->kij", rows, rows)
@@ -136,17 +134,17 @@ def test_stacked_reports_equal_one_by_one(n, k, seed, shape):
     }[shape]
     reports = utility_from_differential(stack)
     assert len(reports) == k
-    for one, many in zip(map(utility_from_differential, stack), reports):
+    for one, many in zip((utility_from_differential(d[None])[0] for d in stack), reports):
         assert one.kappas.tolist() == many.kappas.tolist()
         assert (one.differential_trace, one.epsilon) == (
             many.differential_trace, many.epsilon,
         )
-        assert (one.classification, one.note) == (many.classification, many.note)
+        assert one.classification == many.classification
     lens = rng.integers(1, 50, size=k).tolist()
     pes = pe_from_gram(grams, lens, alpha1=1e-3)
     assert len(pes) == k
     for g, n_w, many in zip(grams, lens, pes):
-        assert pe_from_gram(g, n_w, alpha1=1e-3) == many
+        assert pe_from_gram(g[None], [n_w], alpha1=1e-3) == [many]
 
 
 def test_stacked_pe_validation():

@@ -20,16 +20,15 @@ from sparsid import (
     DimensionMismatch,
     HorseshoeState,
     NoiseModel,
+    NotPositiveDefinite,
     PosteriorState,
     Sample,
-    SingularInformation,
     batch_fit,
-    batch_fit_adaptive,
     build_matrix,
     initial_horseshoe,
     refresh_horseshoe,
 )
-from sparsid.posterior import SCALE_CEIL, SCALE_FLOOR, posterior_from_moments
+from sparsid.posterior import MAX_OUTER, SCALE_CEIL, SCALE_FLOOR, posterior_from_moments
 
 from conftest import make_samples
 
@@ -95,7 +94,7 @@ def test_moments_match_dense_solves(rng):
     b_blocks = rng.normal(size=(n_y, n_p))
     spec = DictionarySpec(state_dim=n_p, poly_degree=1, include_bias=False)
     hs = initial_horseshoe(spec, n_y)
-    post = PosteriorState(spec, NoiseModel(np.ones(n_y)), hs, s_blocks, b_blocks, 0)
+    post = PosteriorState(spec, NoiseModel(np.ones(n_y)), hs, s_blocks, b_blocks)
     for s, b, mean, cov in zip(
         s_blocks, b_blocks, post.mean_blocks(), post.covariance_blocks()
     ):
@@ -117,15 +116,13 @@ def test_posterior_that_lost_definiteness_has_no_moments(window_gram, variances)
     that reports it and refuses its mean and covariance."""
     spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
     hs = initial_horseshoe(spec, 2)  # unit prior precision
-    post = posterior_from_moments(
-        spec, NoiseModel(variances), hs, window_gram, np.zeros((2, 2)), 0
-    )
+    post = posterior_from_moments(spec, NoiseModel(variances), hs, window_gram, np.zeros((2, 2)))
     # the other output's block is positive definite: one bad block decides
     assert sum(np.linalg.eigvalsh(post.s_blocks).min(axis=1) > 0.0) == 1
     assert not post.is_positive_definite()
-    with pytest.raises(SingularInformation):
+    with pytest.raises(NotPositiveDefinite):
         post.mean_blocks()
-    with pytest.raises(SingularInformation):
+    with pytest.raises(NotPositiveDefinite):
         post.covariance_blocks()
 
 
@@ -165,6 +162,7 @@ def test_noise_model_validation():
         NoiseModel([])
 
 
+@pytest.mark.filterwarnings("error")
 def test_horseshoe_state_validation():
     with pytest.raises(ValueError):
         HorseshoeState(local_scales=np.zeros((2, 1)), global_scale=1.0)
@@ -172,6 +170,15 @@ def test_horseshoe_state_validation():
         HorseshoeState(local_scales=np.ones((2, 1)), global_scale=-1.0)
     hs = HorseshoeState(local_scales=np.full((2, 1), 2.0), global_scale=0.5)
     np.testing.assert_allclose(hs.prior_precision_blocks(), [[1.0, 1.0]])
+    # finite positive scales whose local^2, global^2 or precision
+    # 1 / (local^2 * global^2) overflows or underflows, refused without a warning
+    for local, tau in ((1.0, 1e155), (1e155, 1.0), (1e-155, 1.0), (1e-200, 1.0),
+                       (1e100, 1e100), (1e-100, 1e-100)):
+        with pytest.raises(ValueError):
+            HorseshoeState(local_scales=np.array([[1.0], [local]]), global_scale=tau)
+    # just inside those limits
+    hs = HorseshoeState(local_scales=np.array([[1e-150], [1e150]]), global_scale=1e-4)
+    assert np.isfinite(hs.prior_precision_blocks()).all()
 
 
 # ------------------------------------------------------------- EM refresh
@@ -202,7 +209,7 @@ def test_refresh_with_no_signal_collapses_all_scales():
     spec = DictionarySpec(state_dim=3, poly_degree=1, include_bias=False)
     post = PosteriorState(
         spec, NoiseModel([1.0]), initial_horseshoe(spec, 1),
-        np.array([np.eye(3) * 1e8]), np.zeros((1, 3)), sample_count=10,
+        np.array([np.eye(3) * 1e8]), np.zeros((1, 3)),
     )
     hs = refresh_horseshoe(post)
     assert np.all(hs.local_scales <= 1e-5)
@@ -214,10 +221,7 @@ def test_refresh_with_no_signal_collapses_all_scales():
 def test_refresh_is_idempotent_at_its_fixed_point(rng):
     post = sparse_posterior(rng)
     hs1 = refresh_horseshoe(post)
-    again = PosteriorState(
-        post.spec, post.noise, hs1, post.s_blocks, post.b_blocks,
-        sample_count=post.sample_count,
-    )
+    again = PosteriorState(post.spec, post.noise, hs1, post.s_blocks, post.b_blocks)
     hs2 = refresh_horseshoe(again)
     np.testing.assert_allclose(hs2.local_scales, hs1.local_scales, rtol=1e-6)
     assert hs2.global_scale == pytest.approx(hs1.global_scale, rel=1e-6)
@@ -272,8 +276,7 @@ def refresh_cases(draw):
     s_blocks = np.zeros((n_y, n_p, n_p))
     diag = np.arange(n_p)
     s_blocks[:, diag, diag] = 1.0 / var
-    post = PosteriorState(spec, NoiseModel(np.ones(n_y)), hs, s_blocks, mean / var,
-                          sample_count=1)
+    post = PosteriorState(spec, NoiseModel(np.ones(n_y)), hs, s_blocks, mean / var)
     # a loose tolerance stops on the first sweeps, where a scale can move
     # by a large factor, so which root the change is taken against matters
     return post, draw(st.sampled_from([0, 1, 2, 7, 2000])), draw(st.sampled_from([1e-7, 0.5]))
@@ -297,7 +300,9 @@ def test_adaptive_fit_recovers_sparse_truth(rng):
     coef[1, 0] = 8.0
     coef[4, 0] = -6.0
     samples = make_samples(rng, spec, coef, noise_std=0.3, n=400)
-    post = batch_fit_adaptive(spec, samples, NoiseModel([0.09]), initial_horseshoe(spec, 1))
+    post = batch_fit(
+        spec, samples, NoiseModel([0.09]), initial_horseshoe(spec, 1), max_outer=MAX_OUTER
+    )
     means = post.mean_blocks()[0]
     assert abs(means[1] - 8.0) < 0.1
     assert abs(means[4] + 6.0) < 0.1

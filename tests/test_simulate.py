@@ -123,16 +123,6 @@ def test_derivative_observations_equal_rhs_plus_noise():
     assert 0.5 < gaps.std() < 1.5  # injected unit noise
 
 
-def test_finite_difference_mode_matches_central_differences():
-    cfg = LorenzConfig(
-        dt=0.01, t_end=1.0, noise_std=0.0, observation_mode="finite-difference", seed=0
-    )
-    _, xs, obs = simulate_lorenz(cfg)
-    mid = 50
-    expected = (xs[mid + 1] - xs[mid - 1]) / (2 * cfg.dt)
-    np.testing.assert_allclose(obs[mid], expected, atol=1e-12)
-
-
 def test_integrator_is_fourth_order():
     # Richardson: halving dt must cut the endpoint error by roughly 2^4.
     # Chaotic error growth pushes the observed ratio somewhat above 16;
