@@ -8,8 +8,7 @@ plus rendering helpers (`analyze`).
 
 Importing the package imports none of them: each name below, and each
 module, is imported on first access (PEP 562), so a process loads only the
-modules it uses (a monitor run never loads `posterior`, `analyze` or
-`simulate`).
+modules it uses (a monitor run never loads `analyze` or `simulate`).
 """
 
 import importlib

@@ -7,20 +7,15 @@ in dictionary column order; tracking_bound and empirical_h give the
 paper's tracking-error bound and its empirical transfer gain.
 """
 
-from __future__ import annotations
-
 import csv
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dictionary import DictionarySpec
 from .errors import TimestampMismatch
+from .posterior import PosteriorState
 from .simulate import lorenz_terms
-
-if TYPE_CHECKING:
-    from .posterior import PosteriorState
 
 __all__ = [
     "TruthTrajectory",

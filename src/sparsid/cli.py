@@ -39,12 +39,13 @@ from pathlib import Path
 
 import numpy as np
 
-# analyze, posterior and simulate are imported inside the fit and simulate
-# paths only, so a monitor process never loads them
+# analyze and simulate are imported inside the fit and simulate paths only,
+# so a monitor process never loads them
 from . import recursion as rec
 from .dictionary import DictionarySpec, build_matrix
 from .errors import ConditionViolated, NonFiniteInput, NonFiniteState, TimestampMismatch
 from .monitor import gram, pe_from_gram
+from .posterior import HorseshoeState, NoiseModel, initial_horseshoe
 
 __all__ = ["RunConfig", "run_simulate", "run_fit", "run_monitor", "main"]
 
@@ -123,19 +124,10 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "recursion", recursion)  # not a config key
-        for name in ("initial_scale", "initial_tau"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be finite and positive")
-        # the prior they make, as HorseshoeState checks it
-        with np.errstate(all="ignore"):
-            squares = np.square([self.initial_scale, self.initial_tau])
-            prior = (*squares, 1.0 / squares.prod())
-        if not all(math.isfinite(f) and f > 0.0 for f in prior):
-            raise ConfigError(
-                "initial_scale and initial_tau must make lambda^2, tau^2 and the prior "
-                "precision 1 / (lambda^2 tau^2) finite and positive floats"
-            )
+        try:  # the initial prior, in every mode
+            HorseshoeState(np.full((1, 1), self.initial_scale), self.initial_tau)
+        except ValueError as exc:
+            raise ConfigError(f"initial_scale and initial_tau: {exc}") from exc
         variances = self.noise_variances
         if not isinstance(variances, list):
             variances = [variances]
@@ -520,7 +512,6 @@ class _Fit:
 
     def __init__(self, cfg: RunConfig, spec: DictionarySpec, n_y: int):
         from .analyze import ErrorWriter
-        from .posterior import NoiseModel, initial_horseshoe
 
         self.spec = spec
         self.rconfig = cfg.recursion

@@ -5,6 +5,9 @@ information matrix over all coefficients is block diagonal per output:
 block i equals Gram(window) / sigma_i^2 plus the prior precision of that
 output's coefficients. Everything here exploits that structure, so the
 cost is n_y solves of size n_p instead of one solve of size n_y * n_p.
+A posterior factors its n_y blocks once, with one numpy Cholesky call
+over the stack, and its mean, marginal stds and covariance all come from
+that factor; numpy is the only dependency.
 
 Coefficients are ordered output-major: the flat vector stacks output 0's
 n_p coefficients first, then output 1's, and so on (the column-major
@@ -15,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .dictionary import DictionarySpec, build_matrix, stack_rows
 from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
@@ -110,8 +112,11 @@ class PosteriorState:
 
     Held as per-output blocks: s_blocks[i] is output i's information matrix
     and b_blocks[i] its information vector; the joint information matrix is
-    their block diagonal. Mean and covariance solves are done per block and
-    cached. Treat instances as immutable.
+    their block diagonal. The stack is factored once, on first use, by one
+    np.linalg.cholesky call (S_i = L_i L_i^T), and the mean, the marginal
+    stds and the covariance all come from the inverse factors L_i^-1. The
+    inverse factors, the mean and the stds are cached. Instances are
+    immutable: s_blocks and b_blocks are read-only.
     """
 
     __slots__ = (
@@ -120,8 +125,9 @@ class PosteriorState:
         "horseshoe",
         "s_blocks",
         "b_blocks",
+        "_inv_factor",
         "_mean_blocks",
-        "_cov_blocks",
+        "_std_blocks",
     )
 
     def __init__(
@@ -148,8 +154,11 @@ class PosteriorState:
         self.horseshoe = horseshoe
         self.s_blocks = s.copy()
         self.b_blocks = b.copy()
+        self.s_blocks.flags.writeable = False
+        self.b_blocks.flags.writeable = False
+        self._inv_factor = None
         self._mean_blocks = None
-        self._cov_blocks = None
+        self._std_blocks = None
 
     @property
     def n_outputs(self) -> int:
@@ -159,44 +168,48 @@ class PosteriorState:
     def n_terms(self) -> int:
         return self.spec.n_columns
 
-    def _factors(self):
-        try:
-            return [linalg.cho_factor(s, lower=True) for s in self.s_blocks]
-        except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's
-            raise NotPositiveDefinite(
-                "posterior information block is not positive definite"
-            ) from exc
+    def _inverse_factor(self) -> np.ndarray:
+        """(n_outputs, n_terms, n_terms) stack of L_i^-1, S_i = L_i L_i^T."""
+        if self._inv_factor is None:
+            try:
+                factor = np.linalg.cholesky(self.s_blocks)
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite(
+                    "posterior information block is not positive definite"
+                ) from exc
+            self._inv_factor = np.linalg.inv(factor)
+        return self._inv_factor
 
     def mean_blocks(self) -> np.ndarray:
-        """(n_outputs, n_terms) coefficient posterior means."""
+        """(n_outputs, n_terms) coefficient posterior means, L^-T L^-1 b."""
         if self._mean_blocks is None:
-            factors = self._factors()
-            self._mean_blocks = np.stack(
-                [linalg.cho_solve(f, b) for f, b in zip(factors, self.b_blocks)]
-            )
+            inv = self._inverse_factor()
+            whitened = inv @ self.b_blocks[:, :, None]
+            self._mean_blocks = (inv.transpose(0, 2, 1) @ whitened)[:, :, 0]
         return self._mean_blocks
 
     def covariance_blocks(self) -> np.ndarray:
-        """(n_outputs, n_terms, n_terms) per-output posterior covariances."""
-        if self._cov_blocks is None:
-            factors = self._factors()
-            eye = np.eye(self.n_terms)
-            covs = [linalg.cho_solve(f, eye) for f in factors]
-            self._cov_blocks = np.stack([0.5 * (c + c.T) for c in covs])
-        return self._cov_blocks
+        """(n_outputs, n_terms, n_terms) per-output posterior covariances,
+        L^-T L^-1."""
+        inv = self._inverse_factor()
+        cov = inv.transpose(0, 2, 1) @ inv
+        return 0.5 * (cov + cov.transpose(0, 2, 1))
 
     def mean(self) -> np.ndarray:
         """Flat posterior mean in coefficient order."""
         return self.mean_blocks().ravel()
 
     def std_blocks(self) -> np.ndarray:
-        """(n_outputs, n_terms) marginal posterior standard deviations."""
-        diags = np.stack([np.diag(c) for c in self.covariance_blocks()])
-        return np.sqrt(np.maximum(diags, 0.0))
+        """(n_outputs, n_terms) marginal posterior standard deviations: the
+        column norms of L^-1."""
+        if self._std_blocks is None:
+            inv = self._inverse_factor()
+            self._std_blocks = np.sqrt(np.einsum("kij,kij->kj", inv, inv))
+        return self._std_blocks
 
     def is_positive_definite(self) -> bool:
         try:
-            self._factors()
+            self._inverse_factor()
         except NotPositiveDefinite:
             return False
         return True

@@ -7,10 +7,13 @@ as many of the oldest buffered samples as enter, so the window stays full.
 The prior is not part of that recursion: every posterior is assembled from
 (G, C) and the prior precision in force, so discounting never erodes the
 prior (the posterior never falls below it) and a prior refresh only swaps
-it. The well-posedness of every slide is audited (audit_run, the one place
-that forms Gram(new) - Gram(old) from the window's rows) before it is
-applied; what happens on a violation is a policy choice. Moments that
-overflow are an input error (NonFiniteInput), never a posterior.
+it. The state keeps the posterior that init or the last accepted step
+assembled, so a step's PD guard, residual, refresh and record read one
+posterior and its one factorization. The well-posedness of every slide is
+audited (audit_run, the one place that forms Gram(new) - Gram(old) from
+the window's rows) before it is applied; what happens on a violation is a
+policy choice. Moments that overflow are an input error (NonFiniteInput),
+never a posterior.
 
 Operating guidance: slide the window (forget == batch_in) with
 forgetting_factor == 1, or grow it (forget == 0) with forgetting_factor < 1.
@@ -23,25 +26,19 @@ prior stays, and the step is flagged with theta_refreshed false).
 
 Rows are arrays throughout: init and step take (t, x, y) arrays, or a list
 of Samples that dictionary.stack_rows stacks where it enters. The window
-code (WindowBuffer, audit_run) needs no posterior. `posterior` is imported
-only where a posterior is built (init, step, snapshot), so a monitor
-process never loads it.
+code (WindowBuffer, audit_run) needs no posterior.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dictionary import DictionarySpec, Sample, build_matrix, stack_rows
 from .errors import ConditionViolated, InsufficientWarmup, NonFiniteInput, NotPositiveDefinite
 from .monitor import UtilityReport, gram, utility_from_differential
-
-if TYPE_CHECKING:
-    from .posterior import HorseshoeState, NoiseModel, PosteriorState
+from .posterior import MAX_OUTER, HorseshoeState, NoiseModel, PosteriorState, fit_moments
+from .posterior import initial_horseshoe, posterior_from_moments, refresh_horseshoe
 
 __all__ = [
     "RecursionConfig",
@@ -132,7 +129,7 @@ class WindowBuffer:
     longer fit.
     """
 
-    __slots__ = ("capacity", "_arrays", "_lo", "_len", "total_ingested")
+    __slots__ = ("capacity", "_arrays", "_lo", "_len")
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -141,7 +138,6 @@ class WindowBuffer:
         self._arrays = None  # t, x, y and the rows
         self._lo = 0
         self._len = 0
-        self.total_ingested = 0
 
     def __len__(self) -> int:
         return self._len
@@ -165,7 +161,6 @@ class WindowBuffer:
         for a, v in zip(self._arrays, new):
             a[lo + live : lo + live + enter] = v[n - enter :]
         self._lo, self._len = lo, live + enter
-        self.total_ingested += n
 
     def oldest(self, k: int) -> list:
         """Views of the k oldest entries, [t, x, y, rows], valid until the
@@ -206,16 +201,19 @@ class RecursionState:
     """Mutable estimator state; exactly one writer (the step function).
 
     gram (n_p x n_p) and cross (n_p x n_y) are the discounted window
-    moments Psi.T @ Psi and Psi.T @ Y; s_blocks and b_blocks are read-only
-    views of the posterior they give (see snapshot). pending is the batch a
-    deferring step parked, as (t, x, y) arrays, or None.
+    moments Psi.T @ Psi and Psi.T @ Y; posterior is the one they give at
+    the prior in force, as init or the last accepted step assembled it
+    (a rejected or rolled-back step and a refused refresh leave it as it
+    was). horseshoe, s_blocks and b_blocks are read-only views of it.
+    pending is the batch a deferring step parked, as (t, x, y) arrays, or
+    None.
     """
 
     __slots__ = (
         "spec",
         "config",
         "noise",
-        "horseshoe",
+        "posterior",
         "buffer",
         "gram",
         "cross",
@@ -225,11 +223,11 @@ class RecursionState:
         "init_flagged",
     )
 
-    def __init__(self, spec, config, noise, horseshoe, buffer, window_gram, cross):
+    def __init__(self, spec, config, noise, posterior, buffer, window_gram, cross):
         self.spec = spec
         self.config = config
         self.noise = noise
-        self.horseshoe = horseshoe
+        self.posterior = posterior
         self.buffer = buffer
         self.gram = window_gram
         self.cross = cross
@@ -239,12 +237,16 @@ class RecursionState:
         self.init_flagged = False
 
     @property
+    def horseshoe(self) -> HorseshoeState:
+        return self.posterior.horseshoe
+
+    @property
     def s_blocks(self) -> np.ndarray:
-        return snapshot(self).s_blocks
+        return self.posterior.s_blocks
 
     @property
     def b_blocks(self) -> np.ndarray:
-        return snapshot(self).b_blocks
+        return self.posterior.b_blocks
 
 
 def _check_order(t, after: float) -> None:
@@ -276,8 +278,6 @@ def init(
     batch fit of the retained window; not positive definite, it raises
     ConditionViolated under every policy.
     """
-    from .posterior import MAX_OUTER, fit_moments, initial_horseshoe
-
     t, x, y = stack_rows(warmup, noise.n_outputs)
     if len(t) < config.window:
         raise InsufficientWarmup(
@@ -306,13 +306,13 @@ def init(
 
     max_outer = MAX_OUTER if config.theta_mode == "adaptive" else 0
     try:
-        horseshoe = fit_moments(spec, noise, horseshoe, window_gram, cross, max_outer).horseshoe
+        post = fit_moments(spec, noise, horseshoe, window_gram, cross, max_outer)
     except NotPositiveDefinite as exc:  # no policy can step from it
         raise ConditionViolated("warmup posterior is not positive definite") from exc
 
     buffer = WindowBuffer(config.window)
     buffer.extend(t, x, y, rows)
-    state = RecursionState(spec, config, noise, horseshoe, buffer, window_gram, cross)
+    state = RecursionState(spec, config, noise, post, buffer, window_gram, cross)
     state.init_flagged = init_flagged
     return state
 
@@ -374,8 +374,6 @@ def step(state: RecursionState, new_rows) -> StepOutcome:
     streaming consumers is built from it by step_record. Moments that
     overflow raise NonFiniteInput.
     """
-    from .posterior import posterior_from_moments, refresh_horseshoe
-
     cfg = state.config
     batch = stack_rows(new_rows, state.noise.n_outputs)
     if len(batch[0]) != cfg.batch_in:
@@ -439,8 +437,7 @@ def step(state: RecursionState, new_rows) -> StepOutcome:
             reason="update would make the information matrix indefinite; rolled back",
         )
 
-    state.gram = new_gram
-    state.cross = new_cross
+    state.gram, state.cross, state.posterior = new_gram, new_cross, post
     state.pending = None
     buffer.extend(t, x, y, psi_new)
     state.step_count += 1
@@ -455,13 +452,13 @@ def step(state: RecursionState, new_rows) -> StepOutcome:
             state.spec, state.noise, horseshoe, new_gram, new_cross
         )
         if refreshed.is_positive_definite():
-            state.horseshoe, post, theta_refreshed = horseshoe, refreshed, True
+            state.posterior, theta_refreshed = refreshed, True
         else:  # the same invariant: keep the prior that leaves a proper posterior
             flagged = True
             refused = "prior refresh would make the information matrix indefinite; refused"
             reason = refused if reason is None else f"{reason}; {refused}"
 
-    resid = y - psi_new @ post.mean_blocks().T
+    resid = y - psi_new @ state.posterior.mean_blocks().T
     return StepOutcome(
         step_index=state.step_count,
         timestamp=timestamp,
@@ -492,17 +489,14 @@ def _rejected(state, report, timestamp, reason):
 
 
 def snapshot(state: RecursionState) -> PosteriorState:
-    """Immutable copy of the current posterior."""
-    from .posterior import posterior_from_moments
-
-    return posterior_from_moments(
-        state.spec, state.noise, state.horseshoe, state.gram, state.cross
-    )
+    """The current posterior. It is immutable, and later steps replace it
+    without changing it, so it is safe to keep."""
+    return state.posterior
 
 
 def step_record(state: RecursionState, outcome: StepOutcome) -> dict:
     """JSON-serializable record emitted once per step."""
-    post = snapshot(state)
+    post = state.posterior
     return {
         "step": outcome.step_index,
         "t": float(outcome.timestamp),

@@ -1321,17 +1321,17 @@ def test_prior_that_no_float_holds_is_a_configuration_error(
     assert not out.exists()
 
 
-FIT_ONLY_MODULES = (
-    "sparsid.posterior", "sparsid.analyze", "sparsid.simulate", "scipy", "scipy.linalg",
-)
+FIT_ONLY_MODULES = ("sparsid.analyze", "sparsid.simulate")
 
 
 def loaded_after(cwd, *runs) -> list:
     """Run the CLI on each argument list in turn, in one fresh process in
-    cwd; returns, after each run, which of FIT_ONLY_MODULES are loaded."""
+    cwd in which scipy cannot be imported; returns, after each run, which of
+    FIT_ONLY_MODULES are loaded."""
     script = textwrap.dedent(
         f"""
         import json, sys
+        sys.modules["scipy"] = None  # any import of scipy raises ImportError
         from sparsid.cli import main
         for args in {list(runs)!r}:
             assert main(args) == 0
@@ -1347,21 +1347,27 @@ def loaded_after(cwd, *runs) -> list:
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
-def test_only_fit_loads_scipy(tmp_path):
-    """A monitor run never builds, renders or scores a posterior, nor
-    simulates, so it loads none of the modules that do, nor scipy; a fit
-    run in the same process loads them all (scipy with `posterior`). A
-    simulate run loads only `simulate` of them."""
+def test_runs_need_no_scipy(tmp_path):
+    """The runtime needs numpy only: simulate, monitor, fit and stream each
+    exit 0 where scipy cannot be imported. A monitor run never renders or
+    scores a posterior, nor simulates, so it loads neither `analyze` nor
+    `simulate`; a fit run in the same process loads both. A simulate run
+    loads only `simulate` of them."""
     simulate = ["--mode", "simulate", "--case", "lorenz", "--t-end", "2.0", "--output", "sim"]
     assert loaded_after(tmp_path, simulate) == [["sparsid.simulate"]]
-    (tmp_path / "run.json").write_text(json.dumps({"window": 50, "batch_in": 1, "forget": 1}))
+    (tmp_path / "run.json").write_text(
+        json.dumps({"window": 50, "batch_in": 1, "forget": 1, "idle_timeout": 0.1})
+    )
     run = ["--config", "run.json", "--input", "sim/data.csv"]
     monitor = ["--mode", "monitor", "--output", "mon", *run]
     fit = ["--mode", "fit", "--output", "fit", *run]
-    assert loaded_after(tmp_path, monitor, fit) == [[], list(FIT_ONLY_MODULES)]
+    stream = ["--mode", "stream", "--output", "stream", *run]
+    everything = list(FIT_ONLY_MODULES)
+    assert loaded_after(tmp_path, monitor, fit, stream) == [[], everything, everything]
     assert (tmp_path / "mon" / "monitor.jsonl").stat().st_size > 0
     for name in ("steps.jsonl", "equations.txt"):
         assert (tmp_path / "fit" / name).stat().st_size > 0
+        assert (tmp_path / "stream" / name).read_bytes() == (tmp_path / "fit" / name).read_bytes()
 
 
 def test_package_names_resolve_on_first_access():

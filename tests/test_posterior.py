@@ -100,6 +100,8 @@ def test_moments_match_dense_solves(rng):
     ):
         np.testing.assert_allclose(mean, np.linalg.solve(s, b), rtol=1e-12)
         np.testing.assert_allclose(cov, np.linalg.inv(s), rtol=1e-9)
+    stds = np.sqrt(np.diagonal(np.linalg.inv(s_blocks), axis1=1, axis2=2))
+    np.testing.assert_allclose(post.std_blocks(), stds, rtol=1e-12)
 
 
 @pytest.mark.parametrize(

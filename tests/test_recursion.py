@@ -27,6 +27,8 @@ from sparsid import (
     initial_horseshoe,
 )
 from sparsid.monitor import gram, utility_from_differential
+from sparsid.posterior import posterior_from_moments
+from sparsid.simulate import LorenzConfig, simulate_lorenz
 
 from conftest import make_samples
 
@@ -94,13 +96,11 @@ def test_window_buffer_fifo_and_eviction():
     for got, ref in zip(buf.oldest(2), pushed(1, 3)):
         np.testing.assert_array_equal(got, ref)
     np.testing.assert_array_equal(buf.oldest(3)[3], rows[1:4])
-    assert buf.total_ingested == 4
     assert buf.last_t == 3.0
     buf.extend(*pushed(4, 9))  # longer than the buffer: its last 3 stay
     assert [s.timestamp for s in buf.items()] == [6.0, 7.0, 8.0]
     for got, ref in zip(buf.oldest(3), pushed(6, 9)):
         np.testing.assert_array_equal(got, ref)
-    assert buf.total_ingested == 9
     with pytest.raises(ValueError):
         buf.extend(t[:2], x[:2], y[:2], rows[:1])
 
@@ -138,7 +138,6 @@ def test_window_buffer_rows_follow_their_samples(geometry):
         assert [s.timestamp for s in samples] == reference
         assert np.array([s.state for s in samples]).tobytes() == expected[1].tobytes()
         assert np.array([s.observation for s in samples]).tobytes() == expected[2].tobytes()
-        assert buf.total_ingested == n
 
 
 def test_window_buffer_rejects_zero_capacity():
@@ -255,7 +254,6 @@ def test_audit_run_equals_one_audit_and_slide_per_batch(
     run.extend(*flat([*entering, stacks[0]]))
     assert same_window(run, reference)
     assert all(map(same_bytes, run.oldest(window), one_by_one.oldest(window)))
-    assert run.total_ingested == one_by_one.total_ingested
 
 
 def test_audit_run_needs_a_full_window_and_equal_batches():
@@ -281,7 +279,6 @@ def test_init_equals_batch_fit_of_retained_window(rng):
     ref = batch_fit(LINEAR2, samples[-30:], noise, hs)
     np.testing.assert_array_equal(state.s_blocks, ref.s_blocks)
     np.testing.assert_array_equal(state.b_blocks, ref.b_blocks)
-    assert state.buffer.total_ingested == 30
     assert [s.timestamp for s in state.buffer.items()] == [
         s.timestamp for s in samples[-30:]
     ]
@@ -394,6 +391,77 @@ def test_sliding_posterior_is_batch_fit_of_buffer(
             assert np.linalg.norm(a - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
 
 
+STALE_STEPS = 20
+
+
+@example(policy="warn", xi=0.7, slide=True, refresh_every=None, zero_steps=set(), seed=0)
+@example(policy="warn", xi=0.9, slide=True, refresh_every=2, zero_steps=set(), seed=0)
+@example(policy="defer", xi=1.0, slide=False, refresh_every=2, zero_steps={1, 2, 5}, seed=1)
+@example(policy="reject", xi=0.9, slide=True, refresh_every=4, zero_steps={0, 3}, seed=2)
+@given(
+    policy=st.sampled_from(rec.POLICIES),
+    xi=st.sampled_from([1.0, 0.9, 0.7]),
+    slide=st.booleans(),
+    refresh_every=st.sampled_from([None, 2, 4]),
+    zero_steps=st.sets(st.integers(0, STALE_STEPS - 1), max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_kept_posterior_is_the_one_its_moments_give(
+    policy, xi, slide, refresh_every, zero_steps, seed
+):
+    """The posterior the state keeps never goes stale: after init and after
+    every step, whatever happened to it (applied, rejected, deferred,
+    rolled back because the discounted window drains, a prior refresh
+    applied or refused), snapshot holds the bytes of the posterior that the
+    window moments and the prior in force give. refresh_every None runs
+    the fixed prior."""
+    rng = np.random.default_rng(seed)
+    samples = stream(rng, n=10 + 2 * STALE_STEPS, noise_std=1.0)
+    cfg = RecursionConfig(
+        window=10, batch_in=2, forget=2 if slide else 0, forgetting_factor=xi,
+        policy=policy, theta_mode="fixed" if refresh_every is None else "adaptive",
+        refresh_every=refresh_every,
+    )
+    noise = NoiseModel([1.0])
+
+    def assert_fresh(state):
+        post = rec.snapshot(state)
+        ref = posterior_from_moments(LINEAR2, noise, state.horseshoe, state.gram, state.cross)
+        assert post.s_blocks.tobytes() == ref.s_blocks.tobytes()
+        assert post.b_blocks.tobytes() == ref.b_blocks.tobytes()
+
+    state = rec.init(LINEAR2, cfg, samples[:10], noise)
+    assert_fresh(state)
+    for k in range(STALE_STEPS):
+        batch = samples[10 + 2 * k : 12 + 2 * k]
+        if k in zero_steps:  # a stuck sensor: redundant, so rejected or deferred
+            batch = [Sample(s.timestamp, np.zeros(2), s.observation) for s in batch]
+        rec.step(state, batch)
+        assert_fresh(state)
+
+
+def test_one_factorization_per_posterior(monkeypatch):
+    """A step factors the posterior it assembles once: the PD guard, the
+    residual, the record and the refresh read that one factor, so a Lorenz
+    fit makes at most one Cholesky call per step plus one per prior
+    refresh (refused ones included)."""
+    t, x, y = simulate_lorenz(LorenzConfig(t_end=3.0, seed=1))
+    spec = DictionarySpec(state_dim=3, poly_degree=2)
+    cfg = RecursionConfig(window=100, batch_in=1, forget=1, refresh_every=20)
+    state = rec.init(spec, cfg, (t[:100], x[:100], y[:100]), NoiseModel(np.ones(3)))
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    steps = refreshes = 0
+    for k in range(100, len(t)):
+        outcome = rec.step(state, (t[k : k + 1], x[k : k + 1], y[k : k + 1]))
+        rec.step_record(state, outcome)
+        steps += 1
+        refreshes += outcome.theta_refreshed or (outcome.reason or "").endswith("refused")
+    assert steps == 201 and refreshes >= 10
+    assert 0 < len(calls) <= steps + refreshes
+
+
 def test_no_forget_accumulates_information(rng):
     # forget=0: nothing is divided out, the buffer evicts silently and the
     # posterior keeps every sample's information
@@ -406,7 +474,6 @@ def test_no_forget_accumulates_information(rng):
         out = rec.step(state, samples[k : k + 10])
         assert out.accepted
     assert len(state.buffer) == 40
-    assert state.buffer.total_ingested == 80
     ref = batch_fit(LINEAR2, samples, noise, hs)  # all 80, not just the window
     scale = 1.0 + np.max(np.abs(ref.s_blocks))
     assert np.max(np.abs(state.s_blocks - ref.s_blocks)) < 1e-8 * scale
@@ -509,7 +576,7 @@ def test_reject_policy_leaves_state_untouched(rng):
     cfg = fixed_config(window=30, batch_in=5, forget=5, policy="reject")
     state = rec.init(LINEAR2, cfg, samples[:30], noise)
     s_before = state.s_blocks.copy()
-    ingested = state.buffer.total_ingested
+    held = [s.timestamp for s in state.buffer.items()]
     # replay the exact five samples about to be forgotten: the differential
     # is zero, classified redundant, and the step must be rejected
     _, x, y, _ = copies(state.buffer.oldest(5))
@@ -518,7 +585,7 @@ def test_reject_policy_leaves_state_untouched(rng):
     assert not out.accepted
     assert out.utility.classification == "redundant"
     np.testing.assert_array_equal(state.s_blocks, s_before)
-    assert state.buffer.total_ingested == ingested
+    assert [s.timestamp for s in state.buffer.items()] == held  # the batch added nothing
     # an informative batch afterwards goes through
     out2 = rec.step(state, samples[35:40])
     assert out2.accepted or out2.utility.classification != "informative"
@@ -547,24 +614,28 @@ def test_defer_policy_aggregates_until_informative(rng):
     )
     noise = NoiseModel([1e-4])
     state = rec.init(spec, cfg, samples[:40], noise)
-    ingested = [state.buffer.total_ingested]
     accepted_at = []
     for k in range(40, 52):
+        last_t = state.buffer.last_t
         out = rec.step(state, [samples[k]])
-        ingested.append(state.buffer.total_ingested)
+        assert len(state.buffer) == 40
         if out.accepted:
             accepted_at.append(k)
             assert state.pending is None
+            assert state.buffer.last_t == samples[k].timestamp
         else:
             assert "deferred" in out.reason
+            assert state.buffer.last_t == last_t  # the batch added nothing yet
     # single rank-one batches can never be informative in 4 dimensions, so
     # the first acceptances happen only after enough deferrals accumulate
     assert accepted_at, "no deferred batch was ever accepted"
     assert accepted_at[0] >= 43
-    # every ingested sample is accounted for despite the deferrals
-    assert state.buffer.total_ingested == 40 + sum(
-        1 for k in range(40, 52) if k <= accepted_at[-1]
-    )
+    # every sample up to the last acceptance is in the window despite the
+    # deferrals: the newest 40 of them, none skipped
+    last = accepted_at[-1]
+    assert [s.timestamp for s in state.buffer.items()] == [
+        s.timestamp for s in samples[last - 39 : last + 1]
+    ]
 
 
 def test_defer_drops_a_merged_batch_that_fills_the_window():
