@@ -43,7 +43,8 @@ import numpy as np
 # so a monitor process never loads them
 from . import recursion as rec
 from .dictionary import DictionarySpec, build_matrix
-from .errors import ConditionViolated, NonFiniteInput, NonFiniteState, TimestampMismatch
+from .errors import ConditionViolated, DimensionMismatch, NonFiniteInput, NonFiniteState
+from .errors import TimestampMismatch
 from .monitor import gram, pe_from_gram
 from .posterior import HorseshoeState, NoiseModel, initial_horseshoe
 
@@ -128,11 +129,10 @@ class RunConfig:
             HorseshoeState(np.full((1, 1), self.initial_scale), self.initial_tau)
         except ValueError as exc:
             raise ConfigError(f"initial_scale and initial_tau: {exc}") from exc
-        variances = self.noise_variances
-        if not isinstance(variances, list):
-            variances = [variances]
-        if not variances or not all(math.isfinite(v) and v > 0.0 for v in variances):
-            raise ConfigError("noise_variances must be finite and positive, at least one")
+        try:  # the noise variances, in every mode
+            NoiseModel(self.noise_variances)
+        except (ValueError, DimensionMismatch) as exc:
+            raise ConfigError(f"noise_variances: {exc}") from exc
 
 
 # the keys that also have a flag: batch_in is --batch-in
@@ -627,7 +627,7 @@ class _Monitor:
             raise NonFiniteInput(f"the window Gram overflows at t={t[finite.argmin(), -1]}")
         self.gram = grams[-1]
         self.window.extend(*(a.reshape(t.size, *a.shape[2:]) for a in (t, x, y, psi_new)))
-        pes = pe_from_gram(grams, [len(self.window)] * len(t), self.cfg.alpha1)
+        pes = pe_from_gram(grams, len(self.window), self.cfg.alpha1)
         lines = []
         for last_t, report, pe in zip(t[:, -1].tolist(), reports, pes):
             self.step_index += 1

@@ -104,19 +104,18 @@ def utility(
 
 def check_pe(spec: DictionarySpec, states: Sequence, alpha1: float) -> PeReport:
     """Persistent-excitation check on a window of states (see pe_from_gram)."""
-    return pe_from_gram(gram(build_matrix(spec, states))[None], [len(states)], alpha1)[0]
+    return pe_from_gram(gram(build_matrix(spec, states))[None], len(states), alpha1)[0]
 
 
-def pe_from_gram(window_grams: np.ndarray, window_lens, alpha1: float) -> list:
+def pe_from_gram(window_grams: np.ndarray, window_len: int, alpha1: float) -> list:
     """Persistent-excitation check on a stack of k window Grams (k x n_p x
-    n_p) of windows of window_lens samples (a sequence of k): for each, the
-    extreme eigenvalues of the per-sample average Gram, the lower one tested
-    against the configured excitation level alpha1. A list of k reports,
-    from one eigvalsh."""
+    n_p) of windows of window_len samples each: for each, the extreme
+    eigenvalues of the per-sample average Gram, the lower one tested against
+    the configured excitation level alpha1. A list of k reports, from one
+    eigvalsh."""
     if alpha1 <= 0.0:
         raise ValueError("alpha1 must be positive")
-    lens = np.asarray(window_lens)
-    if not lens.all():
+    if not window_len:
         raise ValueError("window is empty")
-    eigs = np.linalg.eigvalsh(window_grams / lens[:, None, None])
+    eigs = np.linalg.eigvalsh(window_grams / window_len)
     return [PeReport(float(e[0]), float(e[-1]), bool(e[0] >= alpha1)) for e in eigs]

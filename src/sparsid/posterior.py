@@ -5,9 +5,10 @@ information matrix over all coefficients is block diagonal per output:
 block i equals Gram(window) / sigma_i^2 plus the prior precision of that
 output's coefficients. Everything here exploits that structure, so the
 cost is n_y solves of size n_p instead of one solve of size n_y * n_p.
-A posterior factors its n_y blocks once, with one numpy Cholesky call
-over the stack, and its mean, marginal stds and covariance all come from
-that factor; numpy is the only dependency.
+A posterior factors its n_y blocks at construction, with one numpy
+Cholesky call over the stack, and its mean, marginal stds and covariance
+all come from that factor, so every posterior is proper and has moments;
+numpy is the only dependency.
 
 Coefficients are ordered output-major: the flat vector stacks output 0's
 n_p coefficients first, then output 1's, and so on (the column-major
@@ -108,27 +109,20 @@ def initial_horseshoe(
 
 
 class PosteriorState:
-    """Gaussian coefficient posterior in information form.
+    """Gaussian coefficient posterior in information form, proper by
+    construction.
 
     Held as per-output blocks: s_blocks[i] is output i's information matrix
     and b_blocks[i] its information vector; the joint information matrix is
-    their block diagonal. The stack is factored once, on first use, by one
-    np.linalg.cholesky call (S_i = L_i L_i^T), and the mean, the marginal
-    stds and the covariance all come from the inverse factors L_i^-1. The
-    inverse factors, the mean and the stds are cached. Instances are
-    immutable: s_blocks and b_blocks are read-only.
+    their block diagonal. Blocks that are not finite raise NonFiniteInput.
+    The stack is factored at construction, by one np.linalg.cholesky call
+    (S_i = L_i L_i^T), which raises NotPositiveDefinite when a block is not
+    positive definite; the mean and the marginal stds are computed there
+    too, and the covariance on request, all from the inverse factors
+    L_i^-1. Instances are immutable: every array they hold is read-only.
     """
 
-    __slots__ = (
-        "spec",
-        "noise",
-        "horseshoe",
-        "s_blocks",
-        "b_blocks",
-        "_inv_factor",
-        "_mean_blocks",
-        "_std_blocks",
-    )
+    __slots__ = ("spec", "noise", "horseshoe", "s_blocks", "b_blocks", "_inv", "_mean", "_std")
 
     def __init__(
         self,
@@ -140,8 +134,8 @@ class PosteriorState:
     ):
         n_y = noise.n_outputs
         n_p = spec.n_columns
-        s = np.asarray(s_blocks, dtype=float)
-        b = np.asarray(b_blocks, dtype=float)
+        s = np.array(s_blocks, dtype=float, order="C")  # copies
+        b = np.array(b_blocks, dtype=float, order="C")
         if s.shape != (n_y, n_p, n_p) or b.shape != (n_y, n_p):
             raise DimensionMismatch(
                 f"expected blocks ({n_y},{n_p},{n_p}) and ({n_y},{n_p}), "
@@ -149,73 +143,50 @@ class PosteriorState:
             )
         if horseshoe.local_scales.shape != (n_p, n_y):
             raise DimensionMismatch("horseshoe shape does not match spec/noise")
+        if not (np.isfinite(s).all() and np.isfinite(b).all()):  # cholesky passes NaN
+            raise NonFiniteInput("the window moments overflow the posterior information")
+        try:
+            factor = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(
+                "posterior information block is not positive definite"
+            ) from exc
+        inv = np.linalg.inv(factor)  # L^-1
+        mean = (inv.transpose(0, 2, 1) @ (inv @ b[:, :, None]))[:, :, 0]  # L^-T L^-1 b
+        std = np.sqrt(np.einsum("kij,kij->kj", inv, inv))  # the column norms of L^-1
+        for a in (s, b, inv, mean, std):
+            a.flags.writeable = False
         self.spec = spec
         self.noise = noise
         self.horseshoe = horseshoe
-        self.s_blocks = s.copy()
-        self.b_blocks = b.copy()
-        self.s_blocks.flags.writeable = False
-        self.b_blocks.flags.writeable = False
-        self._inv_factor = None
-        self._mean_blocks = None
-        self._std_blocks = None
+        self.s_blocks, self.b_blocks = s, b
+        self._inv, self._mean, self._std = inv, mean, std
 
     @property
     def n_outputs(self) -> int:
         return self.noise.n_outputs
 
-    @property
-    def n_terms(self) -> int:
-        return self.spec.n_columns
-
-    def _inverse_factor(self) -> np.ndarray:
-        """(n_outputs, n_terms, n_terms) stack of L_i^-1, S_i = L_i L_i^T."""
-        if self._inv_factor is None:
-            try:
-                factor = np.linalg.cholesky(self.s_blocks)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(
-                    "posterior information block is not positive definite"
-                ) from exc
-            self._inv_factor = np.linalg.inv(factor)
-        return self._inv_factor
-
     def mean_blocks(self) -> np.ndarray:
         """(n_outputs, n_terms) coefficient posterior means, L^-T L^-1 b."""
-        if self._mean_blocks is None:
-            inv = self._inverse_factor()
-            whitened = inv @ self.b_blocks[:, :, None]
-            self._mean_blocks = (inv.transpose(0, 2, 1) @ whitened)[:, :, 0]
-        return self._mean_blocks
+        return self._mean
 
     def covariance_blocks(self) -> np.ndarray:
         """(n_outputs, n_terms, n_terms) per-output posterior covariances,
         L^-T L^-1."""
-        inv = self._inverse_factor()
-        cov = inv.transpose(0, 2, 1) @ inv
+        cov = self._inv.transpose(0, 2, 1) @ self._inv
         return 0.5 * (cov + cov.transpose(0, 2, 1))
 
     def mean(self) -> np.ndarray:
         """Flat posterior mean in coefficient order."""
-        return self.mean_blocks().ravel()
+        return self._mean.ravel()
 
     def std_blocks(self) -> np.ndarray:
         """(n_outputs, n_terms) marginal posterior standard deviations: the
         column norms of L^-1."""
-        if self._std_blocks is None:
-            inv = self._inverse_factor()
-            self._std_blocks = np.sqrt(np.einsum("kij,kij->kj", inv, inv))
-        return self._std_blocks
-
-    def is_positive_definite(self) -> bool:
-        try:
-            self._inverse_factor()
-        except NotPositiveDefinite:
-            return False
-        return True
+        return self._std
 
     def __repr__(self):
-        return f"PosteriorState(n_terms={self.n_terms}, n_outputs={self.n_outputs})"
+        return f"PosteriorState(n_terms={self.spec.n_columns}, n_outputs={self.n_outputs})"
 
 
 def posterior_from_moments(
@@ -228,17 +199,15 @@ def posterior_from_moments(
     """Posterior of a window given by its Gram G and cross-moment C.
 
     Block i is S_i = G / sigma_i^2 + diag(prior precision of output i) and
-    b_i = C[:, i] / sigma_i^2: all outputs share one Gram. Raises
-    NonFiniteInput when a block overflows. Does not check definiteness; see
-    PosteriorState.is_positive_definite.
+    b_i = C[:, i] / sigma_i^2: all outputs share one Gram. PosteriorState
+    raises NonFiniteInput when a block overflows, and NotPositiveDefinite
+    when one is not positive definite.
     """
     var = noise.output_variances
     s_blocks = window_gram / var[:, None, None]
     diag = np.arange(spec.n_columns)
     s_blocks[:, diag, diag] += horseshoe.prior_precision_blocks()
     b_blocks = cross.T / var[:, None]
-    if not (np.isfinite(s_blocks).all() and np.isfinite(b_blocks).all()):
-        raise NonFiniteInput("the window moments overflow the posterior information")
     return PosteriorState(spec, noise, horseshoe, s_blocks, b_blocks)
 
 
@@ -346,11 +315,9 @@ def fit_moments(
     until no scale moves by more than 1e-4, relatively (at most max_outer
     times; 0 keeps the given scales). The returned posterior is exactly
     posterior_from_moments at the final scales. Raises NotPositiveDefinite
-    if the first posterior is not PD.
+    if a posterior it builds is not PD.
     """
     post = posterior_from_moments(spec, noise, horseshoe, window_gram, cross)
-    if not post.is_positive_definite():
-        raise NotPositiveDefinite("batch posterior information is not PD")
     for _ in range(max_outer):
         refreshed = refresh_horseshoe(post)
         rel = max(

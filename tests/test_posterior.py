@@ -20,6 +20,7 @@ from sparsid import (
     DimensionMismatch,
     HorseshoeState,
     NoiseModel,
+    NonFiniteInput,
     NotPositiveDefinite,
     PosteriorState,
     Sample,
@@ -102,6 +103,13 @@ def test_moments_match_dense_solves(rng):
         np.testing.assert_allclose(cov, np.linalg.inv(s), rtol=1e-9)
     stds = np.sqrt(np.diagonal(np.linalg.inv(s_blocks), axis1=1, axis2=2))
     np.testing.assert_allclose(post.std_blocks(), stds, rtol=1e-12)
+    # immutable: every array it holds or hands out is read-only, and the
+    # caller's blocks are copied, not frozen
+    held = (post.s_blocks, post.b_blocks, post.mean_blocks(), post.std_blocks(), post.mean())
+    assert not any(a.flags.writeable for a in held)
+    assert s_blocks.flags.writeable and b_blocks.flags.writeable
+    with pytest.raises(ValueError):
+        post.mean_blocks()[0, 0] = 0.0
 
 
 @pytest.mark.parametrize(
@@ -114,18 +122,32 @@ def test_moments_match_dense_solves(rng):
 )
 def test_posterior_that_lost_definiteness_has_no_moments(window_gram, variances):
     """What the rollback guard of recursion.step rests on: a window Gram
-    that has lost more information than the prior holds leaves a posterior
-    that reports it and refuses its mean and covariance."""
+    that has lost more information than the prior holds gives no
+    posterior; building one raises NotPositiveDefinite."""
     spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
     hs = initial_horseshoe(spec, 2)  # unit prior precision
-    post = posterior_from_moments(spec, NoiseModel(variances), hs, window_gram, np.zeros((2, 2)))
+    noise = NoiseModel(variances)
+    s_blocks = window_gram / noise.output_variances[:, None, None] + np.eye(2)
     # the other output's block is positive definite: one bad block decides
-    assert sum(np.linalg.eigvalsh(post.s_blocks).min(axis=1) > 0.0) == 1
-    assert not post.is_positive_definite()
+    assert sum(np.linalg.eigvalsh(s_blocks).min(axis=1) > 0.0) == 1
     with pytest.raises(NotPositiveDefinite):
-        post.mean_blocks()
+        posterior_from_moments(spec, noise, hs, window_gram, np.zeros((2, 2)))
     with pytest.raises(NotPositiveDefinite):
-        post.covariance_blocks()
+        PosteriorState(spec, noise, hs, s_blocks, np.zeros((2, 2)))
+
+
+def test_non_finite_information_has_no_posterior():
+    """np.linalg.cholesky factors a NaN block without complaint, so the
+    constructor checks the blocks itself: no posterior has NaN moments."""
+    spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
+    hs = initial_horseshoe(spec, 1)
+    for bad in ((0, 1, 1), (0, 0, 0)):
+        s_blocks = np.eye(2)[None].copy()
+        s_blocks[bad] = np.nan
+        with pytest.raises(NonFiniteInput):
+            PosteriorState(spec, NoiseModel([1.0]), hs, s_blocks, np.zeros((1, 2)))
+    with pytest.raises(NonFiniteInput):
+        PosteriorState(spec, NoiseModel([1.0]), hs, np.eye(2)[None], [[np.inf, 0.0]])
 
 
 def test_flat_prior_limit_recovers_least_squares(rng):
@@ -164,7 +186,6 @@ def test_noise_model_validation():
         NoiseModel([])
 
 
-@pytest.mark.filterwarnings("error")
 def test_horseshoe_state_validation():
     with pytest.raises(ValueError):
         HorseshoeState(local_scales=np.zeros((2, 1)), global_scale=1.0)

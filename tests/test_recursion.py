@@ -78,7 +78,7 @@ def test_config_validation():
 
 def test_window_buffer_fifo_and_eviction():
     buf = WindowBuffer(3)
-    assert buf.last_t == -np.inf and buf.items() == []
+    assert buf.last_t == -np.inf and all(len(a) == 0 for a in buf.items())
     t = np.arange(9.0)
     x, y = np.column_stack((t, -t)), 10.0 + t[:, None]
     rows = np.arange(18.0).reshape(9, 2)  # row i belongs to sample i
@@ -87,18 +87,18 @@ def test_window_buffer_fifo_and_eviction():
         return t[i:j], x[i:j], y[i:j], rows[i:j]
 
     buf.extend(*pushed(0, 2))
-    assert [s.timestamp for s in buf.items()] == [0.0, 1.0]
+    assert buf.items()[0].tolist() == [0.0, 1.0]
     with pytest.raises(ValueError):
         buf.oldest(3)
     buf.extend(*pushed(2, 4))  # fills the buffer and evicts the oldest
     assert len(buf) == 3
-    assert [s.timestamp for s in buf.items()] == [1.0, 2.0, 3.0]
+    assert buf.items()[0].tolist() == [1.0, 2.0, 3.0]
     for got, ref in zip(buf.oldest(2), pushed(1, 3)):
         np.testing.assert_array_equal(got, ref)
     np.testing.assert_array_equal(buf.oldest(3)[3], rows[1:4])
     assert buf.last_t == 3.0
     buf.extend(*pushed(4, 9))  # longer than the buffer: its last 3 stay
-    assert [s.timestamp for s in buf.items()] == [6.0, 7.0, 8.0]
+    assert buf.items()[0].tolist() == [6.0, 7.0, 8.0]
     for got, ref in zip(buf.oldest(3), pushed(6, 9)):
         np.testing.assert_array_equal(got, ref)
     with pytest.raises(ValueError):
@@ -114,7 +114,7 @@ def test_window_buffer_rows_follow_their_samples(geometry):
     """Through any run of slides of 0 to twice the capacity samples on a
     full buffer, the buffered timestamps, states, observations and rows are
     exactly those pushed with the buffered samples, the newest `capacity`
-    of them, and items() rebuilds those samples with the same bytes."""
+    of them, and items() copies those samples with the same bytes."""
     capacity, slides = geometry
 
     def block(idx):
@@ -134,10 +134,11 @@ def test_window_buffer_rows_follow_their_samples(geometry):
         expected = block(reference)
         for got, ref in zip(buf.oldest(capacity), expected):
             np.testing.assert_array_equal(got, ref)
-        samples = buf.items()
-        assert [s.timestamp for s in samples] == reference
-        assert np.array([s.state for s in samples]).tobytes() == expected[1].tobytes()
-        assert np.array([s.observation for s in samples]).tobytes() == expected[2].tobytes()
+        t, x, y = buf.items()
+        assert t.tolist() == reference
+        assert x.tobytes() == expected[1].tobytes()
+        assert y.tobytes() == expected[2].tobytes()
+        assert not any(np.shares_memory(a, b) for a, b in zip((t, x, y), buf.oldest(capacity)))
 
 
 def test_window_buffer_rejects_zero_capacity():
@@ -279,9 +280,7 @@ def test_init_equals_batch_fit_of_retained_window(rng):
     ref = batch_fit(LINEAR2, samples[-30:], noise, hs)
     np.testing.assert_array_equal(state.s_blocks, ref.s_blocks)
     np.testing.assert_array_equal(state.b_blocks, ref.b_blocks)
-    assert [s.timestamp for s in state.buffer.items()] == [
-        s.timestamp for s in samples[-30:]
-    ]
+    assert state.buffer.items()[0].tolist() == [s.timestamp for s in samples[-30:]]
 
 
 def test_init_requires_full_warmup(rng):
@@ -429,6 +428,8 @@ def test_kept_posterior_is_the_one_its_moments_give(
         ref = posterior_from_moments(LINEAR2, noise, state.horseshoe, state.gram, state.cross)
         assert post.s_blocks.tobytes() == ref.s_blocks.tobytes()
         assert post.b_blocks.tobytes() == ref.b_blocks.tobytes()
+        assert post.mean_blocks().tobytes() == ref.mean_blocks().tobytes()
+        assert post.std_blocks().tobytes() == ref.std_blocks().tobytes()
 
     state = rec.init(LINEAR2, cfg, samples[:10], noise)
     assert_fresh(state)
@@ -576,7 +577,7 @@ def test_reject_policy_leaves_state_untouched(rng):
     cfg = fixed_config(window=30, batch_in=5, forget=5, policy="reject")
     state = rec.init(LINEAR2, cfg, samples[:30], noise)
     s_before = state.s_blocks.copy()
-    held = [s.timestamp for s in state.buffer.items()]
+    held = state.buffer.items()[0].tolist()
     # replay the exact five samples about to be forgotten: the differential
     # is zero, classified redundant, and the step must be rejected
     _, x, y, _ = copies(state.buffer.oldest(5))
@@ -585,7 +586,7 @@ def test_reject_policy_leaves_state_untouched(rng):
     assert not out.accepted
     assert out.utility.classification == "redundant"
     np.testing.assert_array_equal(state.s_blocks, s_before)
-    assert [s.timestamp for s in state.buffer.items()] == held  # the batch added nothing
+    assert state.buffer.items()[0].tolist() == held  # the batch added nothing
     # an informative batch afterwards goes through
     out2 = rec.step(state, samples[35:40])
     assert out2.accepted or out2.utility.classification != "informative"
@@ -633,7 +634,7 @@ def test_defer_policy_aggregates_until_informative(rng):
     # every sample up to the last acceptance is in the window despite the
     # deferrals: the newest 40 of them, none skipped
     last = accepted_at[-1]
-    assert [s.timestamp for s in state.buffer.items()] == [
+    assert state.buffer.items()[0].tolist() == [
         s.timestamp for s in samples[last - 39 : last + 1]
     ]
 
@@ -706,7 +707,7 @@ def test_pd_rollback_guard_under_drain(rng):
             break
     assert sawed is not None, "drain never tripped the rollback guard"
     assert "rolled back" in sawed.reason
-    assert rec.snapshot(state).is_positive_definite()
+    assert np.linalg.eigvalsh(rec.snapshot(state).s_blocks).min() > 0
 
 
 def test_refresh_that_would_break_definiteness_is_refused(rng):
@@ -726,7 +727,7 @@ def test_refresh_that_would_break_definiteness_is_refused(rng):
         prior = state.horseshoe
         out = rec.step(state, samples[k : k + 2])
         if out.accepted:
-            assert rec.snapshot(state).is_positive_definite()
+            assert np.linalg.eigvalsh(rec.snapshot(state).s_blocks).min() > 0
         if out.reason is not None and out.reason.endswith("refused"):
             refused += 1
             assert out.accepted and out.flagged and not out.theta_refreshed
@@ -751,7 +752,7 @@ def test_adaptive_refresh_cadence(rng):
         out = rec.step(state, samples[k : k + 10])
         if out.theta_refreshed:
             refreshed_at.append(i + 1)
-        assert rec.snapshot(state).is_positive_definite()
+        assert np.linalg.eigvalsh(rec.snapshot(state).s_blocks).min() > 0
     assert refreshed_at == [2, 4, 6, 8]
     # shrinkage happened: null scales far below the signal scale
     scales = state.horseshoe.local_scales[:, 0]
