@@ -28,8 +28,25 @@ __all__ = [
 ]
 
 
+class _Truth:
+    """at(t) of a truth that looks up a block of times with rows(times)."""
+
+    def at(self, t: float) -> np.ndarray:
+        """The coefficients at time t; raises TimestampMismatch where the
+        truth has none."""
+        true, missing = self.rows(np.array([t], dtype=float))
+        if missing is not None:
+            raise missing
+        return true[0]
+
+
+def _leading(covered: np.ndarray) -> int:
+    """How many of the leading entries of a boolean vector are true."""
+    return len(covered) if covered.all() else int(covered.argmin())
+
+
 @dataclass(frozen=True)
-class TruthTrajectory:
+class TruthTrajectory(_Truth):
     """Piecewise-constant coefficient truth: betas[i] holds from times[i]
     (inclusive) until the next segment starts."""
 
@@ -46,19 +63,25 @@ class TruthTrajectory:
         object.__setattr__(self, "times", t.copy())
         object.__setattr__(self, "betas", b.copy())
 
-    def at(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        if idx < 0:
-            raise TimestampMismatch(
-                f"no ground truth at t={t} (first segment starts at {self.times[0]})"
+    def rows(self, times: np.ndarray) -> tuple:
+        """(the coefficients at the leading times that a segment covers, one
+        row each; None, or the TimestampMismatch of the first time none
+        covers)."""
+        idx = np.searchsorted(self.times, times, side="right") - 1
+        n = _leading(idx >= 0)
+        missing = None
+        if n < len(times):
+            missing = TimestampMismatch(
+                f"no ground truth at t={float(times[n])} "
+                f"(first segment starts at {self.times[0]})"
             )
-        return self.betas[idx]
+        return self.betas[idx[:n]], missing
 
 
-class LorenzTruth:
+class LorenzTruth(_Truth):
     """The drifting Lorenz system's coefficient truth: k1 and k3 sampled at
-    every stream time. at(t) builds the coefficients of the sample within
-    1e-9 of t from simulate.lorenz_terms, output by output over spec's
+    every stream time. The coefficients at t are those of the sample within
+    1e-9 of t, from simulate.lorenz_terms, output by output over spec's
     columns."""
 
     def __init__(self, payload: dict, spec: DictionarySpec):
@@ -72,13 +95,22 @@ class LorenzTruth:
         ks = np.column_stack([payload["k1"], payload["k3"]])
         self.ks = TruthTrajectory(times=payload["t"], betas=ks)
 
-    def at(self, t: float) -> np.ndarray:
-        i = int(np.searchsorted(self.ks.times, t - 1e-9))
-        if i == self.ks.times.size or self.ks.times[i] > t + 1e-9:
-            raise TimestampMismatch(f"no truth sample at t={t}")
-        beta = np.zeros(self.size)
-        beta[self.flat] = [coef for _, _, coef in lorenz_terms(*self.ks.betas[i])]
-        return beta
+    def rows(self, times: np.ndarray) -> tuple:
+        """(the coefficients at the leading times that have a sample, one
+        row each; None, or the TimestampMismatch of the first time that has
+        none)."""
+        samples = self.ks.times
+        i = np.searchsorted(samples, times - 1e-9)
+        found = i < samples.size
+        found[found] = samples[i[found]] <= times[found] + 1e-9
+        n = _leading(found)
+        missing = None
+        if n < len(times):
+            missing = TimestampMismatch(f"no truth sample at t={float(times[n])}")
+        beta = np.zeros((n, self.size))
+        for column, (_, _, coef) in zip(self.flat, lorenz_terms(*self.ks.betas[i[:n]].T)):
+            beta[:, column] = coef
+        return beta, missing
 
 
 def read_truth(payload, spec: DictionarySpec, n_y: int):
@@ -114,39 +146,51 @@ def read_truth(payload, spec: DictionarySpec, n_y: int):
 
 
 class ErrorWriter:
-    """errors.csv of a fit, scored step by step as the fit emits them.
+    """errors.csv of a fit, scored a read at a time as the fit emits them.
 
     The file holds t, l2_error, one |error| column per coefficient (output by
     output) and truth_switch, 1 where the truth differs from that of the
-    previous scored row. add scores one estimate against truth (a
-    TruthTrajectory or LorenzTruth) and keeps its row; flush appends the kept
-    rows to the file. The first flush that has a row creates the file with
-    its header, so a fit that scores nothing writes none. Estimates come in
-    the order of their timestamps.
+    previous scored row. add scores estimates against truth (a
+    TruthTrajectory or LorenzTruth) and keeps their rows; flush appends the
+    kept rows to the file. The first flush that has a row creates the file
+    with its header, so a fit that scores nothing writes none. Estimates
+    come in the order of their timestamps; `scored` counts them.
     """
 
     def __init__(self, path, truth):
         self.path = path
         self.truth = truth
+        self.scored = 0
         self._rows = []
         self._previous = None  # the truth of the previous scored row
         self._mode = "w"
 
-    def add(self, t: float, coef) -> None:
-        true = self.truth.at(t)
-        err = np.ravel(coef) - true
-        # summed as np.linalg.norm(rows, axis=1) sums a row; np.linalg.norm of
-        # a 1-d vector goes through BLAS dot, which can differ in the last bit
-        l2 = np.sqrt(np.add.reduce(err * err))
-        if self._previous is None:  # the first scored row: the header first
-            abs_errs = [f"abs_err_{j + 1}" for j in range(err.size)]
-            self._rows.append(["t", "l2_error", *abs_errs, "truth_switch"])
-            switch = False
-        else:
-            switch = bool((true != self._previous).any())
-        self._previous = true
-        # csv writes a float as its repr, which round-trips exactly
-        self._rows.append([float(t), float(l2), *np.abs(err).tolist(), int(switch)])
+    def add(self, t, coef) -> None:
+        """Score estimates: t one time or n increasing ones, coef the n
+        estimates, each flat or one list per output. Keeps a row for each
+        estimate up to the first time the truth does not cover, for which
+        it raises TimestampMismatch."""
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+        true, missing = self.truth.rows(times)
+        n = len(true)
+        if n:
+            err = np.reshape(coef, (len(times), -1))[:n] - true
+            # each row summed as np.linalg.norm(rows, axis=1) sums it; np.linalg.norm
+            # of a 1-d vector goes through BLAS dot, which can differ in the last bit
+            l2 = np.sqrt(np.add.reduce(err * err, axis=1))
+            if self._previous is None:  # the first scored row: the header first
+                abs_errs = [f"abs_err_{j + 1}" for j in range(err.shape[1])]
+                self._rows.append(["t", "l2_error", *abs_errs, "truth_switch"])
+                self._previous = true[0]
+            before = np.concatenate((self._previous[None], true[:-1]))
+            switch = (true != before).any(axis=1).astype(int)
+            self._previous = true[-1]
+            # csv writes a float as its repr, which round-trips exactly
+            columns = times[:n].tolist(), l2.tolist(), np.abs(err).tolist(), switch.tolist()
+            self._rows += [[time, norm, *errs, s] for time, norm, errs, s in zip(*columns)]
+            self.scored += n
+        if missing is not None:
+            raise missing
 
     def flush(self) -> None:
         if self._rows:

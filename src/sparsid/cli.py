@@ -3,10 +3,10 @@
 Four modes: `simulate` writes a benchmark stream as CSV plus a ground-truth
 sidecar; `fit` runs the online estimator over a CSV and emits one JSONL
 record per step plus rendered equations and, when a truth is found, scores
-each accepted step against it as the step is emitted (errors.csv, appended
-once per read); `stream` is fit for a file that is still being appended to
-(stops after an idle timeout); `monitor` runs the well-posedness and
-excitation diagnostics only.
+the accepted steps of each read against it in one call as the read is
+emitted (errors.csv, appended once per read); `stream` is fit for a file
+that is still being appended to (stops after an idle timeout); `monitor`
+runs the well-posedness and excitation diagnostics only.
 
 Configuration comes from defaults, then an optional JSON config file, then
 command-line flags (flags win). It is checked before any input is opened,
@@ -22,7 +22,10 @@ whose posterior is not positive definite under any.
 Fit, stream and monitor share one single-threaded loop: read the header,
 take `window` warmup samples, then pass the full batches of `batch_in`
 samples of each read to the mode's steps and write each record they return
-as one JSON line.
+as one JSON line. Fit hands a read to recursion.step_read in one call: one
+audit, one accumulation of the moments and one stacked Cholesky per run of
+the read, with the bytes of one recursion.step per batch. Stream reads one
+batch at a time, so it is the one-batch path, and writes what fit writes.
 """
 
 import argparse
@@ -157,21 +160,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_float(value) -> bool:
+    """Whether a JSON number is a float or an int that a float holds."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an int too large for a float
+        return False
+    return True
 
 
 def _has_type(value, declared) -> bool:
     """Whether a config-file value fits a RunConfig field type: a bool is
-    not a number, an int may stand for a float, None only fits an optional
-    field, and a list must hold numbers."""
+    not a number, an int may stand for a float when a float holds it, None
+    only fits an optional field, and a list must hold such numbers."""
     kinds = typing.get_args(declared) or (declared,)
     if value is None or isinstance(value, bool):
         return type(value) in kinds
     if isinstance(value, list):
-        return list in kinds and all(_is_number(v) for v in value)
+        return list in kinds and all(map(_is_float, value))
     if isinstance(value, int) and float in kinds:
-        return True
+        return _is_float(value)
     return type(value) in kinds
 
 
@@ -503,9 +513,12 @@ def _json_line(record: dict) -> str:
 
 
 class _Fit:
-    """Fit and stream: the estimator, stepped once per batch. With a truth,
-    each accepted step is scored as it is emitted, and the errors.csv rows
-    of a read are appended when the read's steps are done."""
+    """Fit and stream: the estimator, stepped a read at a time
+    (recursion.step_read). With a truth, the accepted steps of a read are
+    scored in one call before its records are written, and the read's
+    errors.csv rows are appended when they are. A record that JSON cannot
+    hold, or a step the truth does not cover, ends the run after the steps
+    before it are written and scored."""
 
     output_name = "steps.jsonl"
     derived_names = ("errors.csv", "equations.txt")
@@ -529,22 +542,29 @@ class _Fit:
         self.state = rec.init(self.spec, self.rconfig, (t, x, y), self.noise, self.horseshoe)
 
     def steps(self, t, x, y):
+        outcomes, error = rec.step_read(self.state, t, x, y)
+        lines = []
         try:
-            yield from map(self.step, zip(t, x, y))
-        finally:  # also when a step fails: the rows before it are kept
+            for outcome in outcomes:
+                lines.append(_json_line(rec.step_record(self.state, outcome)))
+        except InputError as exc:  # the lines before it are written
+            error = exc
+        accepted = [o for o in outcomes[: len(lines)] if o.accepted]
+        if self.errors is not None and accepted:
+            scored = self.errors.scored
+            try:
+                self.errors.add([o.timestamp for o in accepted], [o.coef_mean for o in accepted])
+            except TimestampMismatch as exc:  # nor is the line of the step it names
+                missing = accepted[self.errors.scored - scored]
+                del lines[missing.step_index - outcomes[0].step_index :]
+                error = InputError(f"truth file: {exc}")
+        try:
+            yield from lines
+        finally:  # also when a write fails: the rows before it are kept
             if self.errors is not None:
                 self.errors.flush()
-
-    def step(self, batch: tuple) -> str:
-        outcome = rec.step(self.state, batch)
-        record = rec.step_record(self.state, outcome)
-        line = _json_line(record)  # first: errors.csv never runs ahead of it
-        if outcome.accepted and self.errors is not None:
-            try:
-                self.errors.add(outcome.timestamp, record["coef_mean"])
-            except TimestampMismatch as exc:
-                raise InputError(f"truth file: {exc}") from exc
-        return line
+        if error is not None:
+            raise error
 
 
 def _broadcast_variances(value, n_y: int) -> np.ndarray:

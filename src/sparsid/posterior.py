@@ -8,7 +8,8 @@ cost is n_y solves of size n_p instead of one solve of size n_y * n_p.
 A posterior factors its n_y blocks at construction, with one numpy
 Cholesky call over the stack, and its mean, marginal stds and covariance
 all come from that factor, so every posterior is proper and has moments;
-numpy is the only dependency.
+posteriors_from_moments factors the blocks of k windows with one call, by
+the same routine. numpy is the only dependency.
 
 Coefficients are ordered output-major: the flat vector stacks output 0's
 n_p coefficients first, then output 1's, and so on (the column-major
@@ -32,6 +33,7 @@ __all__ = [
     "batch_fit",
     "fit_moments",
     "posterior_from_moments",
+    "posteriors_from_moments",
     "refresh_horseshoe",
 ]
 
@@ -89,10 +91,13 @@ class HorseshoeState:
                 "must be finite and positive"
             )
         object.__setattr__(self, "local_scales", lam.copy())
+        precision = (1.0 / (self.local_scales**2 * self.global_scale**2)).T
+        precision.flags.writeable = False
+        object.__setattr__(self, "_precision", precision)  # every posterior reads it
 
     def prior_precision_blocks(self) -> np.ndarray:
-        """(n_outputs, n_terms) array of 1 / (local^2 * global^2)."""
-        return (1.0 / (self.local_scales**2 * self.global_scale**2)).T
+        """(n_outputs, n_terms) array of 1 / (local^2 * global^2), read-only."""
+        return self._precision
 
     @property
     def prior_precision(self) -> np.ndarray:
@@ -143,19 +148,18 @@ class PosteriorState:
             )
         if horseshoe.local_scales.shape != (n_p, n_y):
             raise DimensionMismatch("horseshoe shape does not match spec/noise")
-        if not (np.isfinite(s).all() and np.isfinite(b).all()):  # cholesky passes NaN
-            raise NonFiniteInput("the window moments overflow the posterior information")
-        try:
-            factor = np.linalg.cholesky(s)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(
-                "posterior information block is not positive definite"
-            ) from exc
-        inv = np.linalg.inv(factor)  # L^-1
-        mean = (inv.transpose(0, 2, 1) @ (inv @ b[:, :, None]))[:, :, 0]  # L^-T L^-1 b
-        std = np.sqrt(np.einsum("kij,kij->kj", inv, inv))  # the column norms of L^-1
-        for a in (s, b, inv, mean, std):
-            a.flags.writeable = False
+        s.flags.writeable = b.flags.writeable = False
+        self._set(spec, noise, horseshoe, s, b, *_factor(s, b))
+
+    @classmethod
+    def _factored(cls, spec, noise, horseshoe, s, b, inv, mean, std):
+        """A posterior of read-only blocks that _factor has factored, as
+        posteriors_from_moments slices them from its stacks."""
+        post = cls.__new__(cls)
+        post._set(spec, noise, horseshoe, s, b, inv, mean, std)
+        return post
+
+    def _set(self, spec, noise, horseshoe, s, b, inv, mean, std):
         self.spec = spec
         self.noise = noise
         self.horseshoe = horseshoe
@@ -203,12 +207,87 @@ def posterior_from_moments(
     raises NonFiniteInput when a block overflows, and NotPositiveDefinite
     when one is not positive definite.
     """
-    var = noise.output_variances
-    s_blocks = window_gram / var[:, None, None]
-    diag = np.arange(spec.n_columns)
-    s_blocks[:, diag, diag] += horseshoe.prior_precision_blocks()
-    b_blocks = cross.T / var[:, None]
+    s_blocks, b_blocks = _information(noise, horseshoe, window_gram, cross)
     return PosteriorState(spec, noise, horseshoe, s_blocks, b_blocks)
+
+
+def posteriors_from_moments(
+    spec: DictionarySpec,
+    noise: NoiseModel,
+    horseshoe: HorseshoeState,
+    grams: np.ndarray,
+    crosses: np.ndarray,
+) -> tuple:
+    """Posteriors of k windows at one prior, given by a stack of Grams (k x
+    n_p x n_p) and one of cross-moments (k x n_p x n_y); each has the bytes
+    that posterior_from_moments gives its window.
+
+    The k x n_y blocks are assembled as one stack and factored by one
+    np.linalg.cholesky call. Returns (the posteriors of the leading windows,
+    up to the first whose posterior cannot be built; that window's
+    NonFiniteInput or NotPositiveDefinite, or None when all k are built).
+    Only when the stacked call fails is that window looked for, by
+    factoring the windows one at a time.
+    """
+    s, b = _information(noise, horseshoe, grams, crosses)
+    s.flags.writeable = b.flags.writeable = False
+    error = None
+    try:
+        factored = _factor(s, b)
+    except (NonFiniteInput, NotPositiveDefinite):
+        for n, blocks in enumerate(zip(s, b)):
+            try:
+                _factor(*blocks)
+            except (NonFiniteInput, NotPositiveDefinite) as exc:
+                error = exc
+                break
+        s, b = s[:n], b[:n]
+        factored = _factor(s, b) if n else ()
+    posts = [
+        PosteriorState._factored(spec, noise, horseshoe, *blocks)
+        for blocks in zip(s, b, *factored)
+    ]
+    return posts, error
+
+
+def _information(noise: NoiseModel, horseshoe: HorseshoeState, grams, crosses) -> tuple:
+    """The C-contiguous information blocks S (... x n_y x n_p x n_p) and
+    vectors b (... x n_y x n_p) of windows given by their Grams G (... x n_p
+    x n_p) and cross-moments C (... x n_p x n_y): S_i = G / sigma_i^2 +
+    diag(the prior precision of output i) and b_i = C[:, i] / sigma_i^2."""
+    var = noise.output_variances
+    s = grams[..., None, :, :] / var[:, None, None]
+    n_p = s.shape[-1]
+    s.reshape(*s.shape[:-2], n_p * n_p)[..., :: n_p + 1] += horseshoe.prior_precision_blocks()
+    return s, np.divide(np.swapaxes(crosses, -1, -2), var[:, None], order="C")
+
+
+def _factor(s: np.ndarray, b: np.ndarray) -> tuple:
+    """The inverse factors L^-1, the means L^-T L^-1 b and the marginal
+    stds (the column norms of L^-1) of a C-contiguous stack of information
+    blocks S = L L^T (... x n_p x n_p) and vectors b (... x n_p), each
+    read-only.
+
+    One np.linalg.cholesky call factors the whole stack. numpy runs the
+    same LAPACK call on each matrix of a stack, so a block gets the bytes
+    it gets alone. Raises NonFiniteInput when a block is not finite
+    (cholesky passes NaN), and NotPositiveDefinite when one is not positive
+    definite.
+    """
+    if not (np.isfinite(s).all() and np.isfinite(b).all()):
+        raise NonFiniteInput("the window moments overflow the posterior information")
+    try:
+        factor = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            "posterior information block is not positive definite"
+        ) from exc
+    inv = np.linalg.inv(factor)
+    mean = (inv.swapaxes(-1, -2) @ (inv @ b[..., None]))[..., 0]
+    std = np.sqrt(np.einsum("...ij,...ij->...j", inv, inv))
+    for a in (inv, mean, std):
+        a.flags.writeable = False
+    return inv, mean, std
 
 
 def batch_fit(

@@ -25,9 +25,24 @@ leaves is positive definite: an update whose posterior cannot be built
 cannot be built is refused (the previous prior stays, and the step is
 flagged with theta_refreshed false).
 
+step_read steps a whole read of k batches, and step is its one-batch read,
+so the update, the PD guard, the refresh and the rollback are written once.
+A read is stepped in runs: one audit_run of the run's slides, the window
+moments of all its steps from one running sum (np.add.accumulate when
+xi = 1), their posteriors factored by one stacked np.linalg.cholesky call
+(posterior.posteriors_from_moments), the means, stds and residuals from
+stacked solves, and one buffer extend of the accepted batches. Every
+operation is the one a one-batch step makes, on each matrix of a stack,
+so the outcomes have the bytes of one step per batch. A run is cut after
+a step whose prior refresh falls due (its refreshed posterior is factored
+with the next run's), at the first step policy refuses, at the first
+rolled back, and at the first whose moments overflow; the rest of the read
+runs from the state after the cut.
+
 Rows are arrays throughout: init and step take (t, x, y) arrays, or a list
-of Samples that dictionary.stack_rows stacks where it enters. The window
-code (WindowBuffer, audit_run) needs no posterior.
+of Samples that dictionary.stack_rows stacks where it enters, and
+step_read takes k x batch_in stacks of them. The window code
+(WindowBuffer, audit_run) needs no posterior.
 """
 
 import math
@@ -39,7 +54,7 @@ from .dictionary import DictionarySpec, build_matrix, stack_rows
 from .errors import ConditionViolated, InsufficientWarmup, NonFiniteInput, NotPositiveDefinite
 from .monitor import UtilityReport, gram, utility_from_differential
 from .posterior import MAX_OUTER, HorseshoeState, NoiseModel, PosteriorState, fit_moments
-from .posterior import initial_horseshoe, posterior_from_moments, refresh_horseshoe
+from .posterior import initial_horseshoe, posteriors_from_moments, refresh_horseshoe
 
 __all__ = [
     "RecursionConfig",
@@ -49,6 +64,7 @@ __all__ = [
     "RecursionState",
     "init",
     "step",
+    "step_read",
     "snapshot",
     "step_record",
 ]
@@ -186,7 +202,8 @@ class WindowBuffer:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Result of one recursion step."""
+    """Result of one recursion step, with the coefficient means and stds
+    (n_y x n_p) of the posterior the step leaves."""
 
     step_index: int
     timestamp: float
@@ -196,6 +213,8 @@ class StepOutcome:
     utility: UtilityReport
     residual_rms: float | None
     theta_refreshed: bool
+    coef_mean: np.ndarray
+    coef_std: np.ndarray
 
 
 class RecursionState:
@@ -352,9 +371,7 @@ def audit_run(
     t, x, y = t[:, b - e :], x[:, b - e :], y[:, b - e :]
     rows = build_matrix(spec, x.reshape(k * e, x.shape[-1]))
     # the k*e oldest rows of [buffer rows; rows], e per batch
-    lead = buffer.oldest(min(capacity, k * e))[3]
-    if k * e > capacity:
-        lead = np.concatenate((lead, rows[: k * e - capacity]))
+    lead = _oldest(buffer, 3, rows, k * e)
     psi_new, lead = rows.reshape(k, e, n_p), lead.reshape(k, e, n_p)
     psi_old, pushed = (lead, lead[:, :0]) if forget else (lead[:, :0], lead)
     differentials = gram(psi_new) - gram(psi_old)
@@ -364,113 +381,234 @@ def audit_run(
     )
 
 
+def _oldest(buffer: WindowBuffer, column: int, entering: np.ndarray, n: int) -> np.ndarray:
+    """The n oldest entries of a buffer column (2 the observations, 3 the
+    rows) followed by the entering ones: views of the buffer while n fits
+    in it."""
+    lead = buffer.oldest(min(buffer.capacity, n))[column]
+    return np.concatenate((lead, entering[: n - buffer.capacity])) if n > buffer.capacity else lead
+
+
 def step(state: RecursionState, new_rows) -> StepOutcome:
     """Ingest one batch of batch_in rows, given as init takes its warmup:
-    audit its slide (audit_run), apply it with one buffer extend or not
-    (per policy and the PD guard), refresh scales. A batch parked by a
-    deferring step is merged in front of it; the timestamps of the merged
-    batch must increase strictly, after the newest buffered one.
+    the one-batch read of step_read. Audit its slide (audit_run), apply it
+    with one buffer extend or not (per policy and the PD guard), refresh
+    scales. A batch parked by a deferring step is merged in front of it;
+    the timestamps of the merged batch must increase strictly, after the
+    newest buffered one.
 
     Returns an outcome describing what happened; the emitted record for
     streaming consumers is built from it by step_record. Moments that
     overflow raise NonFiniteInput.
     """
-    cfg = state.config
-    batch = stack_rows(new_rows, state.noise.n_outputs)
-    if len(batch[0]) != cfg.batch_in:
+    t, x, y = stack_rows(new_rows, state.noise.n_outputs)
+    if len(t) != state.config.batch_in:
         raise ValueError(
-            f"expected a batch of {cfg.batch_in} samples, got {len(batch[0])}"
+            f"expected a batch of {state.config.batch_in} samples, got {len(t)}"
         )
-    if state.pending is not None:
-        batch = tuple(map(np.concatenate, zip(state.pending, batch)))
-    buffer = state.buffer
-    t, x, y = batch
-    _check_order(t, buffer.last_t)
-    timestamp = float(t[-1])
-    (t, x, y), psi_new, psi_old, _, differentials, reports = audit_run(
-        state.spec, buffer, t[None], x[None], y[None], cfg.forget
+    outcomes, error = _step_read(state, t[None], x[None], y[None])
+    if error is not None:
+        raise error
+    return outcomes[0]
+
+
+def step_read(state: RecursionState, t, x, y) -> tuple:
+    """Step the k batches of a read, given as stacks: timestamps t (k x
+    batch_in), states x (k x batch_in x n_x) and observations y (k x
+    batch_in x n_y), checked for finite values. Their timestamps must
+    increase strictly, after the newest buffered one.
+
+    The outcomes, the state each step leaves and every byte of them are
+    those of k step calls. A read is stepped a run at a time: one
+    audit_run, one accumulation of the moments and one stacked
+    factorization of the posteriors (posteriors_from_moments) per run, and
+    one buffer extend for its accepted batches. A run ends after a batch
+    whose prior refresh falls due (the next run starts with that batch's
+    refreshed posterior, so the refresh shares its factorization), and at
+    the first batch that policy refuses, whose posterior is not positive
+    definite (rolled back), or whose moments overflow; a batch merged with
+    a parked one is a run of its own.
+
+    Returns (the outcomes of the batches stepped, in order; None, or the
+    NonFiniteInput of a batch whose moments overflow, which ends the read
+    after the batches before it).
+    """
+    cfg = state.config
+    k = len(t)
+    if not k:
+        return [], None
+    if np.shape(t)[1:] != (cfg.batch_in,):
+        raise ValueError(f"expected batches of {cfg.batch_in} samples, got {np.shape(t)}")
+    n = k * cfg.batch_in
+    t, x, y = stack_rows(
+        (np.reshape(t, n), np.reshape(x, (n, -1)), np.reshape(y, (n, -1))),
+        state.noise.n_outputs,
     )
-    t, x, y, psi_new, psi_old = t[0], x[0], y[0], psi_new[0], psi_old[0]
-    differential, report = differentials[0], reports[0]
+    return _step_read(state, *(a.reshape(k, cfg.batch_in, *a.shape[1:]) for a in (t, x, y)))
 
-    flagged = False
-    reason = None
-    if report.classification != "informative":
-        if cfg.policy == "reject":
-            return _rejected(
-                state, report, timestamp,
-                reason=f"update {report.classification}; rejected by policy",
-            )
-        if cfg.policy == "defer":
-            if len(batch[0]) >= buffer.capacity:
-                # merging more cannot help: the batch already replaces a
-                # whole window, so retrying it would stall the estimator
-                return _rejected(
-                    state, report, timestamp,
-                    reason=(
-                        f"update {report.classification}; deferred batch "
-                        "reached the window length, dropped"
-                    ),
-                )
-            outcome = _rejected(
-                state, report, timestamp,
-                reason=f"update {report.classification}; deferred for aggregation",
-            )
-            state.pending = batch
-            return outcome
-        flagged = True
-        reason = f"update {report.classification}; applied under warn policy"
 
-    y_old = buffer.oldest(len(psi_old))[2]
-    xi = cfg.forgetting_factor
-    new_gram = xi * state.gram + differential
-    new_cross = xi * state.cross + (psi_new.T @ y - psi_old.T @ y_old)
+def _step_read(state: RecursionState, t, x, y) -> tuple:
+    """step_read of checked C-contiguous stacks."""
+    times = t.ravel() if state.pending is None else np.concatenate((state.pending[0], t.ravel()))
+    _check_order(times, state.buffer.last_t)
+    outcomes, i, size = [], 0, len(t)
     try:
-        post = posterior_from_moments(
-            state.spec, state.noise, state.horseshoe, new_gram, new_cross
+        while i < len(t):
+            i += _run(state, t[i : i + size], x[i : i + size], y[i : i + size], outcomes)
+            # a refused or rolled-back batch leaves the window as it was, so
+            # the audits after it are redone: audit one batch next, and twice
+            # as many after each run that ends accepted
+            size = 2 * size if outcomes[-1].accepted else 1
+    except NonFiniteInput as exc:
+        return outcomes, exc
+    return outcomes, None
+
+
+def _run(state: RecursionState, t, x, y, outcomes: list) -> int:
+    """Step the leading batches of k stacked ones from one audit_run: all k,
+    or up to and including the first that policy refuses or whose update
+    is rolled back. Appends their outcomes and returns how many batches it
+    stepped. A parked batch is merged into the first batch, which is then
+    stepped alone. Raises NonFiniteInput for a batch whose moments overflow,
+    after appending the outcomes of the batches before it."""
+    cfg, buffer = state.config, state.buffer
+    if state.pending is not None:
+        t, x, y = (np.concatenate((p, a[0]))[None] for p, a in zip(state.pending, (t, x, y)))
+    try:
+        entering, psi_new, psi_old, _, differentials, reports = audit_run(
+            state.spec, buffer, t, x, y, cfg.forget
         )
-    except NonFiniteInput as exc:  # name the batch that overflows them
-        raise NonFiniteInput(f"{exc} at t={timestamp}") from exc
-    except NotPositiveDefinite:
-        # hard invariant: the posterior must stay proper, even under warn
-        return _rejected(
-            state, report, timestamp,
-            reason="update would make the information matrix indefinite; rolled back",
-        )
+    except NonFiniteInput:
+        if len(t) == 1:
+            raise
+        # the error path: step one batch at a time until the one that overflows
+        return _run(state, t[:1], x[:1], y[:1], outcomes)
+    k, timestamps = len(t), t[:, -1].tolist()
 
-    state.gram, state.cross, state.posterior = new_gram, new_cross, post
-    state.pending = None
-    buffer.extend(t, x, y, psi_new)
-    state.step_count += 1
-    state.samples_since_refresh += len(t)
-
-    theta_refreshed = False
-    cadence = cfg.refresh_every if cfg.refresh_every is not None else cfg.window
-    if cfg.theta_mode == "adaptive" and state.samples_since_refresh >= cadence:
-        state.samples_since_refresh = 0
-        horseshoe = refresh_horseshoe(post)
-        try:
-            state.posterior = posterior_from_moments(
-                state.spec, state.noise, horseshoe, new_gram, new_cross
-            )
-            theta_refreshed = True
-        except NotPositiveDefinite:
-            # the same invariant: keep the prior that leaves a proper posterior
-            flagged = True
-            refused = "prior refresh would make the information matrix indefinite; refused"
-            reason = refused if reason is None else f"{reason}; {refused}"
-
-    resid = y - psi_new @ state.posterior.mean_blocks().T
-    return StepOutcome(
-        step_index=state.step_count,
-        timestamp=timestamp,
-        accepted=True,
-        flagged=flagged or (state.init_flagged and state.step_count == 1),
-        reason=reason,
-        utility=report,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        theta_refreshed=theta_refreshed,
+    # under reject and defer, the batches before the first one refused
+    n = k
+    if cfg.policy != "warn":
+        n = next((j for j, r in enumerate(reports) if r.classification != "informative"), k)
+    t_in, x_in, y_in = entering
+    if n < k:
+        t_in, x_in, y_in, psi_new, psi_old, differentials = [
+            a[:n] for a in (t_in, x_in, y_in, psi_new, psi_old, differentials)
+        ]
+    e = t_in.shape[1]
+    if cfg.forget:
+        y_old = _oldest(buffer, 2, y_in.reshape(n * e, y.shape[-1]), n * e).reshape(y_in.shape)
+    else:
+        y_old = y_in[:, :0]
+    xi = cfg.forgetting_factor
+    grams = _accumulate(state.gram, differentials, xi)
+    crosses = _accumulate(
+        state.cross, psi_new.swapaxes(1, 2) @ y_in - psi_old.swapaxes(1, 2) @ y_old, xi
     )
+
+    # the posteriors of the n batches, at the prior in force, one stacked
+    # factorization per refresh: a prior refresh falls due every `cadence`
+    # entering samples, and the due batch's refreshed posterior is built
+    # with the next run's (lead), or alone after the last batch
+    adaptive = cfg.theta_mode == "adaptive"
+    cadence = cfg.window if cfg.refresh_every is None else cfg.refresh_every
+    horseshoe, since = state.horseshoe, state.samples_since_refresh
+    posts, refreshed, lead, error = [], {}, None, None
+    while error is None and (len(posts) < n or lead is not None):
+        j = len(posts)
+        # the run ends at the batch whose refresh falls due, the
+        # ceil((cadence - since) / e)-th from j
+        stop = min(n, j - (since - cadence) // e) if adaptive else n
+        prior, first = (horseshoe, j) if lead is None else (refresh_horseshoe(posts[lead]), lead)
+        run, error = posteriors_from_moments(
+            state.spec, state.noise, prior, grams[first:stop], crosses[first:stop]
+        )
+        if lead is not None:
+            refreshed[lead] = bool(run)
+            if not run:
+                # the same invariant: keep the prior that leaves a proper
+                # posterior, and build the run at it
+                lead = error = None
+                continue
+            posts[lead], horseshoe, lead = run.pop(0), prior, None
+        posts += run
+        since += (len(posts) - j) * e
+        if error is None and adaptive and since >= cadence:
+            since, lead = 0, stop - 1
+
+    p = len(posts)  # the batches applied
+    if p:
+        state.gram, state.cross, state.posterior = grams[p - 1], crosses[p - 1], posts[-1]
+        state.pending = None
+        state.samples_since_refresh = since
+        buffer.extend(
+            t_in[:p].reshape(p * e), x_in[:p].reshape(p * e, -1),
+            y_in[:p].reshape(p * e, -1), psi_new[:p].reshape(p * e, -1),
+        )
+        means = np.array([post.mean_blocks() for post in posts])
+        resid = y_in[:p] - psi_new[:p] @ means.swapaxes(1, 2)
+        # each summed as np.mean sums a block of e x n_y
+        rms = np.sqrt(np.add.reduce((resid**2).reshape(p, -1), axis=1) / resid[0].size).tolist()
+        for j, post in enumerate(posts):
+            state.step_count += 1
+            report, reason = reports[j], None
+            if report.classification != "informative":
+                reason = f"update {report.classification}; applied under warn policy"
+            if refreshed.get(j) is False:
+                refused = "prior refresh would make the information matrix indefinite; refused"
+                reason = refused if reason is None else f"{reason}; {refused}"
+            outcomes.append(StepOutcome(
+                step_index=state.step_count,
+                timestamp=timestamps[j],
+                accepted=True,
+                flagged=reason is not None or (state.init_flagged and state.step_count == 1),
+                reason=reason,
+                utility=report,
+                residual_rms=rms[j],
+                theta_refreshed=refreshed.get(j, False),
+                coef_mean=post.mean_blocks(),
+                coef_std=post.std_blocks(),
+            ))
+
+    if error is not None:  # batch p's posterior cannot be built
+        if isinstance(error, NonFiniteInput):  # name the batch that overflows them
+            raise NonFiniteInput(f"{error} at t={timestamps[p]}") from error
+        # hard invariant: the posterior must stay proper, even under warn
+        outcomes.append(_rejected(
+            state, reports[p], timestamps[p],
+            reason="update would make the information matrix indefinite; rolled back",
+        ))
+        return p + 1
+    if n == k:
+        return k
+    report, pending = reports[n], None
+    if cfg.policy == "reject":
+        reason = f"update {report.classification}; rejected by policy"
+    elif len(t[n]) >= buffer.capacity:
+        # merging more cannot help: the batch already replaces a whole
+        # window, so retrying it would stall the estimator
+        reason = (
+            f"update {report.classification}; deferred batch reached the window length, dropped"
+        )
+    else:
+        reason = f"update {report.classification}; deferred for aggregation"
+        pending = (t[n], x[n], y[n])
+    outcomes.append(_rejected(state, report, timestamps[n], reason))
+    state.pending = pending
+    return n + 1
+
+
+def _accumulate(first: np.ndarray, deltas: np.ndarray, xi: float) -> np.ndarray:
+    """G_j = xi * G_(j-1) + delta_j for each of a stack of deltas in turn,
+    from G_0 = first, written over the deltas: the additions of one-batch
+    steps, in their order (a sum of two has the same bytes in either
+    order). With xi = 1, where xi * G is G, that is one np.add.accumulate."""
+    if xi == 1.0:
+        deltas[:1] += first
+        return np.add.accumulate(deltas, out=deltas) if len(deltas) > 1 else deltas
+    for delta in deltas:
+        delta += xi * first
+        first = delta
+    return deltas
 
 
 def _rejected(state, report, timestamp, reason):
@@ -487,6 +625,8 @@ def _rejected(state, report, timestamp, reason):
         utility=report,
         residual_rms=None,
         theta_refreshed=False,
+        coef_mean=state.posterior.mean_blocks(),
+        coef_std=state.posterior.std_blocks(),
     )
 
 
@@ -498,7 +638,6 @@ def snapshot(state: RecursionState) -> PosteriorState:
 
 def step_record(state: RecursionState, outcome: StepOutcome) -> dict:
     """JSON-serializable record emitted once per step."""
-    post = state.posterior
     return {
         "step": outcome.step_index,
         "t": float(outcome.timestamp),
@@ -508,8 +647,8 @@ def step_record(state: RecursionState, outcome: StepOutcome) -> dict:
         "classification": outcome.utility.classification,
         "kappa_min": float(outcome.utility.kappas[0]),
         "kappa_max": float(outcome.utility.kappas[-1]),
-        "coef_mean": post.mean_blocks().tolist(),
-        "coef_std": post.std_blocks().tolist(),
+        "coef_mean": outcome.coef_mean.tolist(),
+        "coef_std": outcome.coef_std.tolist(),
         "residual_rms": outcome.residual_rms,
         "theta_refreshed": bool(outcome.theta_refreshed),
         # the prior floors an accepted posterior whose data information is discounted

@@ -135,6 +135,32 @@ def test_config_value_types_accepted(tmp_path):
     assert cfg.noise_variances == [1, 0.5]
 
 
+HUGE = 10**400  # 401 digits: an int too large for a float
+
+
+@pytest.mark.parametrize("mode", ["fit", "stream", "monitor", "simulate"])
+@pytest.mark.parametrize(
+    "key,value",
+    [("noise_variances", HUGE), ("noise_variances", [1, HUGE]),
+     ("initial_scale", HUGE), ("threshold", HUGE)],
+    ids=["noise_variances", "noise_variances-list", "initial_scale", "threshold"],
+)
+def test_int_no_float_holds_is_a_configuration_error(
+    tmp_path, linear_csv, capsys, mode, key, value
+):
+    """A config-file int too large for a float, where a float is expected,
+    is a configuration error in every mode: exit 2 with one line, before
+    any output."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"idle_timeout": 0.1, key: value}))
+    out = tmp_path / "out"
+    assert main(["--mode", mode, "--input", str(linear_csv[0]), "--output", str(out),
+                 "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config key {key!r}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_config_defaults():
     cfg = RunConfig()
     assert cfg.mode == "fit"
@@ -854,12 +880,13 @@ def test_stream_writes_each_record_before_the_next_step(
     out = tmp_path / "stream"
     written = out / "steps.jsonl"
     started = []
-    step = cli._Fit.step
+    steps = cli._Fit.steps
 
-    def step_after_flush(self, batch):
-        started.append(len(written.read_text().splitlines()))
-        assert started[-1] == len(started) - 1
-        return step(self, batch)
+    def steps_after_flush(self, t, x, y):
+        if len(t):  # the read at the end of the input is empty
+            started.append(len(written.read_text().splitlines()))
+            assert started[-1] == len(started) - 1
+        return steps(self, t, x, y)
 
     reads = []
     take = cli._CsvBlocks.take
@@ -868,7 +895,7 @@ def test_stream_writes_each_record_before_the_next_step(
         reads.append(k)
         return take(self, k)
 
-    monkeypatch.setattr(cli._Fit, "step", step_after_flush)
+    monkeypatch.setattr(cli._Fit, "steps", steps_after_flush)
     monkeypatch.setattr(cli._CsvBlocks, "take", recorded_take)
     cfg = write_fit_config(tmp_path, idle_timeout=0.1)
     args = fit_args(path, out, ["--config", str(cfg)])
@@ -1096,6 +1123,103 @@ def test_block_reads_change_no_output(window, batch_in, slide, extra, zero_runs,
             assert written.count(b"\n") == extra // batch_in
         for block in (2, 3, saved):
             assert outputs[mode, policy, block] == (code, written), (mode, policy, block)
+
+
+@settings(max_examples=20)
+# xi = 0.9 on a sliding window drains it: steps are rolled back inside reads
+@example(window=6, batch_in=2, slide=True, xi=0.9, refresh_every=3, extra=150,
+         zero_runs=[(40, 60)], seed=0)
+# a refresh every 7 samples lands inside reads of 2, 3 and 128 batches
+@example(window=5, batch_in=1, slide=False, xi=1.0, refresh_every=7, extra=200,
+         zero_runs=[(100, 140)], seed=0)
+@given(
+    window=st.integers(3, 12),
+    batch_in=st.integers(1, 6),
+    slide=st.booleans(),
+    xi=st.sampled_from([1.0, 0.9]),
+    refresh_every=st.sampled_from([None, 2, 3, 5, 7]),
+    extra=st.integers(0, 150),
+    zero_runs=st.lists(st.tuples(st.integers(0, 100), st.integers(1, 30)), max_size=3)
+    .map(lambda runs: [(start, start + length) for start, length in runs]),
+    seed=st.integers(0, 2**16),
+)
+def test_block_reads_match_one_batch_reads_through_refreshes_and_rollbacks(
+    window, batch_in, slide, xi, refresh_every, extra, zero_runs, seed
+):
+    """A fit that steps a block of batches a read writes the steps.jsonl and
+    errors.csv bytes that one batch a read writes, under warn, reject and
+    defer: with the adaptive prior refreshed every `refresh_every` samples
+    (None keeps it fixed), which need not divide a read, so refreshes land
+    inside reads, and with xi = 0.9, whose sliding window drains until steps
+    are rolled back inside reads."""
+    forget = batch_in if slide else 0
+    saved = cli._BLOCK
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "data.csv"
+        write_stalling_stream(data, window + extra, zero_runs, seed)
+        truth = {"segments": [{"start_t": 0.0, "coeffs": [3.0, -2.0]}]}
+        (tmp / "truth.json").write_text(json.dumps(truth))
+        config = tmp / "run.json"
+        config.write_text(json.dumps({
+            "include_bias": False, "noise_variances": 0.01, "refresh_every": refresh_every,
+            "theta_mode": "fixed" if refresh_every is None else "adaptive",
+        }))
+        outputs = {}
+        try:
+            for block in (1, 2, 3, saved):
+                cli._BLOCK = block
+                for policy in rec.POLICIES:
+                    out = tmp / f"{policy}-{block}"
+                    code = main([
+                        "--mode", "fit", "--input", str(data), "--output", str(out),
+                        "--window", str(window), "--batch-in", str(batch_in),
+                        "--forget", str(forget), "--xi", str(xi), "--degree", "1",
+                        "--policy", policy, "--config", str(config),
+                    ])
+                    written = [(out / name).read_bytes() if (out / name).exists() else None
+                               for name in ("steps.jsonl", "errors.csv")]
+                    outputs[policy, block] = (code, *written)
+        finally:
+            cli._BLOCK = saved
+    for policy in rec.POLICIES:
+        for block in (2, 3, saved):
+            assert outputs[policy, block] == outputs[policy, 1], (policy, block)
+
+
+def test_fit_factors_a_read_at_once(tmp_path, monkeypatch):
+    """A fit factors the posteriors of a read with one stacked Cholesky call
+    (np.linalg.cholesky) per run: a prior refresh adds one, which it shares
+    with the steps after it, and so does a rollback. On the 3 s Lorenz
+    stream (201 steps, a refresh every 20 samples) that is at most reads +
+    refreshes + rollbacks + 1 calls after the warmup, where one call a
+    step makes at least 201."""
+    sim = simulate_lorenz_stream(tmp_path)
+    calls, per_read = [], []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    step_read = rec.step_read
+
+    def counted_read(*args):
+        done = len(calls)
+        try:
+            return step_read(*args)
+        finally:
+            per_read.append(len(calls) - done)
+
+    monkeypatch.setattr(rec, "step_read", counted_read)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"refresh_every": 20}))
+    out = tmp_path / "fit"
+    assert main(["--mode", "fit", "--input", str(sim / "data.csv"), "--output", str(out),
+                 "--window", "100", "--batch-in", "1", "--config", str(config)]) == 0
+    records = read_records(out)
+    reasons = [r["reason"] or "" for r in records]
+    refreshes = sum(r["theta_refreshed"] for r in records)
+    refreshes += sum(reason.endswith("refused") for reason in reasons)
+    rollbacks = sum("rolled back" in reason for reason in reasons)
+    assert len(records) == 201 and refreshes == 10
+    assert sum(per_read) <= len(per_read) + refreshes + rollbacks + 1, per_read
 
 
 @pytest.mark.parametrize("policy", ["warn", "reject", "defer"])
