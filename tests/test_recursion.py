@@ -6,6 +6,8 @@ steps must equal the batch fit of the samples currently in the window; with
 forget == 0, the batch fit of every sample it has applied.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -734,6 +736,43 @@ def test_refresh_that_would_break_definiteness_is_refused(rng):
             assert out.reason.startswith("update ")  # joined to the warn reason
             assert state.horseshoe is prior
     assert refused
+
+
+@pytest.mark.parametrize("policy", rec.POLICIES)
+@pytest.mark.parametrize("block", [2, 3, 7, 64])
+def test_step_read_equals_one_step_per_batch(rng, policy, block):
+    """step_read over reads of `block` batches gives the records, the kept
+    posterior and the window that one rec.step per batch gives, on the
+    drain stream above: under warn, refreshes are refused and steps rolled
+    back inside reads, so runs are cut there and after every due refresh."""
+    samples = stream(rng, n=10 + 60 * 2, noise_std=1.0)
+    t, x, y = (np.array(a) for a in zip(*((s.timestamp, s.state, s.observation) for s in samples)))
+    cfg = RecursionConfig(
+        window=10, batch_in=2, forget=2, forgetting_factor=0.9,
+        policy=policy, theta_mode="adaptive", refresh_every=2,
+    )
+    one = rec.init(LINEAR2, cfg, samples[:10], NoiseModel([1.0]))
+    expected = [
+        json.dumps(rec.step_record(one, rec.step(one, samples[k : k + 2])), sort_keys=True)
+        for k in range(10, len(samples), 2)
+    ]
+    state = rec.init(LINEAR2, cfg, samples[:10], NoiseModel([1.0]))
+    records = []
+    for k in range(10, len(samples), 2 * block):
+        n = min(block, (len(samples) - k) // 2)
+        outcomes, error = rec.step_read(
+            state, t[k : k + 2 * n].reshape(n, 2), x[k : k + 2 * n].reshape(n, 2, 2),
+            y[k : k + 2 * n].reshape(n, 2, 1),
+        )
+        assert error is None
+        records += [json.dumps(rec.step_record(state, o), sort_keys=True) for o in outcomes]
+    assert records == expected
+    assert same_bytes(rec.snapshot(state).mean_blocks(), rec.snapshot(one).mean_blocks())
+    assert all(map(same_bytes, state.buffer.oldest(10), one.buffer.oldest(10)))
+    if policy == "warn":
+        reasons = [json.loads(r)["reason"] or "" for r in records]
+        assert sum(r.endswith("refused") for r in reasons) >= 5
+        assert sum("rolled back" in r for r in reasons) >= 10
 
 
 # ----------------------------------------------------------------- refresh
