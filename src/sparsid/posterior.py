@@ -227,26 +227,25 @@ def posteriors_from_moments(
     up to the first whose posterior cannot be built; that window's
     NonFiniteInput or NotPositiveDefinite, or None when all k are built).
     Only when the stacked call fails is that window looked for, by
-    factoring the windows one at a time.
+    factoring the windows before it one at a time: when window i (from 0)
+    cannot be built, the call makes at most i + 1 Cholesky calls, one
+    when it is the only window.
     """
     s, b = _information(noise, horseshoe, grams, crosses)
     s.flags.writeable = b.flags.writeable = False
     error = None
     try:
-        factored = _factor(s, b)
-    except (NonFiniteInput, NotPositiveDefinite):
-        for n, blocks in enumerate(zip(s, b)):
+        factored = zip(s, b, *_factor(s, b))
+    except (NonFiniteInput, NotPositiveDefinite) as stacked:
+        # the last window is the bad one unless one before it is
+        factored, error = [], stacked
+        for blocks in zip(s[:-1], b[:-1]):
             try:
-                _factor(*blocks)
+                factored.append((*blocks, *_factor(*blocks)))
             except (NonFiniteInput, NotPositiveDefinite) as exc:
                 error = exc
                 break
-        s, b = s[:n], b[:n]
-        factored = _factor(s, b) if n else ()
-    posts = [
-        PosteriorState._factored(spec, noise, horseshoe, *blocks)
-        for blocks in zip(s, b, *factored)
-    ]
+    posts = [PosteriorState._factored(spec, noise, horseshoe, *blocks) for blocks in factored]
     return posts, error
 
 

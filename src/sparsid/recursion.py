@@ -34,10 +34,10 @@ xi = 1), their posteriors factored by one stacked np.linalg.cholesky call
 stacked solves, and one buffer extend of the accepted batches. Every
 operation is the one a one-batch step makes, on each matrix of a stack,
 so the outcomes have the bytes of one step per batch. A run is cut after
-a step whose prior refresh falls due (its refreshed posterior is factored
-with the next run's), at the first step policy refuses, at the first
-rolled back, and at the first whose moments overflow; the rest of the read
-runs from the state after the cut.
+a step whose prior refresh falls due (its refreshed posterior is built
+alone, as a one-batch step builds it), at the first step policy refuses,
+at the first rolled back, and at the first whose moments overflow; the
+rest of the read runs from the state after the cut.
 
 Rows are arrays throughout: init and step take (t, x, y) arrays, or a list
 of Samples that dictionary.stack_rows stacks where it enters, and
@@ -54,7 +54,8 @@ from .dictionary import DictionarySpec, build_matrix, stack_rows
 from .errors import ConditionViolated, InsufficientWarmup, NonFiniteInput, NotPositiveDefinite
 from .monitor import UtilityReport, gram, utility_from_differential
 from .posterior import MAX_OUTER, HorseshoeState, NoiseModel, PosteriorState, fit_moments
-from .posterior import initial_horseshoe, posteriors_from_moments, refresh_horseshoe
+from .posterior import initial_horseshoe, posterior_from_moments, posteriors_from_moments
+from .posterior import refresh_horseshoe
 
 __all__ = [
     "RecursionConfig",
@@ -415,19 +416,20 @@ def step(state: RecursionState, new_rows) -> StepOutcome:
 def step_read(state: RecursionState, t, x, y) -> tuple:
     """Step the k batches of a read, given as stacks: timestamps t (k x
     batch_in), states x (k x batch_in x n_x) and observations y (k x
-    batch_in x n_y), checked for finite values. Their timestamps must
-    increase strictly, after the newest buffered one.
+    batch_in x n_y), checked for finite values. The timestamps of the
+    whole read must increase strictly, after the newest buffered one (and
+    a parked batch's); that is checked before any batch is stepped, so a
+    read that fails it raises ValueError and steps nothing.
 
-    The outcomes, the state each step leaves and every byte of them are
-    those of k step calls. A read is stepped a run at a time: one
-    audit_run, one accumulation of the moments and one stacked
-    factorization of the posteriors (posteriors_from_moments) per run, and
-    one buffer extend for its accepted batches. A run ends after a batch
-    whose prior refresh falls due (the next run starts with that batch's
-    refreshed posterior, so the refresh shares its factorization), and at
-    the first batch that policy refuses, whose posterior is not positive
-    definite (rolled back), or whose moments overflow; a batch merged with
-    a parked one is a run of its own.
+    For a read that passes that check, the outcomes, the state each step
+    leaves and every byte of them are those of k step calls. A read is
+    stepped a run at a time: one audit_run, one accumulation of the
+    moments and one stacked factorization of the posteriors
+    (posteriors_from_moments) per run, and one buffer extend for its
+    accepted batches. A run ends after a batch whose prior refresh falls
+    due, and at the first batch that policy refuses, whose posterior is
+    not positive definite (rolled back), or whose moments overflow; a
+    batch merged with a parked one is a run of its own.
 
     Returns (the outcomes of the batches stepped, in order; None, or the
     NonFiniteInput of a batch whose moments overflow, which ends the read
@@ -451,13 +453,14 @@ def _step_read(state: RecursionState, t, x, y) -> tuple:
     """step_read of checked C-contiguous stacks."""
     times = t.ravel() if state.pending is None else np.concatenate((state.pending[0], t.ravel()))
     _check_order(times, state.buffer.last_t)
-    outcomes, i, size = [], 0, len(t)
+    # a refused or rolled-back batch leaves the window as it was, so the
+    # audits of the batches after it are redone: a run audits one batch
+    # after one, and twice as many as the last after one that is accepted;
+    # under warn, which refuses none, the first run audits the whole read
+    outcomes, i, size = [], 0, len(t) if state.config.policy == "warn" else 1
     try:
         while i < len(t):
             i += _run(state, t[i : i + size], x[i : i + size], y[i : i + size], outcomes)
-            # a refused or rolled-back batch leaves the window as it was, so
-            # the audits after it are redone: audit one batch next, and twice
-            # as many after each run that ends accepted
             size = 2 * size if outcomes[-1].accepted else 1
     except NonFiniteInput as exc:
         return outcomes, exc
@@ -466,11 +469,12 @@ def _step_read(state: RecursionState, t, x, y) -> tuple:
 
 def _run(state: RecursionState, t, x, y, outcomes: list) -> int:
     """Step the leading batches of k stacked ones from one audit_run: all k,
-    or up to and including the first that policy refuses or whose update
-    is rolled back. Appends their outcomes and returns how many batches it
-    stepped. A parked batch is merged into the first batch, which is then
-    stepped alone. Raises NonFiniteInput for a batch whose moments overflow,
-    after appending the outcomes of the batches before it."""
+    or up to and including the first whose prior refresh falls due, that
+    policy refuses or whose update is rolled back. Appends their outcomes
+    and returns how many batches it stepped. A parked batch is merged into
+    the first batch, which is then stepped alone. Raises NonFiniteInput for
+    a batch whose moments overflow, after appending the outcomes of the
+    batches before it."""
     cfg, buffer = state.config, state.buffer
     if state.pending is not None:
         t, x, y = (np.concatenate((p, a[0]))[None] for p, a in zip(state.pending, (t, x, y)))
@@ -505,35 +509,31 @@ def _run(state: RecursionState, t, x, y, outcomes: list) -> int:
         state.cross, psi_new.swapaxes(1, 2) @ y_in - psi_old.swapaxes(1, 2) @ y_old, xi
     )
 
-    # the posteriors of the n batches, at the prior in force, one stacked
-    # factorization per refresh: a prior refresh falls due every `cadence`
-    # entering samples, and the due batch's refreshed posterior is built
-    # with the next run's (lead), or alone after the last batch
+    # the posteriors of the batches up to the first whose prior refresh
+    # falls due, every `cadence` entering samples: the ceil((cadence -
+    # since) / e)-th. The run ends with it
     adaptive = cfg.theta_mode == "adaptive"
+    since = state.samples_since_refresh
     cadence = cfg.window if cfg.refresh_every is None else cfg.refresh_every
-    horseshoe, since = state.horseshoe, state.samples_since_refresh
-    posts, refreshed, lead, error = [], {}, None, None
-    while error is None and (len(posts) < n or lead is not None):
-        j = len(posts)
-        # the run ends at the batch whose refresh falls due, the
-        # ceil((cadence - since) / e)-th from j
-        stop = min(n, j - (since - cadence) // e) if adaptive else n
-        prior, first = (horseshoe, j) if lead is None else (refresh_horseshoe(posts[lead]), lead)
-        run, error = posteriors_from_moments(
-            state.spec, state.noise, prior, grams[first:stop], crosses[first:stop]
+    stop = min(n, -((since - cadence) // e)) if adaptive else n
+    posts, error = [], None
+    if stop:
+        posts, error = posteriors_from_moments(
+            state.spec, state.noise, state.horseshoe, grams[:stop], crosses[:stop]
         )
-        if lead is not None:
-            refreshed[lead] = bool(run)
-            if not run:
-                # the same invariant: keep the prior that leaves a proper
-                # posterior, and build the run at it
-                lead = error = None
-                continue
-            posts[lead], horseshoe, lead = run.pop(0), prior, None
-        posts += run
-        since += (len(posts) - j) * e
-        if error is None and adaptive and since >= cadence:
-            since, lead = 0, stop - 1
+    since += len(posts) * e
+    refreshed = refused = False  # the last batch's refresh
+    if error is None and adaptive and since >= cadence:
+        since = 0
+        try:
+            posts[-1] = posterior_from_moments(
+                state.spec, state.noise, refresh_horseshoe(posts[-1]),
+                grams[stop - 1], crosses[stop - 1],
+            )
+            refreshed = True
+        except NotPositiveDefinite:
+            # the same invariant: keep the prior that leaves a proper posterior
+            refused = True
 
     p = len(posts)  # the batches applied
     if p:
@@ -553,9 +553,9 @@ def _run(state: RecursionState, t, x, y, outcomes: list) -> int:
             report, reason = reports[j], None
             if report.classification != "informative":
                 reason = f"update {report.classification}; applied under warn policy"
-            if refreshed.get(j) is False:
-                refused = "prior refresh would make the information matrix indefinite; refused"
-                reason = refused if reason is None else f"{reason}; {refused}"
+            if j == p - 1 and refused:
+                note = "prior refresh would make the information matrix indefinite; refused"
+                reason = note if reason is None else f"{reason}; {note}"
             outcomes.append(StepOutcome(
                 step_index=state.step_count,
                 timestamp=timestamps[j],
@@ -564,7 +564,7 @@ def _run(state: RecursionState, t, x, y, outcomes: list) -> int:
                 reason=reason,
                 utility=report,
                 residual_rms=rms[j],
-                theta_refreshed=refreshed.get(j, False),
+                theta_refreshed=j == p - 1 and refreshed,
                 coef_mean=post.mean_blocks(),
                 coef_std=post.std_blocks(),
             ))
@@ -578,8 +578,8 @@ def _run(state: RecursionState, t, x, y, outcomes: list) -> int:
             reason="update would make the information matrix indefinite; rolled back",
         ))
         return p + 1
-    if n == k:
-        return k
+    if stop < n or n == k:  # cut by a refresh, or stepped whole
+        return stop
     report, pending = reports[n], None
     if cfg.policy == "reject":
         reason = f"update {report.classification}; rejected by policy"
