@@ -45,10 +45,10 @@ import numpy as np
 # analyze and simulate are imported inside the fit and simulate paths only,
 # so a monitor process never loads them
 from . import recursion as rec
-from .dictionary import DictionarySpec, build_matrix
+from .dictionary import DictionarySpec, build_matrix, column_count
 from .errors import ConditionViolated, DimensionMismatch, NonFiniteInput, NonFiniteState
 from .errors import TimestampMismatch
-from .monitor import gram, pe_from_gram
+from .monitor import accumulate, gram, pe_from_gram
 from .posterior import HorseshoeState, NoiseModel, initial_horseshoe
 
 __all__ = ["RunConfig", "run_simulate", "run_fit", "run_monitor", "main"]
@@ -101,6 +101,10 @@ class RunConfig:
     idle_timeout: float = 5.0
 
     def __post_init__(self):
+        for f in fields(self):  # an int key must fit a C index (islice, numpy shapes)
+            value = getattr(self, f.name)
+            if type(value) is int and abs(value) > sys.maxsize:
+                raise ConfigError(f"config key {f.name!r} must be at most {sys.maxsize} in size")
         if self.mode not in ("simulate", "fit", "stream", "monitor"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.case not in ("case1", "lorenz"):
@@ -436,10 +440,11 @@ _BLOCK_CELLS = 4096
 def _drive(cfg: RunConfig, mode_cls):
     """The one loop of fit, stream and monitor runs.
 
-    Reads the header, builds the dictionary and checks the window geometry
-    against its columns, hands the (t, x, y) arrays of `window` warmup rows
-    to the mode's start, then passes the full batches of `batch_in` rows of
-    each read to its steps as k x batch_in stacks of t, x and y, and writes
+    Reads the header, checks the window geometry against the dictionary's
+    column count (counted, not enumerated), builds the dictionary, hands
+    the (t, x, y) arrays of `window` warmup rows to the mode's start, then
+    passes the full batches of `batch_in` rows of each read to its steps as
+    k x batch_in stacks of t, x and y (k >= 1), and writes
     the JSON lines of the records they return to the mode's output file. A
     finished input (fit, monitor) is read up to `_BLOCK` batches at a time;
     stream reads one batch at a time and flushes every record, so a reader
@@ -456,13 +461,13 @@ def _drive(cfg: RunConfig, mode_cls):
     stream = cfg.mode == "stream"
     idle_timeout = cfg.idle_timeout if stream else 0.0
     rows = _CsvBlocks(_follow_lines(cfg.input, idle_timeout))
+    try:  # counted before the dictionary enumerates its monomials
+        cfg.recursion.check_columns(column_count(rows.n_x, cfg.degree, cfg.include_bias))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     spec = DictionarySpec(
         state_dim=rows.n_x, poly_degree=cfg.degree, include_bias=cfg.include_bias
     )
-    try:
-        cfg.recursion.check_columns(spec.n_columns)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     mode = mode_cls(cfg, spec, rows.n_y)
     warmup = rows.take(cfg.window)
     if rows.error is not None:
@@ -486,6 +491,8 @@ def _drive(cfg: RunConfig, mode_cls):
             while True:
                 read = rows.take(per_read)
                 k = len(read[0]) // b
+                if not k:  # the input ended within a batch
+                    break
                 batches = [a[: k * b].reshape(k, b, *a.shape[1:]) for a in read]
                 for line in mode.steps(*batches):
                     fh.write(line)
@@ -612,7 +619,8 @@ class _Monitor:
     """Diagnostics only: the estimator's audit of each batch, and the
     excitation of the window after the slide from a running window Gram.
     Every slide is applied: the full window is audited once per read
-    (recursion.audit_run) and then takes the read's entering samples in one
+    (recursion.audit_run), its Grams are the fit's running sum at xi = 1
+    (monitor.accumulate), and it takes the read's entering stacks in one
     extend; the kappas and PE eigenvalues of a read come from one stacked
     eigvalsh each. It works on the read's arrays and builds no Sample."""
 
@@ -632,21 +640,16 @@ class _Monitor:
         self.gram = gram(rows)
 
     def steps(self, t, x, y) -> list:
-        if not len(t):
-            return []
-        (t, x, y), psi_new, _, pushed, differentials, reports = rec.audit_run(
+        (t, x, y), psi_new, _, _, pushed, differentials, reports = rec.audit_run(
             self.spec, self.window, t, x, y, self.cfg.forget
         )
-        # G_i = G_(i-1) + (differential_i - Gram(pushed_i)), added in step order;
         # pushed may be a view of the window's rows, so it is read before the extend
-        grams = np.add.accumulate(
-            np.concatenate((self.gram[None], differentials - gram(pushed)))
-        )[1:]
+        grams = accumulate(self.gram, differentials - gram(pushed))
         finite = np.isfinite(grams).all(axis=(1, 2))
         if not finite.all():
             raise NonFiniteInput(f"the window Gram overflows at t={t[finite.argmin(), -1]}")
         self.gram = grams[-1]
-        self.window.extend(*(a.reshape(t.size, *a.shape[2:]) for a in (t, x, y, psi_new)))
+        self.window.extend(t, x, y, psi_new)
         pes = pe_from_gram(grams, len(self.window), self.cfg.alpha1)
         lines = []
         for last_t, report, pe in zip(t[:, -1].tolist(), reports, pes):

@@ -8,6 +8,7 @@ semidefinite.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,6 +20,7 @@ __all__ = [
     "DictionarySpec",
     "Sample",
     "build_matrix",
+    "column_count",
     "stack_rows",
 ]
 
@@ -30,6 +32,13 @@ def _monomial_exponents(state_dim: int, degree: int, include_bias: bool):
     for total in range(lowest, degree + 1):
         out.extend(itertools.combinations_with_replacement(range(state_dim), total))
     return out
+
+
+def column_count(state_dim: int, degree: int, include_bias: bool) -> int:
+    """The number of dictionary columns, counted without enumerating them:
+    comb(state_dim + degree, degree) monomials of total degree up to
+    degree, less the bias when it is left out."""
+    return math.comb(state_dim + degree, degree) - (not include_bias)
 
 
 def _product_plan(exps: list) -> tuple:

@@ -25,6 +25,7 @@ __all__ = [
     "check_pe",
     "pe_from_gram",
     "gram",
+    "accumulate",
 ]
 
 @dataclass(frozen=True)
@@ -64,6 +65,16 @@ def gram(rows: np.ndarray) -> np.ndarray:
     if not np.isfinite(g).all():
         raise NonFiniteInput("the Gram matrix of the dictionary rows overflows")
     return g
+
+
+def accumulate(first: np.ndarray, deltas: np.ndarray, xi: float = 1.0) -> np.ndarray:
+    """G_j = xi * G_(j-1) + delta_j for a stack of deltas in turn, from G_0 =
+    first, written over the deltas: the additions of one step per delta (a
+    sum of two has the same bytes in either order, and 1.0 * G is G)."""
+    for delta in deltas:
+        delta += xi * first
+        first = delta
+    return deltas
 
 
 def utility_from_differential(differentials: np.ndarray) -> list:

@@ -294,22 +294,20 @@ def batch_fit(
     rows,
     noise: NoiseModel,
     horseshoe: HorseshoeState,
-    max_outer: int = 0,
 ) -> PosteriorState:
-    """Posterior of one window of rows: fit_moments of its Gram Psi.T @ Psi
-    and cross-moment Psi.T @ Y. rows is a block of rows, as recursion.init
-    takes it.
+    """Posterior of one window of rows at the given prior scales:
+    posterior_from_moments of its Gram Psi.T @ Psi and cross-moment
+    Psi.T @ Y. rows is a block of rows, as recursion.init takes it.
 
     Per output i the information block is Gram / sigma_i^2 plus the diagonal
     prior precision, and the information vector is Psi.T @ y_i / sigma_i^2.
-    With max_outer 0 (the default) the prior scales stay as given; with
-    max_outer > 0 (MAX_OUTER, say) they are re-estimated from the fit itself.
+    fit_moments of the same moments re-estimates the scales from the fit.
     """
     _, x, y = stack_rows(rows, noise.n_outputs)
     if len(x) == 0:
         raise ValueError("cannot fit an empty window")
     psi = build_matrix(spec, x)
-    return fit_moments(spec, noise, horseshoe, gram(psi), psi.T @ y, max_outer)
+    return posterior_from_moments(spec, noise, horseshoe, gram(psi), psi.T @ y)
 
 
 def refresh_horseshoe(
@@ -384,7 +382,7 @@ def fit_moments(
     horseshoe: HorseshoeState,
     window_gram: np.ndarray,
     cross: np.ndarray,
-    max_outer: int = MAX_OUTER,
+    max_outer: int,
 ) -> PosteriorState:
     """Batch fit of a window given by its Gram and cross-moment, with the
     prior scales re-estimated from the fit itself.

@@ -27,13 +27,14 @@ flagged with theta_refreshed false).
 
 step_read steps a whole read of k batches, and step is its one-batch read,
 so the update, the PD guard, the refresh and the rollback are written once.
-A read is stepped in runs: one audit_run of the run's slides, the window
-moments of all its steps from one running sum (np.add.accumulate when
-xi = 1), their posteriors factored by one stacked np.linalg.cholesky call
-(posterior.posteriors_from_moments), the means, stds and residuals from
-stacked solves, and one buffer extend of the accepted batches. Every
-operation is the one a one-batch step makes, on each matrix of a stack,
-so the outcomes have the bytes of one step per batch. A run is cut after
+A read is stepped in runs: one audit_run of the run's slides (which also
+finds the leaving observations), the window moments of all its steps from
+one running sum (monitor.accumulate), their posteriors factored by one
+stacked np.linalg.cholesky call (posterior.posteriors_from_moments), the
+means, stds and residuals from stacked solves, and one buffer extend of
+the accepted batches' stacks. Every operation is the one a one-batch step
+makes, on each matrix of a stack, so the outcomes (all built by _outcome)
+have the bytes of one step per batch. A run is cut after
 a step whose prior refresh falls due (its refreshed posterior is built
 alone, as a one-batch step builds it), at the first step policy refuses,
 at the first rolled back, and at the first whose moments overflow; the
@@ -52,7 +53,7 @@ import numpy as np
 
 from .dictionary import DictionarySpec, build_matrix, stack_rows
 from .errors import ConditionViolated, InsufficientWarmup, NonFiniteInput, NotPositiveDefinite
-from .monitor import UtilityReport, gram, utility_from_differential
+from .monitor import UtilityReport, accumulate, gram, utility_from_differential
 from .posterior import MAX_OUTER, HorseshoeState, NoiseModel, PosteriorState, fit_moments
 from .posterior import initial_horseshoe, posterior_from_moments, posteriors_from_moments
 from .posterior import refresh_horseshoe
@@ -162,9 +163,13 @@ class WindowBuffer:
 
     def extend(self, t, x, y, rows) -> None:
         """Push samples: timestamps t (n,), states x (n, n_x), observations
-        y (n, n_y) and their dictionary rows (n, n_p)."""
-        new = (t, x, y, rows)
-        n = len(t)
+        y (n, n_y) and their dictionary rows (n, n_p); or k x e stacks of
+        them (t k x e, x k x e x n_x, ...), the k blocks of e in turn, which
+        is one block of k * e."""
+        new = [t, x, y, rows]
+        if np.ndim(t) == 2:
+            new = [a.reshape(t.size, *a.shape[2:]) for a in new]
+        n = len(new[0])
         if set(map(len, new)) != {n}:
             raise ValueError(f"extend needs n of each, got {list(map(len, new))}")
         if self._arrays is None:
@@ -360,24 +365,30 @@ def audit_run(
     k batches.
 
     Returns (the entering (t, x, y), views of the stacks (k x e ...);
-    psi_new, psi_old and the pushed rows as k x e x n_p stacks, psi_old
-    empty (k x 0 x n_p) when forget == 0 and pushed empty when forget > 0;
-    the k differentials Gram(psi_new) - Gram(psi_old) as a k x n_p x n_p
-    stack; their UtilityReports)."""
+    psi_new, psi_old and the pushed rows as k x e x n_p stacks; y_old, the
+    observations of the leaving samples, as a k x e x n_y stack; psi_old
+    and y_old empty (k x 0 ...) when forget == 0 and pushed empty when
+    forget > 0; the k differentials Gram(psi_new) - Gram(psi_old) as a k x
+    n_p x n_p stack; their UtilityReports). y_old is found as psi_old is:
+    views of the buffer's observations while k*e fits in the window."""
     capacity = buffer.capacity
     if len(buffer) != capacity:
         raise ValueError(f"buffer holds {len(buffer)} samples, not its capacity {capacity}")
-    (k, b), n_p = t.shape, spec.n_columns
+    (k, b), n_p, n_y = t.shape, spec.n_columns, y.shape[-1]
     e = min(b, capacity) if forget else b
     t, x, y = t[:, b - e :], x[:, b - e :], y[:, b - e :]
     rows = build_matrix(spec, x.reshape(k * e, x.shape[-1]))
     # the k*e oldest rows of [buffer rows; rows], e per batch
-    lead = _oldest(buffer, 3, rows, k * e)
-    psi_new, lead = rows.reshape(k, e, n_p), lead.reshape(k, e, n_p)
-    psi_old, pushed = (lead, lead[:, :0]) if forget else (lead[:, :0], lead)
+    lead = _oldest(buffer, 3, rows, k * e).reshape(k, e, n_p)
+    psi_new = rows.reshape(k, e, n_p)
+    if forget:
+        psi_old, pushed = lead, lead[:, :0]
+        y_old = _oldest(buffer, 2, y.reshape(k * e, n_y), k * e).reshape(k, e, n_y)
+    else:
+        psi_old, pushed, y_old = lead[:, :0], lead, y[:, :0]
     differentials = gram(psi_new) - gram(psi_old)
     return (
-        (t, x, y), psi_new, psi_old, pushed, differentials,
+        (t, x, y), psi_new, psi_old, y_old, pushed, differentials,
         utility_from_differential(differentials),
     )
 
@@ -479,7 +490,7 @@ def _run(state: RecursionState, t, x, y, outcomes: list) -> int:
     if state.pending is not None:
         t, x, y = (np.concatenate((p, a[0]))[None] for p, a in zip(state.pending, (t, x, y)))
     try:
-        entering, psi_new, psi_old, _, differentials, reports = audit_run(
+        entering, psi_new, psi_old, y_old, _, differentials, reports = audit_run(
             state.spec, buffer, t, x, y, cfg.forget
         )
     except NonFiniteInput:
@@ -495,17 +506,13 @@ def _run(state: RecursionState, t, x, y, outcomes: list) -> int:
         n = next((j for j, r in enumerate(reports) if r.classification != "informative"), k)
     t_in, x_in, y_in = entering
     if n < k:
-        t_in, x_in, y_in, psi_new, psi_old, differentials = [
-            a[:n] for a in (t_in, x_in, y_in, psi_new, psi_old, differentials)
+        t_in, x_in, y_in, psi_new, psi_old, y_old, differentials = [
+            a[:n] for a in (t_in, x_in, y_in, psi_new, psi_old, y_old, differentials)
         ]
     e = t_in.shape[1]
-    if cfg.forget:
-        y_old = _oldest(buffer, 2, y_in.reshape(n * e, y.shape[-1]), n * e).reshape(y_in.shape)
-    else:
-        y_old = y_in[:, :0]
     xi = cfg.forgetting_factor
-    grams = _accumulate(state.gram, differentials, xi)
-    crosses = _accumulate(
+    grams = accumulate(state.gram, differentials, xi)
+    crosses = accumulate(
         state.cross, psi_new.swapaxes(1, 2) @ y_in - psi_old.swapaxes(1, 2) @ y_old, xi
     )
 
@@ -540,93 +547,68 @@ def _run(state: RecursionState, t, x, y, outcomes: list) -> int:
         state.gram, state.cross, state.posterior = grams[p - 1], crosses[p - 1], posts[-1]
         state.pending = None
         state.samples_since_refresh = since
-        buffer.extend(
-            t_in[:p].reshape(p * e), x_in[:p].reshape(p * e, -1),
-            y_in[:p].reshape(p * e, -1), psi_new[:p].reshape(p * e, -1),
-        )
+        buffer.extend(t_in[:p], x_in[:p], y_in[:p], psi_new[:p])
         means = np.array([post.mean_blocks() for post in posts])
         resid = y_in[:p] - psi_new[:p] @ means.swapaxes(1, 2)
         # each summed as np.mean sums a block of e x n_y
         rms = np.sqrt(np.add.reduce((resid**2).reshape(p, -1), axis=1) / resid[0].size).tolist()
         for j, post in enumerate(posts):
-            state.step_count += 1
             report, reason = reports[j], None
             if report.classification != "informative":
                 reason = f"update {report.classification}; applied under warn policy"
             if j == p - 1 and refused:
                 note = "prior refresh would make the information matrix indefinite; refused"
                 reason = note if reason is None else f"{reason}; {note}"
-            outcomes.append(StepOutcome(
-                step_index=state.step_count,
-                timestamp=timestamps[j],
-                accepted=True,
-                flagged=reason is not None or (state.init_flagged and state.step_count == 1),
-                reason=reason,
-                utility=report,
-                residual_rms=rms[j],
-                theta_refreshed=j == p - 1 and refreshed,
-                coef_mean=post.mean_blocks(),
-                coef_std=post.std_blocks(),
+            outcomes.append(_outcome(
+                state, report, timestamps[j], reason, post, rms[j], j == p - 1 and refreshed
             ))
 
+    # the batch that ends the run unapplied: p, rolled back, or n, refused
+    pending = None
     if error is not None:  # batch p's posterior cannot be built
         if isinstance(error, NonFiniteInput):  # name the batch that overflows them
             raise NonFiniteInput(f"{error} at t={timestamps[p]}") from error
         # hard invariant: the posterior must stay proper, even under warn
-        outcomes.append(_rejected(
-            state, reports[p], timestamps[p],
-            reason="update would make the information matrix indefinite; rolled back",
-        ))
-        return p + 1
-    if stop < n or n == k:  # cut by a refresh, or stepped whole
+        n, reason = p, "update would make the information matrix indefinite; rolled back"
+    elif stop < n or n == k:  # cut by a refresh, or stepped whole
         return stop
-    report, pending = reports[n], None
-    if cfg.policy == "reject":
-        reason = f"update {report.classification}; rejected by policy"
+    elif cfg.policy == "reject":
+        reason = f"update {reports[n].classification}; rejected by policy"
     elif len(t[n]) >= buffer.capacity:
         # merging more cannot help: the batch already replaces a whole
         # window, so retrying it would stall the estimator
         reason = (
-            f"update {report.classification}; deferred batch reached the window length, dropped"
+            f"update {reports[n].classification}; "
+            "deferred batch reached the window length, dropped"
         )
     else:
-        reason = f"update {report.classification}; deferred for aggregation"
+        reason = f"update {reports[n].classification}; deferred for aggregation"
         pending = (t[n], x[n], y[n])
-    outcomes.append(_rejected(state, report, timestamps[n], reason))
+    outcomes.append(_outcome(state, reports[n], timestamps[n], reason))
     state.pending = pending
     return n + 1
 
 
-def _accumulate(first: np.ndarray, deltas: np.ndarray, xi: float) -> np.ndarray:
-    """G_j = xi * G_(j-1) + delta_j for each of a stack of deltas in turn,
-    from G_0 = first, written over the deltas: the additions of one-batch
-    steps, in their order (a sum of two has the same bytes in either
-    order). With xi = 1, where xi * G is G, that is one np.add.accumulate."""
-    if xi == 1.0:
-        deltas[:1] += first
-        return np.add.accumulate(deltas, out=deltas) if len(deltas) > 1 else deltas
-    for delta in deltas:
-        delta += xi * first
-        first = delta
-    return deltas
-
-
-def _rejected(state, report, timestamp, reason):
-    """Outcome of a step that leaves the posterior as it was and drops the
-    batch; defer parks it in state.pending afterwards."""
-    state.pending = None
+def _outcome(state, report, timestamp, reason, post=None, rms=None, refreshed=False):
+    """The outcome of the state's next step, which it counts: accepted when
+    the step leaves the posterior post (with the residual RMS rms, and
+    refreshed its prior or not), else refused (rejected, deferred, dropped
+    or rolled back), leaving the state's posterior as it was."""
     state.step_count += 1
+    accepted = post is not None
+    if not accepted:
+        post = state.posterior
     return StepOutcome(
         step_index=state.step_count,
         timestamp=timestamp,
-        accepted=False,
-        flagged=True,
+        accepted=accepted,
+        flagged=reason is not None or (state.init_flagged and state.step_count == 1),
         reason=reason,
         utility=report,
-        residual_rms=None,
-        theta_refreshed=False,
-        coef_mean=state.posterior.mean_blocks(),
-        coef_std=state.posterior.std_blocks(),
+        residual_rms=rms,
+        theta_refreshed=refreshed,
+        coef_mean=post.mean_blocks(),
+        coef_std=post.std_blocks(),
     )
 
 

@@ -161,6 +161,35 @@ def test_int_no_float_holds_is_a_configuration_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["fit", "stream", "monitor", "simulate"])
+@pytest.mark.parametrize("key", ["window", "batch_in", "degree"])
+def test_int_no_index_holds_is_a_configuration_error(tmp_path, linear_csv, capsys, mode, key):
+    """A config-file int beyond sys.maxsize, which no array index or
+    islice count holds, is a configuration error in every mode: exit 2
+    with one line, before any output."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"idle_timeout": 0.1, key: HUGE}))
+    out = tmp_path / "out"
+    assert main(["--mode", mode, "--input", str(linear_csv[0]), "--output", str(out),
+                 "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config key {key!r}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["fit", "stream", "monitor"])
+def test_degree_is_checked_by_its_column_count(tmp_path, linear_csv, capsys, mode):
+    """A degree whose dictionary the window cannot identify is refused from
+    its column count, before any monomial is enumerated (degree 10**9 of 3
+    states would be 1.7e26 columns): exit 2 with one line, no output."""
+    out = tmp_path / "out"
+    assert main(["--mode", mode, "--input", str(linear_csv[0]), "--output", str(out),
+                 "--degree", str(10**9), "--window", "60"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: window + batch_in - forget must exceed")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_run_config_defaults():
     cfg = RunConfig()
     assert cfg.mode == "fit"

@@ -16,7 +16,7 @@ from sparsid import (
     Sample,
     build_matrix,
 )
-from sparsid.dictionary import stack_rows
+from sparsid.dictionary import column_count, stack_rows
 
 
 def test_frozen_row_degree_two():
@@ -50,6 +50,9 @@ def test_column_count_matches_binomial(n_x, degree):
     assert spec.n_columns == math.comb(n_x + degree, degree)
     no_bias = DictionarySpec(state_dim=n_x, poly_degree=degree, include_bias=False)
     assert no_bias.n_columns == spec.n_columns - 1
+    # counted without enumerating, as a config is checked
+    assert column_count(n_x, degree, True) == spec.n_columns
+    assert column_count(n_x, degree, False) == no_bias.n_columns
 
 
 def test_spec_validation():

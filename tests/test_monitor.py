@@ -11,7 +11,7 @@ from sparsid import (
     check_pe,
     utility,
 )
-from sparsid.monitor import pe_from_gram, utility_from_differential
+from sparsid.monitor import accumulate, pe_from_gram, utility_from_differential
 
 LINEAR = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
 
@@ -145,6 +145,30 @@ def test_stacked_reports_equal_one_by_one(n, k, seed, shape):
     assert len(pes) == k
     for g, many in zip(grams, pes):
         assert pe_from_gram(g[None], n_w, alpha1=1e-3) == [many]
+
+
+@given(
+    n=st.integers(1, 6),
+    k=st.integers(0, 6),
+    xi=st.sampled_from([1.0, 0.98, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_accumulate_equals_one_step_per_delta(n, k, xi, seed):
+    """The running sum over a stack has the bytes of one step per delta,
+    G_j = xi * G_(j-1) + delta_j, at any xi; it is written over the deltas
+    and leaves the first matrix as it was."""
+    rng = np.random.default_rng(seed)
+    first, deltas = rng.normal(size=(n, n)), rng.normal(size=(k, n, n)) * 10.0 ** rng.integers(
+        -8, 8, size=(k, 1, 1)
+    )
+    before, expected, g = first.copy(), [], first
+    for delta in deltas:
+        g = xi * g + delta
+        expected.append(g)
+    got = accumulate(first, deltas, xi)
+    assert got is deltas and got.shape == (k, n, n)
+    assert got.tobytes() == np.array(expected).reshape(k, n, n).tobytes()
+    assert first.tobytes() == before.tobytes()
 
 
 def test_stacked_pe_validation():

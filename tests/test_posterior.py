@@ -29,7 +29,10 @@ from sparsid import (
     initial_horseshoe,
     refresh_horseshoe,
 )
-from sparsid.posterior import MAX_OUTER, SCALE_CEIL, SCALE_FLOOR, posterior_from_moments
+from sparsid.dictionary import stack_rows
+from sparsid.monitor import gram
+from sparsid.posterior import MAX_OUTER, SCALE_CEIL, SCALE_FLOOR, fit_moments
+from sparsid.posterior import posterior_from_moments
 
 from conftest import make_samples
 
@@ -323,8 +326,10 @@ def test_adaptive_fit_recovers_sparse_truth(rng):
     coef[1, 0] = 8.0
     coef[4, 0] = -6.0
     samples = make_samples(rng, spec, coef, noise_std=0.3, n=400)
-    post = batch_fit(
-        spec, samples, NoiseModel([0.09]), initial_horseshoe(spec, 1), max_outer=MAX_OUTER
+    _, x, y = stack_rows(samples, 1)
+    psi = build_matrix(spec, x)
+    post = fit_moments(
+        spec, NoiseModel([0.09]), initial_horseshoe(spec, 1), gram(psi), psi.T @ y, MAX_OUTER
     )
     means = post.mean_blocks()[0]
     assert abs(means[1] - 8.0) < 0.1

@@ -170,6 +170,8 @@ def copies(views) -> list:
 @example(window=4, geometry=(9, 0), n_batches=5, degree=1, zero_runs=[(6, 20)], seed=1)
 @example(window=4, geometry=(9, 7), n_batches=5, degree=2, zero_runs=[], seed=2)
 @example(window=1, geometry=(1, 1), n_batches=3, degree=1, zero_runs=[], seed=3)
+@example(window=3, geometry=(2, 2), n_batches=0, degree=1, zero_runs=[], seed=4)
+@example(window=3, geometry=(5, 5), n_batches=4, degree=1, zero_runs=[], seed=5)
 @given(
     window=st.integers(1, 20),
     geometry=st.integers(1, 25).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, b))),
@@ -187,9 +189,12 @@ def test_audit_run_equals_one_audit_and_slide_per_batch(
     holds the last `window` samples, e = min(b, window) samples of a batch
     enter when forget > 0 (all b when forget == 0), and the e oldest leave
     when forget > 0 (the b oldest of [window; batch] are pushed out when
-    forget == 0). Any geometry: forget 0 to batch_in, batches longer than
-    the window, reads longer than it, and zero-state stretches. audit_run
-    leaves the buffer as it is."""
+    forget == 0). The observations y_old of the leaving samples come with
+    their rows psi_old, empty when forget == 0. Any geometry: forget 0 to
+    batch_in, batches longer than the window, reads longer than it (whose
+    later leaving blocks are entering samples), an empty read, and
+    zero-state stretches. audit_run leaves the buffer as it is; the slides
+    are one extend of the stacks, or k of the blocks."""
     batch_in, forget = geometry
     spec = DictionarySpec(state_dim=2, poly_degree=degree)
     rng = np.random.default_rng(seed)
@@ -219,7 +224,7 @@ def test_audit_run_equals_one_audit_and_slide_per_batch(
     e = min(batch_in, window) if forget else batch_in
     for i in range(n_batches):
         batch = list(range(window + i * batch_in, window + (i + 1) * batch_in))
-        entering, psi_new, psi_old, pushed, differentials, (report,) = rec.audit_run(
+        entering, psi_new, psi_old, y_old, pushed, differentials, (report,) = rec.audit_run(
             spec, one_by_one, *(a[i : i + 1] for a in stacks), forget
         )
         new, old = batch[batch_in - e :], reference[: e if forget else 0]
@@ -228,14 +233,15 @@ def test_audit_run_equals_one_audit_and_slide_per_batch(
             assert same_bytes(got[0], ref[new])
         for got, ref in zip((psi_new, psi_old, pushed), (new, old, out)):
             assert same_bytes(got[0], rows_of(ref))
+        assert same_bytes(y_old[0], samples[2][old])
         assert same_bytes(differentials[0], gram(rows_of(new)) - gram(rows_of(old)))
         (ref_report,) = utility_from_differential(differentials[0][None])
         assert same_bytes(report.kappas, ref_report.kappas)
         assert (report.classification, report.differential_trace) == (
             ref_report.classification, ref_report.differential_trace
         )
-        # psi_old and pushed may be views of the buffer's rows: copy them first
-        blocks = copies((*entering, psi_new, psi_old, pushed, differentials))
+        # psi_old, y_old and pushed may be views of the buffer: copy them first
+        blocks = copies((*entering, psi_new, psi_old, y_old, pushed, differentials))
         expected.append(([b[0] for b in blocks], report))
         one_by_one.extend(*flat([*entering, psi_new]))
         reference = (reference + new)[-window:]
@@ -246,6 +252,7 @@ def test_audit_run_equals_one_audit_and_slide_per_batch(
     assert same_window(run, list(range(window)))
     assert len(reports) == n_batches
     assert all(len(stack) == n_batches for stack in (*entering, *stacks))
+    assert stacks[2].shape == (n_batches, e if forget else 0, 1)  # y_old
     for i, (blocks, report) in enumerate(expected):
         for stack, block in zip((*entering, *stacks), blocks):
             assert same_bytes(stack[i], block), i
@@ -254,7 +261,7 @@ def test_audit_run_equals_one_audit_and_slide_per_batch(
             report.classification, report.differential_trace
         )
         assert reports[i].epsilon == report.epsilon
-    run.extend(*flat([*entering, stacks[0]]))
+    run.extend(*entering, stacks[0])
     assert same_window(run, reference)
     assert all(map(same_bytes, run.oldest(window), one_by_one.oldest(window)))
 
