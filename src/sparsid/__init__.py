@@ -16,7 +16,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "analyze": ("TruthTrajectory", "empirical_h", "render_equations", "tracking_bound"),
+    "analyze": ("TruthTrajectory", "render_equations", "tracking_bound"),
     "dictionary": ("DictionarySpec", "Sample", "build_matrix"),
     "errors": (
         "ConditionViolated",

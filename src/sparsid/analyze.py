@@ -1,10 +1,10 @@
 """Scoring, interpretability, and tracking diagnostics.
 
 Errors are scored against the coefficient truth read_truth reads from
-either format the simulator writes, one fit step at a time, and appended
-to errors.csv by ErrorWriter; equations render as readable strings
-in dictionary column order; tracking_bound and empirical_h give the
-paper's tracking-error bound and its empirical transfer gain.
+either format the simulator writes, a block of fit steps at a time, and
+appended to errors.csv by ErrorWriter as they are scored; equations render
+as readable strings in dictionary column order; tracking_bound gives the
+paper's tracking-error bound.
 """
 
 import csv
@@ -23,21 +23,8 @@ __all__ = [
     "read_truth",
     "ErrorWriter",
     "tracking_bound",
-    "empirical_h",
     "render_equations",
 ]
-
-
-class _Truth:
-    """at(t) of a truth that looks up a block of times with rows(times)."""
-
-    def at(self, t: float) -> np.ndarray:
-        """The coefficients at time t; raises TimestampMismatch where the
-        truth has none."""
-        true, missing = self.rows(np.array([t], dtype=float))
-        if missing is not None:
-            raise missing
-        return true[0]
 
 
 def _leading(covered: np.ndarray) -> int:
@@ -46,7 +33,7 @@ def _leading(covered: np.ndarray) -> int:
 
 
 @dataclass(frozen=True)
-class TruthTrajectory(_Truth):
+class TruthTrajectory:
     """Piecewise-constant coefficient truth: betas[i] holds from times[i]
     (inclusive) until the next segment starts."""
 
@@ -63,6 +50,11 @@ class TruthTrajectory(_Truth):
         object.__setattr__(self, "times", t.copy())
         object.__setattr__(self, "betas", b.copy())
 
+    @property
+    def size(self) -> int:
+        """The coefficients per time."""
+        return self.betas.shape[1]
+
     def rows(self, times: np.ndarray) -> tuple:
         """(the coefficients at the leading times that a segment covers, one
         row each; None, or the TimestampMismatch of the first time none
@@ -78,7 +70,7 @@ class TruthTrajectory(_Truth):
         return self.betas[idx[:n]], missing
 
 
-class LorenzTruth(_Truth):
+class LorenzTruth:
     """The drifting Lorenz system's coefficient truth: k1 and k3 sampled at
     every stream time. The coefficients at t are those of the sample within
     1e-9 of t, from simulate.lorenz_terms, output by output over spec's
@@ -116,9 +108,10 @@ class LorenzTruth(_Truth):
 def read_truth(payload, spec: DictionarySpec, n_y: int):
     """The truth of a truth.json payload, {"segments": [{"start_t", "coeffs"},
     ...]} or {"case": "lorenz", "t", "k1", "k3"}, as a TruthTrajectory or
-    LorenzTruth whose at(t) gives the n_y x spec.n_columns coefficients of a
-    fit, output by output. Raises ValueError for a payload of neither format,
-    a malformed one, or one without one coefficient per output and column.
+    LorenzTruth whose rows(times) gives, for each time, the size =
+    n_y x spec.n_columns coefficients of a fit, output by output. Raises
+    ValueError for a payload of neither format, a malformed one, or one
+    without one coefficient per output and column.
     """
     if not isinstance(payload, dict):
         raise ValueError("truth file must hold a JSON object")
@@ -129,75 +122,69 @@ def read_truth(payload, spec: DictionarySpec, n_y: int):
                 times=[s["start_t"] for s in segments],
                 betas=[s["coeffs"] for s in segments],
             )
-            n_coefs = truth.betas.shape[1]
         elif payload.get("case") == "lorenz":
             truth = LorenzTruth(payload, spec)
-            n_coefs = truth.size
         else:
             raise ValueError('truth has neither "segments" nor "case": "lorenz"')
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed truth file: {exc!r}") from exc
-    if n_coefs != n_y * spec.n_columns:
+    if truth.size != n_y * spec.n_columns:
         raise ValueError(
-            f"truth has {n_coefs} coefficients per time, but the fit estimates "
+            f"truth has {truth.size} coefficients per time, but the fit estimates "
             f"{n_y * spec.n_columns} ({n_y} outputs x {spec.n_columns} columns)"
         )
     return truth
 
 
 class ErrorWriter:
-    """errors.csv of a fit, scored a read at a time as the fit emits them.
+    """errors.csv of a fit, written a read at a time as the fit scores it.
 
     The file holds t, l2_error, one |error| column per coefficient (output by
     output) and truth_switch, 1 where the truth differs from that of the
     previous scored row. add scores estimates against truth (a
-    TruthTrajectory or LorenzTruth) and keeps their rows; flush appends the
-    kept rows to the file. The first flush that has a row creates the file
-    with its header, so a fit that scores nothing writes none. Estimates
-    come in the order of their timestamps; `scored` counts them.
+    TruthTrajectory or LorenzTruth) and appends their rows to the file
+    before it returns. Its first call creates the file with the header
+    (truth.size coefficient columns), so a fit that scores nothing writes
+    the header alone; later calls open the file only to append rows.
+    Estimates come in the order of their timestamps; `scored` counts them.
     """
 
     def __init__(self, path, truth):
         self.path = path
         self.truth = truth
         self.scored = 0
-        self._rows = []
         self._previous = None  # the truth of the previous scored row
-        self._mode = "w"
+        abs_errs = [f"abs_err_{j + 1}" for j in range(truth.size)]
+        self._header = ["t", "l2_error", *abs_errs, "truth_switch"]  # None once written
 
     def add(self, t, coef) -> None:
-        """Score estimates: t one time or n increasing ones, coef the n
-        estimates, each flat or one list per output. Keeps a row for each
-        estimate up to the first time the truth does not cover, for which
-        it raises TimestampMismatch."""
+        """Score estimates: t no time, one time or n increasing ones, coef
+        the n estimates, each flat or one list per output. Writes a row for
+        each estimate up to the first time the truth does not cover, for
+        which it then raises TimestampMismatch."""
         times = np.atleast_1d(np.asarray(t, dtype=float))
         true, missing = self.truth.rows(times)
         n = len(true)
+        rows = [] if self._header is None else [self._header]
         if n:
             err = np.reshape(coef, (len(times), -1))[:n] - true
             # each row summed as np.linalg.norm(rows, axis=1) sums it; np.linalg.norm
             # of a 1-d vector goes through BLAS dot, which can differ in the last bit
             l2 = np.sqrt(np.add.reduce(err * err, axis=1))
-            if self._previous is None:  # the first scored row: the header first
-                abs_errs = [f"abs_err_{j + 1}" for j in range(err.shape[1])]
-                self._rows.append(["t", "l2_error", *abs_errs, "truth_switch"])
-                self._previous = true[0]
-            before = np.concatenate((self._previous[None], true[:-1]))
+            previous = true[0] if self._previous is None else self._previous
+            before = np.concatenate((previous[None], true[:-1]))
             switch = (true != before).any(axis=1).astype(int)
             self._previous = true[-1]
             # csv writes a float as its repr, which round-trips exactly
             columns = times[:n].tolist(), l2.tolist(), np.abs(err).tolist(), switch.tolist()
-            self._rows += [[time, norm, *errs, s] for time, norm, errs, s in zip(*columns)]
+            rows += [[time, norm, *errs, s] for time, norm, errs, s in zip(*columns)]
             self.scored += n
+        if rows:
+            with open(self.path, "w" if self._header else "a", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            self._header = None
         if missing is not None:
             raise missing
-
-    def flush(self) -> None:
-        if self._rows:
-            with open(self.path, self._mode, newline="") as fh:
-                csv.writer(fh).writerows(self._rows)
-            self._rows.clear()
-            self._mode = "a"
 
 
 def tracking_bound(delta: float, xi: float, h: float) -> float:
@@ -212,23 +199,6 @@ def tracking_bound(delta: float, xi: float, h: float) -> float:
     if delta < 0.0 or h < 0.0:
         raise ValueError("delta and h must be nonnegative")
     return delta * h / (1.0 - xi)
-
-
-def empirical_h(snapshots: list) -> float:
-    """Empirical transfer gain: the largest operator norm of
-    cov(t+1) @ cov(t)^-1 over consecutive posterior snapshots.
-
-    Exploits the per-output block structure, where that product is
-    S(t+1)^-1 @ S(t) blockwise.
-    """
-    if len(snapshots) < 2:
-        raise ValueError("need at least two snapshots")
-    worst = 0.0
-    for prev, cur in zip(snapshots[:-1], snapshots[1:]):
-        for i in range(cur.n_outputs):
-            product = np.linalg.solve(cur.s_blocks[i], prev.s_blocks[i])
-            worst = max(worst, float(np.linalg.norm(product, 2)))
-    return worst
 
 
 def _sig4(value: float) -> str:

@@ -3,8 +3,8 @@
 Four modes: `simulate` writes a benchmark stream as CSV plus a ground-truth
 sidecar; `fit` runs the online estimator over a CSV and emits one JSONL
 record per step plus rendered equations and, when a truth is found, scores
-the accepted steps of each read against it in one call as the read is
-emitted (errors.csv, appended once per read); `stream` is fit for a file
+the accepted steps of each read against it in one call and appends their
+rows to errors.csv before the read's records; `stream` is fit for a file
 that is still being appended to (stops after an idle timeout); `monitor`
 runs the well-posedness and excitation diagnostics only.
 
@@ -449,8 +449,8 @@ def _drive(cfg: RunConfig, mode_cls):
     finished input (fit, monitor) is read up to `_BLOCK` batches at a time;
     stream reads one batch at a time and flushes every record, so a reader
     of the file sees step k before batch k + 1 arrives. A mode that writes
-    more than its records (fit's errors.csv) writes it by the end of each
-    read's steps; those files (`derived_names`) are removed when the
+    more than its records (fit's errors.csv) writes it before each read's
+    records; those files (`derived_names`) are removed when the
     records file is truncated, so none of an earlier run's is left beside
     it. A trailing partial batch is dropped. A bad row exits after the
     batches before it were stepped and written. Returns the mode object, so
@@ -522,10 +522,12 @@ def _json_line(record: dict) -> str:
 class _Fit:
     """Fit and stream: the estimator, stepped a read at a time
     (recursion.step_read). With a truth, the accepted steps of a read are
-    scored in one call before its records are written, and the read's
-    errors.csv rows are appended when they are. A record that JSON cannot
-    hold, or a step the truth does not cover, ends the run after the steps
-    before it are written and scored."""
+    scored in one call, which appends their errors.csv rows, before its
+    records are written; the first read creates errors.csv even when it
+    accepts no step. A record that JSON cannot hold, or a step the truth
+    does not cover, ends the run after the steps before it are scored and
+    written; an errors.csv that cannot be written ends it before the
+    read's records are."""
 
     output_name = "steps.jsonl"
     derived_names = ("errors.csv", "equations.txt")
@@ -556,8 +558,8 @@ class _Fit:
                 lines.append(_json_line(rec.step_record(self.state, outcome)))
         except InputError as exc:  # the lines before it are written
             error = exc
-        accepted = [o for o in outcomes[: len(lines)] if o.accepted]
-        if self.errors is not None and accepted:
+        if self.errors is not None:  # every read, so the first creates errors.csv
+            accepted = [o for o in outcomes[: len(lines)] if o.accepted]
             scored = self.errors.scored
             try:
                 self.errors.add([o.timestamp for o in accepted], [o.coef_mean for o in accepted])
@@ -565,11 +567,7 @@ class _Fit:
                 missing = accepted[self.errors.scored - scored]
                 del lines[missing.step_index - outcomes[0].step_index :]
                 error = InputError(f"truth file: {exc}")
-        try:
-            yield from lines
-        finally:  # also when a write fails: the rows before it are kept
-            if self.errors is not None:
-                self.errors.flush()
+        yield from lines
         if error is not None:
             raise error
 

@@ -99,11 +99,6 @@ class HorseshoeState:
         """(n_outputs, n_terms) array of 1 / (local^2 * global^2), read-only."""
         return self._precision
 
-    @property
-    def prior_precision(self) -> np.ndarray:
-        """Flat prior precision in coefficient order (output-major)."""
-        return self.prior_precision_blocks().ravel()
-
 
 def initial_horseshoe(
     spec: DictionarySpec, n_outputs: int, scale: float = 1.0, tau: float = 1.0
@@ -179,10 +174,6 @@ class PosteriorState:
         L^-T L^-1."""
         cov = self._inv.transpose(0, 2, 1) @ self._inv
         return 0.5 * (cov + cov.transpose(0, 2, 1))
-
-    def mean(self) -> np.ndarray:
-        """Flat posterior mean in coefficient order."""
-        return self._mean.ravel()
 
     def std_blocks(self) -> np.ndarray:
         """(n_outputs, n_terms) marginal posterior standard deviations: the

@@ -230,7 +230,8 @@ class RecursionState:
     moments Psi.T @ Psi and Psi.T @ Y; posterior is the one they give at
     the prior in force, as init or the last accepted step assembled it
     (a rejected or rolled-back step and a refused refresh leave it as it
-    was). horseshoe, s_blocks and b_blocks are read-only views of it.
+    was); its blocks are read as state.posterior.s_blocks and b_blocks,
+    and its prior as the read-only view horseshoe.
     pending is the batch a deferring step parked, as (t, x, y) arrays, or
     None.
     """
@@ -265,14 +266,6 @@ class RecursionState:
     @property
     def horseshoe(self) -> HorseshoeState:
         return self.posterior.horseshoe
-
-    @property
-    def s_blocks(self) -> np.ndarray:
-        return self.posterior.s_blocks
-
-    @property
-    def b_blocks(self) -> np.ndarray:
-        return self.posterior.b_blocks
 
 
 def _check_order(t, after: float) -> None:

@@ -135,13 +135,13 @@ def test_criterion_02_blockwise_equals_dense_kronecker_oracle():
         samples = [Sample(float(i), states[i], ys[i]) for i in range(t)]
         post = batch_fit(spec, samples, NoiseModel(variances), hs)
         s_ref, b_ref, mu_ref = dense_oracle(
-            build_matrix(spec, states), ys, variances, hs.prior_precision
+            build_matrix(spec, states), ys, variances, hs.prior_precision_blocks().ravel()
         )
         s_dense, b_dense = dense_information(post)
         worst = max(
             worst,
             float(np.max(np.abs(s_dense - s_ref))),
-            float(np.max(np.abs(post.mean() - mu_ref))),
+            float(np.max(np.abs(post.mean_blocks().ravel() - mu_ref))),
         )
         assert float(np.max(np.abs(b_dense - b_ref))) < 1e-10
     assert worst < 1e-10
@@ -180,7 +180,7 @@ def test_criterion_03_recursion_tracks_batch_for_500_steps():
                 continue
             ref = batch_fit(spec, samples[k + batch - window : k + batch], noise, hs)
             snap = rec.snapshot(state)
-            gap_mu = float(np.max(np.abs(snap.mean() - ref.mean())))
+            gap_mu = float(np.max(np.abs(snap.mean_blocks() - ref.mean_blocks())))
             s_ref = dense_information(ref)[0]
             s_norm = float(np.max(np.abs(s_ref)))
             gap_s = float(np.max(np.abs(dense_information(snap)[0] - s_ref)))
@@ -379,7 +379,7 @@ def test_criterion_08_discounted_information_stays_in_rayleigh_band():
         assert out.accepted
         assert rec.step_record(state, out)["prior_floor"]  # the prior floors the posterior
         if i >= burn_in:
-            for block in state.s_blocks:
+            for block in state.posterior.s_blocks:
                 eigs_seen.append(np.linalg.eigvalsh(block))
     eigs_seen = np.concatenate(eigs_seen)
 

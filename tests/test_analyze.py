@@ -10,9 +10,7 @@ from sparsid import (
     NoiseModel,
     PosteriorState,
     TimestampMismatch,
-    batch_fit,
     build_matrix,
-    empirical_h,
     initial_horseshoe,
     render_equations,
     tracking_bound,
@@ -20,8 +18,6 @@ from sparsid import (
 
 from sparsid.analyze import ErrorWriter, read_truth
 from sparsid.simulate import lorenz_coefficients, lorenz_rhs
-
-from conftest import make_samples
 
 
 TWO_INPUTS = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
@@ -45,12 +41,11 @@ def piecewise_truth():
 
 def test_truth_lookup_by_segment():
     truth = piecewise_truth()
-    np.testing.assert_array_equal(truth.at(0.0), [1.0, 0.0])
-    np.testing.assert_array_equal(truth.at(9.999), [1.0, 0.0])
-    np.testing.assert_array_equal(truth.at(10.0), [0.0, 2.0])
-    np.testing.assert_array_equal(truth.at(1e9), [0.0, 2.0])
-    with pytest.raises(TimestampMismatch):
-        truth.at(-0.1)
+    true, missing = truth.rows(np.array([0.0, 9.999, 10.0, 1e9]))
+    assert missing is None
+    np.testing.assert_array_equal(true, [[1.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 2.0]])
+    true, missing = truth.rows(np.array([-0.1]))
+    assert len(true) == 0 and isinstance(missing, TimestampMismatch)
 
 
 def test_truth_requires_increasing_segments():
@@ -75,16 +70,20 @@ def test_lorenz_truth_reproduces_the_generator(degree, include_bias):
     payload = {"case": "lorenz", "t": times.tolist(), "k1": k1, "k3": k3}
     spec = DictionarySpec(state_dim=3, poly_degree=degree, include_bias=include_bias)
     truth = read_truth(payload, spec, 3)
-    for t in times:
+    betas, missing = truth.rows(times)
+    assert missing is None
+    for t, beta in zip(times, betas):
         x = rng.normal(scale=10.0, size=3)
-        beta = truth.at(t).reshape(3, spec.n_columns)
         np.testing.assert_allclose(
-            beta @ build_matrix(spec, x[None])[0], lorenz_rhs(x, t), rtol=1e-12, atol=1e-9
+            beta.reshape(3, spec.n_columns) @ build_matrix(spec, x[None])[0],
+            lorenz_rhs(x, t), rtol=1e-12, atol=1e-9,
         )
-    np.testing.assert_array_equal(truth.at(times[3] + 1e-10), truth.at(times[3]))
+    near, missing = truth.rows(times[3] + np.array([0.0, 1e-10]))
+    assert missing is None
+    np.testing.assert_array_equal(near[1], near[0])
     for t in (times[0] - 1e-3, times[3] + 1e-3, times[-1] + 1e-3):
-        with pytest.raises(TimestampMismatch):
-            truth.at(t)  # no sample there
+        true, missing = truth.rows(np.array([t]))  # no sample there
+        assert len(true) == 0 and isinstance(missing, TimestampMismatch)
 
 
 def test_score_errors_small_case(tmp_path):
@@ -92,7 +91,6 @@ def test_score_errors_small_case(tmp_path):
     writer.add(5.0, np.array([1.0, 0.5]))
     writer.add(7.0, [[1.0, 0.0]])  # a record's coef_mean, one list per output
     writer.add(12.0, np.array([0.0, 2.0]))
-    writer.flush()
     with open(tmp_path / "errors.csv", newline="") as fh:
         values = np.array(list(csv.reader(fh))[1:], dtype=float)
     np.testing.assert_array_equal(values[:, 0], [5.0, 7.0, 12.0])
@@ -107,15 +105,15 @@ def test_score_errors_small_case(tmp_path):
 def test_error_csv_roundtrip(tmp_path):
     path = tmp_path / "errors.csv"
     writer = ErrorWriter(path, piecewise_truth())
-    writer.flush()
-    assert not path.exists()  # nothing scored, no file
+    assert not path.exists()  # nothing added, no file
+    writer.add([], [])  # nothing scored: the header alone
+    header = "t,l2_error,abs_err_1,abs_err_2,truth_switch"
+    assert path.read_text().strip().split("\n") == [header]
     writer.add(5.0, np.array([1.0, 0.5]))
-    writer.flush()
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,l2_error,abs_err_1,abs_err_2,truth_switch"
+    assert lines[0] == header
     assert len(lines) == 2
-    writer.add(12.0, np.array([0.0, 2.0]))
-    writer.flush()  # appends, with no second header
+    writer.add(12.0, np.array([0.0, 2.0]))  # appends, with no second header
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 3
     assert lines[2] == "12.0,0.0,0.0,0.0,1"
@@ -131,17 +129,6 @@ def test_tracking_bound_closed_form():
         tracking_bound(0.1, 1.0, 1.0)
     with pytest.raises(ValueError):
         tracking_bound(-0.1, 0.9, 1.0)
-
-
-def test_empirical_h_from_scaled_snapshots(rng):
-    spec = DictionarySpec(state_dim=2, poly_degree=1, include_bias=False)
-    samples = make_samples(rng, spec, np.array([[1.0], [1.0]]), 0.1, n=20)
-    noise = NoiseModel([1.0])
-    hs = initial_horseshoe(spec, 1)
-    post = batch_fit(spec, samples, noise, hs)
-    half = PosteriorState(spec, noise, hs, 0.5 * post.s_blocks, 0.5 * post.b_blocks)
-    # S halves from one snapshot to the next: solve(S_next, S_prev) = 2I
-    assert empirical_h([post, half]) == pytest.approx(2.0, rel=1e-9)
 
 
 # -------------------------------------------------------------- rendering

@@ -386,7 +386,6 @@ def test_fit_keeps_no_estimates_without_truth(tmp_path, linear_csv):
             assert (out / "errors.csv").exists() == bool(extra)
             sizes.append(attribute_sizes(fit))
         assert sizes[0] == sizes[1], extra
-        assert ("errors._rows" in sizes[0]) == bool(extra)
 
 
 def simulate_lorenz_stream(tmp_path, t_end="3.0"):
@@ -433,7 +432,8 @@ def reference_errors_csv(records: list, truth) -> bytes:
     accepted = [r for r in records if r["accepted"]]
     times = np.array([r["t"] for r in accepted], dtype=float)
     est = np.vstack([np.ravel(r["coef_mean"]) for r in accepted])
-    true = np.vstack([truth.at(t) for t in times])
+    true, missing = truth.rows(times)
+    assert missing is None
     switches = set((np.flatnonzero((true[1:] != true[:-1]).any(axis=1)) + 1).tolist())
     est -= true
     l2s = np.linalg.norm(est, axis=1)
@@ -577,6 +577,27 @@ def test_rerun_leaves_no_earlier_outputs(tmp_path, capsys, mode, rerun):
         scored = (out / "errors.csv").read_text().splitlines()
         assert len(scored) == 1 + sum(r["accepted"] for r in records)
         assert not (out / "equations.txt").exists()
+
+
+def test_truth_that_scores_nothing_writes_the_header(tmp_path):
+    """A fit and a stream that load a truth and accept no step each write an
+    errors.csv of the header alone, the same bytes from both, so a truth
+    that scored nothing reads apart from one that was never found."""
+    sim = simulate_lorenz_stream(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"idle_timeout": 0.1}))
+    written = []
+    for mode in ("fit", "stream"):
+        out = tmp_path / mode
+        assert main(["--mode", mode, "--input", str(sim / "data.csv"), "--output", str(out),
+                     "--window", "100", "--batch-in", "1", "--policy", "reject",
+                     "--config", str(config)]) == 0
+        records = read_records(out)
+        assert len(records) == 201 and not any(r["accepted"] for r in records)
+        written.append((out / "errors.csv").read_bytes())
+    abs_errs = ",".join(f"abs_err_{j}" for j in range(1, 31))  # 3 outputs x 10 columns
+    assert written[0] == f"t,l2_error,{abs_errs},truth_switch\r\n".encode()
+    assert written[1] == written[0]
 
 
 def test_fit_rejects_truth_of_neither_format(tmp_path, linear_csv, capsys):
@@ -727,6 +748,33 @@ def test_unwritable_equations_exit_3(tmp_path, linear_csv, capsys, monkeypatch):
     monkeypatch.setattr(cli.rec, "snapshot", snapshot_then_block)
     assert main(fit_args(path, out, ["--config", str(cfg)])) == 3
     assert "input error" in capsys.readouterr().err
+
+
+def test_unwritable_errors_csv_exits_3(tmp_path, linear_csv, capsys, monkeypatch):
+    """An errors.csv that becomes a directory while the fit runs is an
+    input/output error: exit 3 with one line, and the read whose rows it
+    could not take writes no records, since a read is scored first."""
+    path, w = linear_csv
+    truth = {"segments": [{"start_t": 0.0, "coeffs": w.tolist()}]}
+    (path.parent / "truth.json").write_text(json.dumps(truth))
+    cfg = write_fit_config(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "_BLOCK", 2)  # two batches a read
+    step_read = cli.rec.step_read
+    reads = []
+
+    def step_read_then_block(state, t, x, y):
+        reads.append(len(t))
+        if len(reads) == 2:
+            (out / "errors.csv").unlink()
+            (out / "errors.csv").mkdir()
+        return step_read(state, t, x, y)
+
+    monkeypatch.setattr(cli.rec, "step_read", step_read_then_block)
+    assert main(fit_args(path, out, ["--config", str(cfg)])) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert [r["step"] for r in read_records(out)] == [1, 2]  # the first read only
 
 
 def test_fit_rejects_malformed_rows(tmp_path):
@@ -1546,7 +1594,7 @@ def test_package_names_resolve_on_first_access():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], [], [], True, 39]
+    assert json.loads(done.stdout) == [[], [], [], True, 38]
 
 
 def test_importing_cli_skips_numpy_random():

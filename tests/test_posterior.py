@@ -84,11 +84,11 @@ def test_blockwise_fit_matches_dense_oracle(rng):
         hs = HorseshoeState(local_scales=scales, global_scale=float(rng.uniform(0.5, 2)))
         post = fit_from_arrays(spec, states, ys, NoiseModel(variances), hs)
         psi = build_matrix(spec, states)
-        s_ref, b_ref, mu_ref = dense_oracle(psi, ys, variances, hs.prior_precision)
+        s_ref, b_ref, mu_ref = dense_oracle(psi, ys, variances, hs.prior_precision_blocks().ravel())
         s_dense, b_dense = dense_information(post)
         assert np.max(np.abs(s_dense - s_ref)) < 1e-10
         assert np.max(np.abs(b_dense - b_ref)) < 1e-10
-        assert np.max(np.abs(post.mean() - mu_ref)) < 1e-10
+        assert np.max(np.abs(post.mean_blocks().ravel() - mu_ref)) < 1e-10
 
 
 def test_moments_match_dense_solves(rng):
@@ -108,7 +108,7 @@ def test_moments_match_dense_solves(rng):
     np.testing.assert_allclose(post.std_blocks(), stds, rtol=1e-12)
     # immutable: every array it holds or hands out is read-only, and the
     # caller's blocks are copied, not frozen
-    held = (post.s_blocks, post.b_blocks, post.mean_blocks(), post.std_blocks(), post.mean())
+    held = (post.s_blocks, post.b_blocks, post.mean_blocks(), post.std_blocks())
     assert not any(a.flags.writeable for a in held)
     assert s_blocks.flags.writeable and b_blocks.flags.writeable
     with pytest.raises(ValueError):

@@ -287,8 +287,8 @@ def test_init_equals_batch_fit_of_retained_window(rng):
     hs = initial_horseshoe(LINEAR2, 1)
     state = rec.init(LINEAR2, fixed_config(), samples, noise, hs)
     ref = batch_fit(LINEAR2, samples[-30:], noise, hs)
-    np.testing.assert_array_equal(state.s_blocks, ref.s_blocks)
-    np.testing.assert_array_equal(state.b_blocks, ref.b_blocks)
+    np.testing.assert_array_equal(state.posterior.s_blocks, ref.s_blocks)
+    np.testing.assert_array_equal(state.posterior.b_blocks, ref.b_blocks)
     assert state.buffer.items()[0].tolist() == [s.timestamp for s in samples[-30:]]
 
 
@@ -349,8 +349,8 @@ def test_sliding_recursion_tracks_batch_fit(rng):
         window = samples[k + 10 - 40 : k + 10]
         ref = batch_fit(LINEAR2, window, noise, hs)
         scale = 1.0 + np.max(np.abs(ref.s_blocks))
-        assert np.max(np.abs(state.s_blocks - ref.s_blocks)) < 1e-8 * scale
-        assert np.max(np.abs(rec.snapshot(state).mean() - ref.mean())) < 1e-8
+        assert np.max(np.abs(state.posterior.s_blocks - ref.s_blocks)) < 1e-8 * scale
+        assert np.max(np.abs(rec.snapshot(state).mean_blocks() - ref.mean_blocks())) < 1e-8
 
 
 PROPERTY_STEPS = 12
@@ -486,7 +486,7 @@ def test_no_forget_accumulates_information(rng):
     assert len(state.buffer) == 40
     ref = batch_fit(LINEAR2, samples, noise, hs)  # all 80, not just the window
     scale = 1.0 + np.max(np.abs(ref.s_blocks))
-    assert np.max(np.abs(state.s_blocks - ref.s_blocks)) < 1e-8 * scale
+    assert np.max(np.abs(state.posterior.s_blocks - ref.s_blocks)) < 1e-8 * scale
 
 
 def test_overflowing_moments_raise_non_finite_input(rng):
@@ -585,7 +585,7 @@ def test_reject_policy_leaves_state_untouched(rng):
     noise = NoiseModel([0.0025])
     cfg = fixed_config(window=30, batch_in=5, forget=5, policy="reject")
     state = rec.init(LINEAR2, cfg, samples[:30], noise)
-    s_before = state.s_blocks.copy()
+    s_before = state.posterior.s_blocks.copy()
     held = state.buffer.items()[0].tolist()
     # replay the exact five samples about to be forgotten: the differential
     # is zero, classified redundant, and the step must be rejected
@@ -594,7 +594,7 @@ def test_reject_policy_leaves_state_untouched(rng):
     out = rec.step(state, dup)
     assert not out.accepted
     assert out.utility.classification == "redundant"
-    np.testing.assert_array_equal(state.s_blocks, s_before)
+    np.testing.assert_array_equal(state.posterior.s_blocks, s_before)
     assert state.buffer.items()[0].tolist() == held  # the batch added nothing
     # an informative batch afterwards goes through
     out2 = rec.step(state, samples[35:40])
@@ -821,6 +821,6 @@ def test_snapshot_is_isolated_from_future_steps(rng):
     cfg = fixed_config(window=30, batch_in=10, forget=10)
     state = rec.init(LINEAR2, cfg, samples[:30], NoiseModel([0.0025]))
     snap = rec.snapshot(state)
-    frozen = snap.mean().copy()
+    frozen = snap.mean_blocks().copy()
     rec.step(state, samples[30:40])
-    np.testing.assert_array_equal(snap.mean(), frozen)
+    np.testing.assert_array_equal(snap.mean_blocks(), frozen)
