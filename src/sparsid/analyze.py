@@ -7,7 +7,6 @@ as readable strings in dictionary column order; tracking_bound gives the
 paper's tracking-error bound.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +146,8 @@ class ErrorWriter:
     (truth.size coefficient columns), so a fit that scores nothing writes
     the header alone; later calls open the file only to append rows.
     Estimates come in the order of their timestamps; `scored` counts them.
+    Rows are joined strings with the bytes of csv.writer: float reprs and
+    ints, unquoted, CRLF line ends.
     """
 
     def __init__(self, path, truth):
@@ -155,7 +156,8 @@ class ErrorWriter:
         self.scored = 0
         self._previous = None  # the truth of the previous scored row
         abs_errs = [f"abs_err_{j + 1}" for j in range(truth.size)]
-        self._header = ["t", "l2_error", *abs_errs, "truth_switch"]  # None once written
+        # None once written
+        self._header = ",".join(["t", "l2_error", *abs_errs, "truth_switch"]) + "\r\n"
 
     def add(self, t, coef) -> None:
         """Score estimates: t no time, one time or n increasing ones, coef
@@ -175,13 +177,16 @@ class ErrorWriter:
             before = np.concatenate((previous[None], true[:-1]))
             switch = (true != before).any(axis=1).astype(int)
             self._previous = true[-1]
-            # csv writes a float as its repr, which round-trips exactly
+            # a float's repr round-trips exactly
             columns = times[:n].tolist(), l2.tolist(), np.abs(err).tolist(), switch.tolist()
-            rows += [[time, norm, *errs, s] for time, norm, errs, s in zip(*columns)]
+            rows += [
+                f"{time!r},{norm!r},{','.join(map(repr, errs))},{s}\r\n"
+                for time, norm, errs, s in zip(*columns)
+            ]
             self.scored += n
         if rows:
             with open(self.path, "w" if self._header else "a", newline="") as fh:
-                csv.writer(fh).writerows(rows)
+                fh.writelines(rows)
             self._header = None
         if missing is not None:
             raise missing

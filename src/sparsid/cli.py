@@ -26,13 +26,16 @@ as one JSON line. Fit hands a read to recursion.step_read in one call: one
 audit, one accumulation of the moments and one stacked Cholesky per run of
 the read, with the bytes of one recursion.step per batch. Stream reads one
 batch at a time, so it is the one-batch path, and writes what fit writes.
+
+A read's lines are parsed with one np.loadtxt call; csv.reader reads the
+header, one-line reads and any read that loadtxt refuses or whose rows fail
+a check, and builds every input error message.
 """
 
 import argparse
 import csv
 import json
 import math
-import operator
 import sys
 import time
 import typing
@@ -300,8 +303,9 @@ def _parse_header(cols: list) -> tuple:
 
 
 def _follow_lines(path: str, idle_timeout: float, poll: float = 0.05):
-    """Lines of a file, tailed until idle_timeout s pass with no new data.
-    Only whole lines are yielded, and then a torn last line, if any."""
+    """Lines of a file, tailed until idle_timeout s pass with no new data
+    (idle_timeout 0: read to the end once). Only whole lines are yielded,
+    and then a torn last line, if any."""
     try:
         fh = open(path)
     except OSError as exc:
@@ -310,13 +314,12 @@ def _follow_lines(path: str, idle_timeout: float, poll: float = 0.05):
         buf = ""
         last_data = time.monotonic()
         while True:
-            chunk = fh.readline()
-            if chunk:
+            lines = fh.readlines(1 << 16)  # the lines there are, up to 64 kB
+            if lines:
                 last_data = time.monotonic()
-                buf += chunk
-                if buf.endswith("\n"):
-                    yield buf
-                    buf = ""
+                lines[0] = buf + lines[0]
+                buf = "" if lines[-1].endswith("\n") else lines.pop()
+                yield from lines
                 continue
             if time.monotonic() - last_data >= idle_timeout:
                 if buf:
@@ -330,24 +333,31 @@ def _is_blank(row: list) -> bool:
 
 
 class _CsvBlocks:
-    """The rows of a CSV line stream, read through one csv.reader and
-    parsed and checked one block of rows at a time.
+    """The rows of a CSV line stream, parsed and checked one chunk of lines
+    at a time.
 
-    The header is read when the reader is made. take(k) converts the next
-    k rows into one float array and checks the block at once: the field
-    count of every row, finite cells, and timestamps strictly increasing
-    within the block and after the previous block. Blank lines are skipped.
-    A bad row stops the read: its InputError, naming its line, is kept in
-    `error`, and only the rows before it are returned.
+    take(k) parses the next lines with one np.loadtxt call and checks the
+    array: one row of the header's width per line, finite cells, and
+    timestamps strictly increasing after the previous chunk's. The header,
+    a one-line chunk (which csv reads quicker) and a chunk that fails are
+    read by csv.reader and float() row by row (_rescan), so quoted cells,
+    `1_0` and non-ASCII digits are accepted, blank lines are skipped, and a
+    `#` line is a bad row. A bad row stops the read: its InputError, naming
+    its line, is kept in `error`, and only the rows before it are returned.
     """
 
     def __init__(self, lines):
-        self._rows = csv.reader(lines)
-        header = next(filterfalse(_is_blank, self._rows), None)
+        self._lines = iter(lines)
+        reader = csv.reader(self._lines)
+        try:
+            header = next(filterfalse(_is_blank, reader), None)
+        except csv.Error as exc:
+            raise InputError(f"line {reader.line_num}: {exc}") from exc
         if header is None:
             raise InputError("input has no header row")
         self.n_x, self.n_y = _parse_header(header)
         self.width = 1 + self.n_x + self.n_y
+        self._line_num = reader.line_num  # the lines read so far
         self._last_t = -math.inf
         self.error = None
 
@@ -357,72 +367,79 @@ class _CsvBlocks:
         row stops the read (see `error`)."""
         blocks = [np.empty((0, self.width))]
         while (n := sum(map(len, blocks))) < k and self.error is None:
-            first_line = self._rows.line_num + 1
-            rows = []
-            try:
-                rows.extend(islice(self._rows, k - n))
-            except csv.Error as exc:  # rows holds the rows before it
-                self.error = InputError(f"line {self._rows.line_num}: {exc}")
-            if not rows:
+            lines = list(islice(self._lines, k - n))
+            if not lines:
                 break
             try:
-                blocks.append(self._block(rows))
+                blocks.append(self._block(lines))
+                self._line_num += len(lines)
             except ValueError:
-                rows, error = self._rescan(rows, first_line)
-                self.error = error or self.error
-                blocks.append(self._block(rows))
+                blocks.append(self._rescan(lines))
         block, n_x = np.concatenate(blocks), self.n_x
         return block[:, 0], block[:, 1 : 1 + n_x], block[:, 1 + n_x :]
 
-    def _block(self, rows: list) -> np.ndarray:
-        width = self.width
-        if not rows:  # a block of blank lines only
-            return np.empty((0, width))
-        if set(map(len, rows)) != {width}:
-            raise ValueError("rows of the wrong field count")
-        values = list(map(float, chain.from_iterable(rows)))
-        t = values[::width]
-        if not (t[0] > self._last_t and all(map(operator.lt, t, t[1:]))):
+    def _block(self, lines: list) -> np.ndarray:
+        """The chunk's lines as one array, or ValueError if any line is not
+        one good row (or loadtxt and csv might read it apart)."""
+        # one line reads quicker through csv; loadtxt warns on a blank first
+        # line and reads a cell past csv's field size limit, which csv refuses
+        limit = csv.field_size_limit()
+        if len(lines) == 1 or not lines[0].strip() or max(map(len, lines)) > limit:
+            raise ValueError("one line, a blank first line, or a cell csv refuses")
+        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+        if block.shape != (len(lines), self.width):  # blank lines are skipped
+            raise ValueError("rows of the wrong field count, or blank lines")
+        t = block[:, 0]
+        if not (t[0] > self._last_t and (t[1:] > t[:-1]).all()):
             raise ValueError("timestamps not strictly increasing")
-        block = np.array(values).reshape(len(rows), width)
         if not np.isfinite(block).all():
             raise ValueError("non-finite cells")
-        self._last_t = t[-1]
+        self._last_t = float(t[-1])
         return block
 
-    def _rescan(self, rows: list, first_line: int) -> tuple:
-        """The error path of take: check a block row by row. Returns the
-        rows before the first bad one, blank lines left out, and the
-        InputError naming its line (None when only blank lines failed the
-        block)."""
-        kept = []
-        last_t = self._last_t
-        for line, row in enumerate(rows, start=first_line):
-            if _is_blank(row):
-                continue
-            where = f"line {line}"
-            if len(row) != self.width:
-                return kept, InputError(
-                    f"{where}: row has {len(row)} fields, expected {self.width}"
-                )
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                return kept, InputError(
-                    f"{where}: non-numeric cell in row {','.join(row)!r}"
-                )
-            if not all(map(math.isfinite, values)):
-                return kept, InputError(
-                    f"{where}: non-finite value in row {','.join(row)!r}"
-                )
-            if values[0] <= last_t:
-                return kept, InputError(
-                    f"{where}: timestamps must be strictly increasing, "
-                    f"got t={values[0]} after t={last_t}"
-                )
-            last_t = values[0]
-            kept.append(row)
-        return kept, None
+    def _rescan(self, lines: list) -> np.ndarray:
+        """The error path of take: read a chunk through csv.reader and
+        float() and check it row by row. Returns the rows before the first
+        bad one, blank lines left out, and keeps the InputError naming that
+        row's line in `error`. A quoted cell that spans lines reads on past
+        the chunk."""
+        reader = csv.reader(chain(lines, self._lines))
+        line = self._line_num + 1  # the first line of the next row
+        kept, last_t = [], self._last_t
+        try:
+            for row in reader:
+                if not _is_blank(row):
+                    kept.append(self._values(row, line, last_t))
+                    last_t = kept[-1][0]
+                line = self._line_num + reader.line_num + 1
+                if reader.line_num >= len(lines):
+                    break
+        except csv.Error as exc:
+            self.error = InputError(f"line {self._line_num + reader.line_num}: {exc}")
+        except InputError as exc:
+            self.error = exc
+        self._line_num += reader.line_num
+        self._last_t = last_t
+        return np.array(kept, dtype=float).reshape(len(kept), self.width)
+
+    def _values(self, row: list, line: int, last_t: float) -> list:
+        """The floats of a row that follows t = last_t, or the InputError
+        naming its line."""
+        where = f"line {line}"
+        if len(row) != self.width:
+            raise InputError(f"{where}: row has {len(row)} fields, expected {self.width}")
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            raise InputError(f"{where}: non-numeric cell in row {','.join(row)!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise InputError(f"{where}: non-finite value in row {','.join(row)!r}")
+        if values[0] <= last_t:
+            raise InputError(
+                f"{where}: timestamps must be strictly increasing, "
+                f"got t={values[0]} after t={last_t}"
+            )
+        return values
 
 
 # ----------------------------------------------------------------- run loop
@@ -524,10 +541,10 @@ class _Fit:
     (recursion.step_read). With a truth, the accepted steps of a read are
     scored in one call, which appends their errors.csv rows, before its
     records are written; the first read creates errors.csv even when it
-    accepts no step. A record that JSON cannot hold, or a step the truth
-    does not cover, ends the run after the steps before it are scored and
-    written; an errors.csv that cannot be written ends it before the
-    read's records are."""
+    accepts no step (run_fit does when no read held a full batch). A record
+    that JSON cannot hold, or a step the truth does not cover, ends the run
+    after the steps before it are scored and written; an errors.csv that
+    cannot be written ends it before the read's records are."""
 
     output_name = "steps.jsonl"
     derived_names = ("errors.csv", "equations.txt")
@@ -604,6 +621,8 @@ def run_fit(cfg: RunConfig) -> None:
     fit = _drive(cfg, _Fit)
     lines = render_equations(rec.snapshot(fit.state), cfg.threshold)
     try:
+        if fit.errors is not None:  # the header, if no read held a full batch
+            fit.errors.add([], [])
         with open(Path(cfg.output) / "equations.txt", "w") as fh:
             fh.writelines(f"{line}\n" for line in lines)
     except OSError as exc:

@@ -9,7 +9,6 @@ Random draws are split by purpose (coefficients / inputs / noise) so that
 toggling noise never changes the drawn system.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -203,14 +202,14 @@ def simulate_lorenz(config: LorenzConfig) -> tuple:
 def write_csv(path, times, states, observations) -> None:
     """Stream CSV: header t,x1..xn,y1..yn, one row per sample of the times
     (t,), states (t, n) and observations (t, n_y), each value written as
-    the repr of its float, so reading it back gives the same bits."""
+    the repr of its float, so reading it back gives the same bits. Lines
+    end in CRLF and no field is quoted, as csv writes them."""
     header = ["t"] + [f"x{i + 1}" for i in range(states.shape[1])]
     header += [f"y{i + 1}" for i in range(observations.shape[1])]
     block = np.column_stack((times, states, observations))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(map(repr, row.tolist()) for row in block)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
 
 
 def write_truth_json(path, payload: dict) -> None:

@@ -190,6 +190,22 @@ def test_degree_is_checked_by_its_column_count(tmp_path, linear_csv, capsys, mod
     assert err.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["fit", "stream", "monitor"])
+def test_batch_in_no_array_holds_ends_the_run_with_no_step(tmp_path, linear_csv, capsys, mode):
+    """A batch_in within sys.maxsize but far past the input (2**60, whose
+    k x batch_in x n_x shape no array holds even at k = 0) takes the warmup,
+    finds no full batch and exits 0 with no records."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"idle_timeout": 0.1}))
+    out = tmp_path / "out"
+    assert main(["--mode", mode, "--input", str(linear_csv[0]), "--output", str(out),
+                 "--window", "60", "--batch-in", str(2**60), "--forget", "0",
+                 "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == ""
+    records = "monitor.jsonl" if mode == "monitor" else "steps.jsonl"
+    assert (out / records).read_bytes() == b""
+
+
 def test_run_config_defaults():
     cfg = RunConfig()
     assert cfg.mode == "fit"
@@ -600,6 +616,35 @@ def test_truth_that_scores_nothing_writes_the_header(tmp_path):
     assert written[1] == written[0]
 
 
+@pytest.mark.parametrize("batch_in,extra_rows", [(1, 0), (5, 4)])
+def test_input_ending_within_its_first_batch_writes_the_header(
+    tmp_path, batch_in, extra_rows
+):
+    """An input that ends within the first batch after the warmup, with a
+    truth beside it, writes the header-only errors.csv of a run that accepts
+    no step, in fit and in stream alike, with no records and its
+    equations."""
+    sim = simulate_lorenz_stream(tmp_path)
+    short = tmp_path / "short"
+    short.mkdir()
+    lines = (sim / "data.csv").read_text().splitlines(keepends=True)
+    (short / "data.csv").write_text("".join(lines[: 1 + 100 + extra_rows]))
+    (short / "truth.json").write_text((sim / "truth.json").read_text())
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"idle_timeout": 0.1}))
+    abs_errs = ",".join(f"abs_err_{j}" for j in range(1, 31))  # 3 outputs x 10 columns
+    for mode in ("fit", "stream"):
+        out = tmp_path / mode
+        assert main(["--mode", mode, "--input", str(short / "data.csv"), "--output", str(out),
+                     "--window", "100", "--batch-in", str(batch_in),
+                     "--config", str(config)]) == 0
+        assert (out / "steps.jsonl").read_bytes() == b""
+        assert (out / "equations.txt").exists()
+        assert (out / "errors.csv").read_bytes() == (
+            f"t,l2_error,{abs_errs},truth_switch\r\n".encode()
+        )
+
+
 def test_fit_rejects_truth_of_neither_format(tmp_path, linear_csv, capsys):
     path, _ = linear_csv
     other = tmp_path / "other.json"
@@ -893,6 +938,242 @@ def test_batch_reader_matches_per_row_parse(
     assert times.tolist() == expected[:, 0].tolist()
     assert states.tolist() == expected[:, 1 : 1 + n_x].tolist()
     assert observations.tolist() == expected[:, 1 + n_x :].tolist()
+
+
+def underscored(cell: str) -> str:
+    """The cell with an underscore between its first two adjacent digits,
+    which float() reads as the same number."""
+    for i in range(len(cell) - 1):
+        if cell[i].isdigit() and cell[i + 1].isdigit():
+            return f"{cell[: i + 1]}_{cell[i + 1 :]}"
+    return cell
+
+
+# cells that csv and float() read as the number, but loadtxt does not, or
+# reads as well; each keeps the value of the float's repr
+ODD_CELLS = {
+    "quoted": lambda cell: f'"{cell}"',
+    "padded": lambda cell: f" {cell}\t ",
+    "underscored": underscored,
+    "arabic_indic": lambda cell: cell.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+}
+
+# lines that stop the read
+BAD_LINES = {
+    "hash_line": lambda cells, prev_t: "# " + ",".join(cells),
+    "hash_cell": lambda cells, prev_t: "#" + ",".join(cells),
+    "inf": lambda cells, prev_t: ",".join(cells[:-1] + ["inf"]),
+    "nan": lambda cells, prev_t: ",".join(cells[:1] + ["nan"] + cells[2:]),
+    "hash_tail": lambda cells, prev_t: ",".join(cells) + " # a note",
+    "trailing_empty": lambda cells, prev_t: ",".join(cells) + ",",
+    "repeated_t": lambda cells, prev_t: ",".join([repr(prev_t)] + cells[1:]),
+}
+
+
+def reference_parse(text: str, width: int) -> tuple:
+    """Per-row reference reader: csv.reader and float() on one line at a
+    time. Returns the data rows before the first bad one and that row's
+    error text (None when every row is good)."""
+    rows, last_t = [], -np.inf
+    for number, line in enumerate(text.splitlines()[1:], start=2):
+        row = next(csv.reader([line]), [])
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        where, joined = f"line {number}", ",".join(row)
+        if len(row) != width:
+            return rows, f"{where}: row has {len(row)} fields, expected {width}"
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            return rows, f"{where}: non-numeric cell in row {joined!r}"
+        if not np.isfinite(values).all():
+            return rows, f"{where}: non-finite value in row {joined!r}"
+        if values[0] <= last_t:
+            return rows, (f"{where}: timestamps must be strictly increasing, "
+                          f"got t={values[0]} after t={last_t}")
+        rows.append(values)
+        last_t = values[0]
+    return rows, None
+
+
+@given(
+    n_x=st.integers(1, 3),
+    n_y=st.integers(1, 2),
+    steps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=25),
+    seed=st.integers(0, 2**16),
+    sizes=st.lists(st.integers(1, 7), min_size=1, max_size=8),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    odd=st.dictionaries(st.integers(0, 120), st.sampled_from(sorted(ODD_CELLS)), max_size=8),
+    blanks=st.sets(st.integers(0, 30), max_size=4),
+    bad=st.none() | st.tuples(st.integers(1, 30), st.sampled_from(sorted(BAD_LINES))),
+)
+@example(n_x=1, n_y=1, steps=[1.0] * 9, seed=0, sizes=[4], newline="\n",
+         odd={3: "quoted", 7: "underscored"}, blanks={2}, bad=(8, "hash_line"))
+def test_batch_reader_reads_odd_cells_as_csv_and_float(
+    n_x, n_y, steps, seed, sizes, newline, odd, blanks, bad
+):
+    """The chunked reader, one np.loadtxt call per chunk with csv.reader
+    and float() as its fallback, gives the arrays and the error text, line
+    number included, of a per-row csv.reader + float() reader: on quoted,
+    padded, underscored and non-ASCII cells, whitespace-only lines, inf and
+    nan, `#` lines, cells and tails, an empty trailing field and a repeated
+    t."""
+    t = np.cumsum([0.0] + steps)
+    values = np.random.default_rng(seed).normal(scale=1e3, size=(len(t), n_x + n_y))
+    width = 1 + n_x + n_y
+    header = ["t"] + [f"x{i + 1}" for i in range(n_x)] + [f"y{i + 1}" for i in range(n_y)]
+    lines = [",".join(header)]
+    for i, row in enumerate(np.column_stack([t, values]).tolist()):
+        if i in blanks:
+            lines.append(" \t " if i % 2 else "   ")
+        cells = [ODD_CELLS[odd[i * width + j]](repr(v)) if i * width + j in odd else repr(v)
+                 for j, v in enumerate(row)]
+        if bad is not None and bad[0] == i:
+            lines.append(BAD_LINES[bad[1]](cells, float(t[i - 1])))
+        else:
+            lines.append(",".join(cells))
+    text = newline.join(lines) + newline
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode())
+        reader = cli._CsvBlocks(cli._follow_lines(str(path), idle_timeout=0.0))
+        reads = []
+        for k in sizes * (len(t) + 1):
+            reads.append(reader.take(k))
+            if len(reads[-1][0]) < k:
+                break
+    expected, error = reference_parse(text, width)
+    assert (str(reader.error) if reader.error else None) == error
+    block = np.column_stack([np.concatenate(a) for a in zip(*reads)])
+    assert block.tolist() == np.reshape(expected, (-1, width)).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_quoted_cell_across_lines_keeps_the_line_numbers(tmp_path, k):
+    """A quoted cell that spans two lines is one row, read on past the end
+    of its chunk when it must be, and the next row's error names its own
+    physical line."""
+    path = tmp_path / "data.csv"
+    path.write_text('t,x1,y1\n0.0,"1.0\n",2.0\n1.0,oops,2.0\n')
+    reader = cli._CsvBlocks(cli._follow_lines(str(path), idle_timeout=0.0))
+    reads = [reader.take(k), reader.take(k)]
+    t, x, y = (np.concatenate(a) for a in zip(*reads))
+    assert (t.tolist(), x.tolist(), y.tolist()) == ([0.0], [[1.0]], [[2.0]])
+    assert str(reader.error) == "line 4: non-numeric cell in row '1.0,oops,2.0'"
+
+
+@pytest.fixture(scope="module")
+def ci_stream(tmp_path_factory):
+    """The 3 s Lorenz stream of the CI: 301 data rows, lines 2 to 302."""
+    sim = tmp_path_factory.mktemp("ci") / "sim"
+    assert main(["--mode", "simulate", "--case", "lorenz", "--t-end", "3.0",
+                 "--output", str(sim)]) == 0
+    config = sim.parent / "stream.json"
+    config.write_text(json.dumps({"idle_timeout": 0.1}))
+    return sim / "data.csv", config
+
+
+def edit_quoted(lines):
+    cells = lines[151].rstrip("\n").split(",")
+    cells[1] = f'"{cells[1]}"'
+    lines[151] = ",".join(cells) + "\n"
+
+
+def edit_torn(lines):
+    lines[-1] = ",".join(lines[-1].split(",")[:2])  # no newline after it
+
+
+def edit_bad(lines):
+    lines[150] = "oops\n"
+
+
+def edit_hash(lines):
+    lines.insert(151, "# a comment\n")
+
+
+# each edit of the CI stream: its exit code, stderr and record count, in
+# fit and in stream alike
+ODD_INPUTS = {
+    "quoted": (edit_quoted, 0, "", 201),
+    "torn": (edit_torn, 3, "input error: line 302: row has 2 fields, expected 7\n", 200),
+    "bad": (edit_bad, 3, "input error: line 151: row has 1 fields, expected 7\n", 49),
+    "hash": (edit_hash, 3, "input error: line 152: row has 1 fields, expected 7\n", 50),
+}
+
+
+@pytest.mark.parametrize("mode", ["fit", "stream"])
+@pytest.mark.parametrize("kind", sorted(ODD_INPUTS))
+def test_odd_lines_keep_their_exit_and_message(tmp_path, capsys, ci_stream, mode, kind):
+    """On the CI stream: a quoted x1 cell reads as the number, so the run
+    writes the records of the plain stream; a torn final line, a bad row in
+    the middle of a read and a `#` line (not skipped as a comment) exit 3
+    with one line naming the row's line, after the records before it."""
+    data, config = ci_stream
+    edit, code, err, n_records = ODD_INPUTS[kind]
+    lines = data.read_text().splitlines(keepends=True)
+    edit(lines)
+    odd = tmp_path / "odd.csv"
+    odd.write_text("".join(lines))
+    outs = {}
+    for name, path in (("plain", data), ("odd", odd)):
+        outs[name] = tmp_path / name
+        status = main(["--mode", mode, "--input", str(path), "--output", str(outs[name]),
+                       "--window", "100", "--batch-in", "1", "--config", str(config)])
+        assert (status, capsys.readouterr().err) == ((0, "") if name == "plain" else (code, err))
+    steps = {name: (out / "steps.jsonl").read_bytes() for name, out in outs.items()}
+    assert steps["odd"].count(b"\n") == n_records
+    assert steps["plain"].startswith(steps["odd"])
+    if kind == "quoted":
+        assert steps["odd"] == steps["plain"]
+
+
+def test_cell_past_the_field_size_limit_is_an_input_error(tmp_path, capsys):
+    """A finite cell longer than csv's field size limit is the input error
+    csv reports, not a number that the chunked parse reads past it; in the
+    header too, where it is one line and not a traceback."""
+    limit = csv.field_size_limit()
+    tiny = "0." + "0" * limit + "1"
+    for text, line in ((f"t,x1,y1\n0.0,1.0,2.0\n1.0,{tiny},2.0\n2.0,1.0,2.0\n", 3),
+                       (f"t,x1,{'y' * (limit + 1)}\n0.0,1.0,2.0\n", 1)):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        assert main(["--mode", "fit", "--input", str(path), "--output", str(tmp_path / "o"),
+                     "--window", "2", "--degree", "1"]) == 3
+        assert capsys.readouterr().err == (
+            f"input error: line {line}: field larger than field limit ({limit})\n"
+        )
+
+
+@pytest.mark.parametrize("mode", ["fit", "stream"])
+def test_clean_chunks_read_by_loadtxt_give_the_csv_records(
+    tmp_path, linear_csv, monkeypatch, mode
+):
+    """Every chunk of a clean input longer than one line is parsed by
+    np.loadtxt alone, and the records are those of a run whose every chunk
+    goes through csv.reader and float()."""
+    path, _ = linear_csv
+    config = write_fit_config(tmp_path, idle_timeout=0.1)
+    args = fit_args(path, tmp_path / "loadtxt", ["--config", str(config)])
+    args[1] = mode
+    rescan = cli._CsvBlocks._rescan
+
+    def one_line_only(self, lines):
+        assert len(lines) == 1, "a clean chunk fell back to csv"
+        return rescan(self, lines)
+
+    monkeypatch.setattr(cli._CsvBlocks, "_rescan", one_line_only)
+    assert main(args) == 0
+    monkeypatch.setattr(cli._CsvBlocks, "_rescan", rescan)
+
+    def refuse(self, lines):
+        raise ValueError("read by csv")
+
+    monkeypatch.setattr(cli._CsvBlocks, "_block", refuse)
+    args[5] = str(tmp_path / "csv")
+    assert main(args) == 0
+    loadtxt = (tmp_path / "loadtxt" / "steps.jsonl").read_bytes()
+    assert loadtxt.count(b"\n") == (160 - 60) // 5
+    assert loadtxt == (tmp_path / "csv" / "steps.jsonl").read_bytes()
 
 
 def test_fit_requires_enough_rows_for_warmup(tmp_path):
