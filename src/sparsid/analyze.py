@@ -170,9 +170,7 @@ class ErrorWriter:
         rows = [] if self._header is None else [self._header]
         if n:
             err = np.reshape(coef, (len(times), -1))[:n] - true
-            # each row summed as np.linalg.norm(rows, axis=1) sums it; np.linalg.norm
-            # of a 1-d vector goes through BLAS dot, which can differ in the last bit
-            l2 = np.sqrt(np.add.reduce(err * err, axis=1))
+            l2 = np.linalg.norm(err, axis=1)
             previous = true[0] if self._previous is None else self._previous
             before = np.concatenate((previous[None], true[:-1]))
             switch = (true != before).any(axis=1).astype(int)
@@ -185,7 +183,7 @@ class ErrorWriter:
             ]
             self.scored += n
         if rows:
-            with open(self.path, "w" if self._header else "a", newline="") as fh:
+            with open(self.path, "w" if self._header else "a", encoding="utf-8", newline="") as fh:
                 fh.writelines(rows)
             self._header = None
         if missing is not None:

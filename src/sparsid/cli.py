@@ -198,11 +198,11 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
     merged = {}
     if namespace.config is not None:
         try:
-            with open(namespace.config) as fh:
+            with open(namespace.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -307,7 +307,7 @@ def _follow_lines(path: str, idle_timeout: float, poll: float = 0.05):
     (idle_timeout 0: read to the end once). Only whole lines are yielded,
     and then a torn last line, if any."""
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8", errors="replace")  # a bad byte: a bad cell
     except OSError as exc:
         raise InputError(str(exc)) from exc
     with fh:
@@ -504,7 +504,7 @@ def _drive(cfg: RunConfig, mode_cls):
         out.mkdir(parents=True, exist_ok=True)
         for name in mode.derived_names:
             (out / name).unlink(missing_ok=True)
-        with open(out / mode.output_name, "w") as fh:
+        with open(out / mode.output_name, "w", encoding="utf-8") as fh:
             while True:
                 read = rows.take(per_read)
                 k = len(read[0]) // b
@@ -609,7 +609,7 @@ def _load_truth(cfg: RunConfig, spec: DictionarySpec, n_y: int):
     if cfg.truth is None and not path.exists():
         return None
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return read_truth(json.load(fh), spec, n_y)
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise InputError(f"truth file {path}: {exc}") from exc
@@ -623,7 +623,7 @@ def run_fit(cfg: RunConfig) -> None:
     try:
         if fit.errors is not None:  # the header, if no read held a full batch
             fit.errors.add([], [])
-        with open(Path(cfg.output) / "equations.txt", "w") as fh:
+        with open(Path(cfg.output) / "equations.txt", "w", encoding="utf-8") as fh:
             fh.writelines(f"{line}\n" for line in lines)
     except OSError as exc:
         raise InputError(str(exc)) from exc
@@ -639,7 +639,7 @@ class _Monitor:
     (recursion.audit_run), its Grams are the fit's running sum at xi = 1
     (monitor.accumulate), and it takes the read's entering stacks in one
     extend; the kappas and PE eigenvalues of a read come from one stacked
-    eigvalsh each. It works on the read's arrays and builds no Sample."""
+    eigvalsh each. It works on the read's arrays."""
 
     output_name = "monitor.jsonl"
     derived_names = ()

@@ -320,51 +320,32 @@ def refresh_horseshoe(
     20-refresh cap on both Lorenz warmups and after 16 refreshes on case1
     (m=50, W=200). Refreshes inside the stream take a median of 103.5 sweeps
     on lorenz-b1, 46 on lorenz-b50 and 48.5 on case1-m50.
-
-    A sweep is 15 numpy calls that write into three work arrays made once
-    per call, and the convergence test reuses the previous sweep's roots.
-    Each IEEE operation, and its order, is that of the plain expression in
-    the comment above it, so the scales are bitwise those of the plain
-    expressions. A refresh costs about 1.4 ms on case1-m50, 1.9 ms on
-    lorenz-b50 and 3.4 ms on lorenz-b1 (median CPU time per call on a
-    2-CPU x86-64 host, numpy 2.4).
     """
     hs = post.horseshoe
-    # second moments indexed (term, output) to match the scale layout
-    second = (post.mean_blocks() ** 2 + post.std_blocks() ** 2).T
+    # second moments indexed (term, output), C-ordered like the scales: the
+    # sweeps then run on contiguous arrays, and sum in the scales' order
+    second = (post.mean_blocks() ** 2 + post.std_blocks() ** 2).T.copy()
     lam2 = hs.local_scales**2
     tau2 = hs.global_scale**2
-    # the roots of the previous sweep, which the convergence test divides by
     root, tau = np.sqrt(lam2), math.sqrt(tau2)
-    # every sweep writes into these three; like lam2 they are C-ordered, so
-    # ratio.sum() adds in the order that np.sum(second / (2.0 * lam2)) would
-    work, ratio, root_next = np.empty((3, *lam2.shape))
     shape = (lam2.size + 3) / 2.0
     lo, hi = SCALE_FLOOR**2, SCALE_CEIL**2
     for _ in range(max_sweeps):
-        # lam2 <- clip(0.5 * (lam2 / (1 + lam2) + second / (2 tau2)), lo, hi)
-        np.add(lam2, 1.0, out=work)
-        np.divide(lam2, work, out=work)
-        np.divide(second, 2.0 * tau2, out=lam2)
-        np.add(work, lam2, out=lam2)
-        np.multiply(lam2, 0.5, out=lam2)
-        np.maximum(lam2, lo, out=lam2)
-        np.minimum(lam2, hi, out=lam2)
-        # tau2 <- clip((tau2 / (1 + tau2) + sum(second / (2 lam2))) / shape)
-        np.multiply(lam2, 2.0, out=ratio)
-        np.divide(second, ratio, out=ratio)
-        tau2 = min(max((tau2 / (1.0 + tau2) + float(ratio.sum())) / shape, lo), hi)
-        # largest relative change of any scale, lambda or tau
-        np.sqrt(lam2, out=root_next)
-        np.subtract(root_next, root, out=work)
-        np.abs(work, out=work)
-        np.divide(work, root, out=work)
-        tau_next = math.sqrt(tau2)
-        rel = max(float(work.max()), abs(tau_next - tau) / tau)
-        root, root_next, tau = root_next, root, tau_next
-        if rel < rel_tol:
+        lam2 = np.minimum(np.maximum((lam2 / (lam2 + 1.0) + second / (2.0 * tau2)) * 0.5, lo), hi)
+        local_sum = float((second / (lam2 * 2.0)).sum())
+        tau2 = min(max((tau2 / (1.0 + tau2) + local_sum) / shape, lo), hi)
+        previous = root, tau
+        root, tau = np.sqrt(lam2), math.sqrt(tau2)
+        if _largest_change((root, tau), previous) < rel_tol:
             break
     return HorseshoeState(local_scales=root, global_scale=tau)
+
+
+def _largest_change(scales: tuple, previous: tuple) -> float:
+    """The largest relative change of any scale, local or global, from
+    previous to scales, each a (local array, global float) pair."""
+    (local, glob), (local_0, glob_0) = scales, previous
+    return max(float((abs(local - local_0) / local_0).max()), abs(glob - glob_0) / glob_0)
 
 
 def fit_moments(
@@ -387,15 +368,10 @@ def fit_moments(
     post = posterior_from_moments(spec, noise, horseshoe, window_gram, cross)
     for _ in range(max_outer):
         refreshed = refresh_horseshoe(post)
-        rel = max(
-            float(
-                np.max(
-                    np.abs(refreshed.local_scales - post.horseshoe.local_scales)
-                    / post.horseshoe.local_scales
-                )
-            ),
-            abs(refreshed.global_scale - post.horseshoe.global_scale)
-            / post.horseshoe.global_scale,
+        prior = post.horseshoe
+        rel = _largest_change(
+            (refreshed.local_scales, refreshed.global_scale),
+            (prior.local_scales, prior.global_scale),
         )
         post = posterior_from_moments(spec, noise, refreshed, window_gram, cross)
         if rel < 1e-4:

@@ -543,8 +543,7 @@ def _run(state: RecursionState, t, x, y, outcomes: list) -> int:
         buffer.extend(t_in[:p], x_in[:p], y_in[:p], psi_new[:p])
         means = np.array([post.mean_blocks() for post in posts])
         resid = y_in[:p] - psi_new[:p] @ means.swapaxes(1, 2)
-        # each summed as np.mean sums a block of e x n_y
-        rms = np.sqrt(np.add.reduce((resid**2).reshape(p, -1), axis=1) / resid[0].size).tolist()
+        rms = np.sqrt(np.mean((resid**2).reshape(p, -1), axis=1)).tolist()
         for j, post in enumerate(posts):
             report, reason = reports[j], None
             if report.classification != "informative":

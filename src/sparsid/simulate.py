@@ -207,13 +207,13 @@ def write_csv(path, times, states, observations) -> None:
     header = ["t"] + [f"x{i + 1}" for i in range(states.shape[1])]
     header += [f"y{i + 1}" for i in range(observations.shape[1])]
     block = np.column_stack((times, states, observations))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
 
 
 def write_truth_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
 

@@ -91,6 +91,9 @@ def test_malformed_config_rejected(tmp_path):
     cfg_path.write_text("{not json")
     with pytest.raises(ConfigError):
         parse(["--config", str(cfg_path)])
+    cfg_path.write_bytes(b'{"window": 2\xff00}')  # JSON is UTF-8
+    with pytest.raises(ConfigError):
+        parse(["--config", str(cfg_path)])
     with pytest.raises(ConfigError):
         parse(["--mode", "teleport"])
 
@@ -1125,6 +1128,51 @@ def test_odd_lines_keep_their_exit_and_message(tmp_path, capsys, ci_stream, mode
     assert steps["plain"].startswith(steps["odd"])
     if kind == "quoted":
         assert steps["odd"] == steps["plain"]
+
+
+@pytest.mark.parametrize("mode", ["fit", "stream", "monitor"])
+def test_byte_that_is_not_utf8_is_a_bad_cell(tmp_path, capsys, ci_stream, mode):
+    """On the CI stream, a byte that is not UTF-8 after the first comma of
+    line 151 reads as a non-numeric cell: the run exits 3 with one line
+    naming line 151, after the records of the rows before it."""
+    data, config = ci_stream
+    lines = data.read_bytes().splitlines(keepends=True)
+    lines[150] = lines[150].replace(b",", b",\xff", 1)
+    odd = tmp_path / "odd.csv"
+    odd.write_bytes(b"".join(lines))
+    records, output = {}, "monitor.jsonl" if mode == "monitor" else "steps.jsonl"
+    for name, path in (("plain", data), ("odd", odd)):
+        out = tmp_path / name
+        status = main(["--mode", mode, "--input", str(path), "--output", str(out),
+                       "--window", "100", "--batch-in", "1", "--config", str(config)])
+        err = capsys.readouterr().err
+        records[name] = (out / output).read_bytes()
+    assert status == 3
+    assert err.startswith("input error: line 151: non-numeric cell in row '1.49,\ufffd")
+    assert err.count("\n") == 1
+    assert records["odd"].count(b"\n") == 49
+    assert records["plain"].startswith(records["odd"])
+
+
+def test_fit_outside_a_utf8_locale_writes_the_utf8_bytes(tmp_path, ci_stream):
+    """Under the C locale, with Python's UTF-8 mode off, a fit exits 0 and
+    writes the bytes that a UTF-8-mode fit writes, equations.txt's `·`
+    included."""
+    data, _ = ci_stream
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    env.update(LC_ALL="C", PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for utf8 in (0, 1):
+        done = subprocess.run(
+            [sys.executable, "-X", f"utf8={utf8}", "-m", "sparsid.cli", "--mode", "fit",
+             "--input", str(data), "--output", str(tmp_path / f"utf8-{utf8}"),
+             "--window", "100", "--batch-in", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+    names = ("steps.jsonl", "errors.csv", "equations.txt")
+    outputs = [[(tmp_path / f"utf8-{u}" / n).read_bytes() for n in names] for u in (0, 1)]
+    assert outputs[0] == outputs[1]
+    assert "·".encode() in outputs[0][2]
 
 
 def test_cell_past_the_field_size_limit_is_an_input_error(tmp_path, capsys):

@@ -320,7 +320,8 @@ def test_refresh_matches_the_allocating_sweeps_bitwise(case):
     assert post.horseshoe.local_scales.tobytes() == before
 
 
-def test_adaptive_fit_recovers_sparse_truth(rng):
+def sparse_truth_fit(rng, max_outer):
+    """fit_moments of 400 noisy rows whose truth has 2 of 6 terms."""
     spec = DictionarySpec(state_dim=6, poly_degree=1, include_bias=False)
     coef = np.zeros((6, 1))
     coef[1, 0] = 8.0
@@ -328,11 +329,47 @@ def test_adaptive_fit_recovers_sparse_truth(rng):
     samples = make_samples(rng, spec, coef, noise_std=0.3, n=400)
     _, x, y = stack_rows(samples, 1)
     psi = build_matrix(spec, x)
-    post = fit_moments(
-        spec, NoiseModel([0.09]), initial_horseshoe(spec, 1), gram(psi), psi.T @ y, MAX_OUTER
+    return fit_moments(
+        spec, NoiseModel([0.09]), initial_horseshoe(spec, 1), gram(psi), psi.T @ y, max_outer
     )
+
+
+def test_adaptive_fit_recovers_sparse_truth(rng):
+    post = sparse_truth_fit(rng, MAX_OUTER)
     means = post.mean_blocks()[0]
     assert abs(means[1] - 8.0) < 0.1
     assert abs(means[4] + 6.0) < 0.1
     nulls = np.abs(means[[0, 2, 3, 5]])
     assert nulls.max() < 0.02
+
+
+@pytest.mark.parametrize("max_outer, refreshes", [(100, 47), (MAX_OUTER, MAX_OUTER)])
+def test_adaptive_fit_stops_after_the_first_small_change(rng, monkeypatch, max_outer, refreshes):
+    """fit_moments refreshes until one refresh moves no scale, local or
+    global, by 1e-4 of its value before that refresh, or max_outer times:
+    this fit settles after 47 refreshes and is cut at the cap of 20."""
+    import sparsid.posterior
+
+    starts, returned = [], []  # the scales each refresh starts from and returns
+    refresh = sparsid.posterior.refresh_horseshoe
+
+    def recorded(post, *args, **kwargs):
+        starts.append(post.horseshoe)
+        returned.append(refresh(post, *args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(sparsid.posterior, "refresh_horseshoe", recorded)
+    post = sparse_truth_fit(rng, max_outer)
+    # each refresh starts from the scales the one before it returned
+    chain = [*starts[1:], post.horseshoe]
+    assert len(chain) == len(returned) and all(a is b for a, b in zip(chain, returned))
+    changes = [
+        max(
+            float(np.max(np.abs(new.local_scales - old.local_scales) / old.local_scales)),
+            abs(new.global_scale - old.global_scale) / old.global_scale,
+        )
+        for old, new in zip(starts, returned)
+    ]
+    assert len(changes) == refreshes
+    assert all(change >= 1e-4 for change in changes[:-1])
+    assert (changes[-1] < 1e-4) == (refreshes < max_outer)
