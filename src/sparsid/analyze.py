@@ -34,7 +34,8 @@ def _leading(covered: np.ndarray) -> int:
 @dataclass(frozen=True)
 class TruthTrajectory:
     """Piecewise-constant coefficient truth: betas[i] holds from times[i]
-    (inclusive) until the next segment starts."""
+    (inclusive) until the next segment starts. Times and coefficients are
+    finite; a LorenzTruth keeps its sampled k1 and k3 in one."""
 
     times: np.ndarray
     betas: np.ndarray
@@ -44,6 +45,8 @@ class TruthTrajectory:
         b = np.asarray(self.betas, dtype=float)
         if t.ndim != 1 or b.ndim != 2 or b.shape[0] != t.size or t.size == 0:
             raise ValueError("need matching 1-d times and 2-d betas")
+        if not (np.isfinite(t).all() and np.isfinite(b).all()):
+            raise ValueError("times and coefficients must be finite")
         if not np.all(np.diff(t) > 0.0):
             raise ValueError("segment start times must be strictly increasing")
         object.__setattr__(self, "times", t.copy())

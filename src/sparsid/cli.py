@@ -22,10 +22,11 @@ whose posterior is not positive definite under any.
 Fit, stream and monitor share one single-threaded loop: read the header,
 take `window` warmup samples, then pass the full batches of `batch_in`
 samples of each read to the mode's steps and write each record they return
-as one JSON line. Fit hands a read to recursion.step_read in one call: one
-audit, one accumulation of the moments and one stacked Cholesky per run of
-the read, with the bytes of one recursion.step per batch. Stream reads one
-batch at a time, so it is the one-batch path, and writes what fit writes.
+as one JSON line, flushed after each read. Fit hands a read to
+recursion.step_read in one call: one audit, one accumulation of the moments
+and one stacked Cholesky per run of the read, with the bytes of one
+recursion.step per batch. Stream reads one batch at a time, so it is the
+one-batch path, and writes what fit writes.
 
 A read's lines are parsed with one np.loadtxt call; csv.reader reads the
 header, one-line reads and any read that loadtxt refuses or whose rows fail
@@ -461,15 +462,16 @@ def _drive(cfg: RunConfig, mode_cls):
     column count (counted, not enumerated), builds the dictionary, hands
     the (t, x, y) arrays of `window` warmup rows to the mode's start, then
     passes the full batches of `batch_in` rows of each read to its steps as
-    k x batch_in stacks of t, x and y (k >= 1), and writes
-    the JSON lines of the records they return to the mode's output file. A
-    finished input (fit, monitor) is read up to `_BLOCK` batches at a time;
-    stream reads one batch at a time and flushes every record, so a reader
-    of the file sees step k before batch k + 1 arrives. A mode that writes
-    more than its records (fit's errors.csv) writes it before each read's
-    records; those files (`derived_names`) are removed when the
-    records file is truncated, so none of an earlier run's is left beside
-    it. A trailing partial batch is dropped. A bad row exits after the
+    k x batch_in stacks of t, x and y (k >= 1), and writes the JSON lines of
+    the records they return to the mode's output file. A finished input
+    (fit, monitor) is read up to `_BLOCK` batches at a time, stream one
+    batch at a time. Every mode flushes its records after each read, so the
+    file holds every record of the reads stepped so far and no torn line: a
+    reader of a stream's file sees step k before batch k + 1 arrives. A
+    mode that writes more than its records (fit's errors.csv) writes it
+    before each read's records; those files (`derived_names`) are removed
+    when the records file is truncated, so none of an earlier run's is left
+    beside it. A trailing partial batch is dropped. A bad row exits after the
     batches before it were stepped and written. Returns the mode object, so
     the caller can write the final state.
     """
@@ -511,10 +513,8 @@ def _drive(cfg: RunConfig, mode_cls):
                 if not k:  # the input ended within a batch
                     break
                 batches = [a[: k * b].reshape(k, b, *a.shape[1:]) for a in read]
-                for line in mode.steps(*batches):
-                    fh.write(line)
-                    if stream:
-                        fh.flush()
+                fh.writelines(mode.steps(*batches))
+                fh.flush()
                 if len(read[0]) < per_read:
                     break
     except OSError as exc:

@@ -6,7 +6,8 @@ slowly drifting parameters, integrated with classical fourth-order
 Runge-Kutta; the regression targets are derivative observations.
 
 Random draws are split by purpose (coefficients / inputs / noise) so that
-toggling noise never changes the drawn system.
+toggling noise never changes the drawn system. A scenario whose stream would
+hold more than MAX_CELLS CSV cells is refused before any array is made.
 """
 
 import json
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import NonFiniteState
 
 __all__ = [
+    "MAX_CELLS",
     "SparseRegressionConfig",
     "LorenzConfig",
     "gen_sparse_regression",
@@ -30,6 +32,20 @@ __all__ = [
     "case1_truth_payload",
     "lorenz_truth_payload",
 ]
+
+# The most CSV cells (rows x columns, t included) a simulated stream may hold,
+# about 19 times the largest benchmark stream (case1-m50, 10200 rows x 52
+# columns). A simulation of 10**6 cells peaks at 65-95 bytes a cell above the
+# interpreter's own memory, so one at the limit needs about 1 GB.
+MAX_CELLS = 10**7
+
+
+def _check_cells(rows: int, columns: int) -> None:
+    if rows * columns > MAX_CELLS:
+        raise ValueError(
+            f"a stream of {rows} rows x {columns} columns holds more than "
+            f"MAX_CELLS = {MAX_CELLS} cells"
+        )
 
 
 @dataclass(frozen=True)
@@ -51,6 +67,7 @@ class SparseRegressionConfig:
     def __post_init__(self):
         if self.m < 1 or self.n_samples < 1:
             raise ValueError("m and n_samples must be positive")
+        _check_cells(self.n_samples, self.m + 2)
         if not (0.0 < self.nonzero_fraction <= 1.0):
             raise ValueError("nonzero_fraction must be in (0, 1]")
         if self.noise_variance < 0.0 or not np.isfinite(self.noise_variance):
@@ -121,12 +138,20 @@ class LorenzConfig:
             raise ValueError("dt must be finite and positive")
         if not (np.isfinite(self.t_end) and self.t_end >= self.dt):
             raise ValueError("t_end must be at least dt")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError("t_end / dt must be a finite step count")
+        _check_cells(self.n_steps + 1, 7)  # t, 3 states, 3 observations
         if len(self.x0) != 3:
             raise ValueError("x0 must have 3 components")
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
             raise ValueError("noise_std must be finite and nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+
+    @property
+    def n_steps(self) -> int:
+        """The integration steps: the stream holds n_steps + 1 samples."""
+        return round(self.t_end / self.dt)
 
 
 def lorenz_coefficients(t: float) -> tuple:
@@ -174,7 +199,7 @@ def simulate_lorenz(config: LorenzConfig) -> tuple:
 
     Raises NonFiniteState if the integration blows up.
     """
-    n_steps = round(config.t_end / config.dt)
+    n_steps = config.n_steps
     times = np.arange(n_steps + 1) * config.dt
     seq = np.random.SeedSequence(config.seed)
     noise_rng, kick_rng = (np.random.default_rng(s) for s in seq.spawn(2))
@@ -229,7 +254,6 @@ def case1_truth_payload(config: SparseRegressionConfig, beta_true: np.ndarray) -
 
 def lorenz_truth_payload(config: LorenzConfig) -> dict:
     """k1 and k3 at every sample time; lorenz_terms gives the structure."""
-    n_steps = round(config.t_end / config.dt)
-    times = (np.arange(n_steps + 1) * config.dt).tolist()
+    times = (np.arange(config.n_steps + 1) * config.dt).tolist()
     k1, k3 = zip(*map(lorenz_coefficients, times))
     return {"case": "lorenz", "t": times, "k1": list(k1), "k3": list(k3)}

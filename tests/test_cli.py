@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from sparsid import (
     initial_horseshoe,
 )
 from sparsid.analyze import read_truth
+from sparsid.simulate import MAX_CELLS, LorenzConfig, lorenz_truth_payload
 from sparsid.cli import (
     ConfigError,
     RunConfig,
@@ -264,6 +266,30 @@ def test_simulate_rejects_bad_dt(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--case", "lorenz", "--t-end", "1e300", "--dt", "1e-300"],  # t_end / dt is inf
+        ["--case", "lorenz", "--t-end", "1e15"],
+        ["--case", "lorenz", "--t-end", "1e17"],
+        ["--case", "case1", "--m", str(2**62), "--n", "10"],
+        ["--case", "case1", "--n", str(2**62), "--m", "2"],
+    ],
+    ids=["lorenz-inf-steps", "lorenz-1e15", "lorenz-1e17", "case1-m", "case1-n"],
+)
+def test_simulation_past_the_cell_limit_is_a_configuration_error(tmp_path, capsys, flags):
+    """A scenario whose stream no array holds, or whose step count is not
+    finite, is refused before any array is made: exit 2 with one line and
+    no output directory."""
+    out = tmp_path / "sim"
+    assert main(["--mode", "simulate", *flags, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and not out.exists()
+    if "1e300" not in flags:
+        assert f"MAX_CELLS = {MAX_CELLS}" in err
+
+
 def test_diverging_simulation_is_a_configuration_error(tmp_path, capsys):
     """dt = 0.5 is too long a step for the Lorenz dynamics, and the
     integration blows up at t = 2: exit 2 with one line that names t and
@@ -345,6 +371,13 @@ def test_fit_rejects_mismatched_truth(tmp_path, capsys):
     assert not out.exists()  # refused before the stream is read past its header
 
 
+def ci_lorenz_truth(key: str, index: int, value: float) -> dict:
+    """The truth of the CI stream (`ci_stream`), one value replaced."""
+    payload = lorenz_truth_payload(LorenzConfig(t_end=3.0))
+    payload[key][index] = value
+    return payload
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -353,13 +386,27 @@ def test_fit_rejects_mismatched_truth(tmp_path, capsys):
         {"segments": []},
         {"segments": "none"},
         [1, 2],
+        # non-finite values, which would score NaN or infinite errors
+        {"segments": [{"start_t": 0.0, "coeffs": [None, None, None]}]},
+        {"segments": [{"start_t": 0.0, "coeffs": [math.inf] * 3}]},
+        ci_lorenz_truth("k3", 150, math.nan),  # at t = 1.5, scored by step 50
     ],
 )
-def test_fit_rejects_malformed_truth(tmp_path, linear_csv, payload):
+def test_fit_rejects_malformed_truth(tmp_path, capsys, linear_csv, ci_stream, payload):
+    """A truth file that is malformed, or holds a time or a coefficient
+    that is not finite, exits 3 with one line naming it."""
     path, _ = linear_csv
     (path.parent / "truth.json").write_text(json.dumps(payload))
     cfg = write_fit_config(tmp_path)
-    assert main(fit_args(path, tmp_path / "fit", ["--config", str(cfg)])) == 3
+    args = fit_args(path, tmp_path / "fit", ["--config", str(cfg)])
+    if "case" in payload:  # a Lorenz truth, named by the config key, for the CI stream
+        data, _ = ci_stream
+        cfg.write_text(json.dumps({"truth": str(path.parent / "truth.json")}))
+        args = ["--mode", "fit", "--input", str(data), "--output", str(tmp_path / "fit"),
+                "--window", "100", "--batch-in", "1", "--config", str(cfg)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: truth file ") and err.count("\n") == 1, err
 
 
 def test_fit_rejects_truth_starting_after_scored_steps(tmp_path, linear_csv, capsys):
@@ -1311,6 +1358,34 @@ def test_stream_writes_each_record_before_the_next_step(
     assert reads[0] == 60 and set(reads[1:]) == {5}  # the warmup, then one batch a read
 
 
+@pytest.mark.parametrize("mode", ["fit", "stream", "monitor"])
+def test_each_read_is_on_disk_before_the_next(tmp_path, linear_csv, monkeypatch, mode):
+    """Every mode flushes its records after each read: when a read is
+    taken, the records file holds exactly the records of the reads before
+    it, here of two batches each (one in stream mode)."""
+    monkeypatch.setattr(cli, "_BLOCK", 2)
+    out = tmp_path / mode
+    records = out / ("monitor.jsonl" if mode == "monitor" else "steps.jsonl")
+    seen = []
+    take = cli._CsvBlocks.take
+
+    def take_after_reading_the_records(self, k):
+        if records.exists():  # it is created after the warmup is taken
+            seen.append(records.read_bytes())
+        return take(self, k)
+
+    monkeypatch.setattr(cli._CsvBlocks, "take", take_after_reading_the_records)
+    path, _ = linear_csv
+    args = fit_args(path, out, ["--config", str(write_fit_config(tmp_path, idle_timeout=0.1))])
+    args[1] = mode
+    assert main(args) == 0
+    lines = records.read_bytes().splitlines(keepends=True)
+    per_read = 1 if mode == "stream" else 2
+    assert len(lines) == (160 - 60) // 5
+    assert seen == [b"".join(lines[: per_read * i]) for i in range(len(seen))]
+    assert len(seen) == len(lines) // per_read + 1  # and the read that finds the end
+
+
 class FakeClock:
     """Monotonic clock whose sleeps overshoot, as a loaded host's do."""
 
@@ -1591,6 +1666,40 @@ def test_block_reads_match_one_batch_reads_through_refreshes_and_rollbacks(
     for policy in rec.POLICIES:
         for block in (2, 3, saved):
             assert outputs[policy, block] == outputs[policy, 1], (policy, block)
+
+
+@pytest.mark.parametrize(
+    "flags,refreshed,refused,rolled_back",
+    [([], 40, 0, 0), (["--forget", "1", "--xi", "0.9"], 3, 1, 178)],
+    ids=["growing", "drain"],
+)
+def test_refreshed_runs_reach_the_end_of_the_ci_stream(
+    tmp_path, ci_stream, flags, refreshed, refused, rolled_back
+):
+    """On the CI stream with the prior refreshed every 5 samples, fit and
+    stream each exit 0 with all 201 records and the equations, and write
+    the same steps.jsonl and errors.csv bytes: 40 refreshes of a growing
+    window, and, with xi = 0.9 on a sliding window, which drains its Gram, a
+    run that rolls steps back and refuses the refresh that would leave a
+    posterior that is not positive definite."""
+    data, _ = ci_stream
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"refresh_every": 5, "idle_timeout": 0.1}))
+    written = {}
+    for mode in ("fit", "stream"):
+        out = tmp_path / mode
+        assert main(["--mode", mode, "--input", str(data), "--output", str(out),
+                     "--window", "100", "--batch-in", "1", *flags,
+                     "--config", str(config)]) == 0
+        assert (out / "equations.txt").stat().st_size > 0
+        written[mode] = [(out / name).read_bytes() for name in ("steps.jsonl", "errors.csv")]
+    assert written["stream"] == written["fit"]
+    records = read_records(tmp_path / "fit")
+    reasons = [r["reason"] or "" for r in records]
+    assert len(records) == 201
+    assert sum(r["theta_refreshed"] for r in records) == refreshed
+    assert sum(reason.endswith("refused") for reason in reasons) == refused
+    assert sum("rolled back" in reason for reason in reasons) == rolled_back
 
 
 def test_fit_factors_a_read_at_once(tmp_path, monkeypatch):
