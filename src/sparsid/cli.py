@@ -22,11 +22,12 @@ whose posterior is not positive definite under any.
 Fit, stream and monitor share one single-threaded loop: read the header,
 take `window` warmup samples, then pass the full batches of `batch_in`
 samples of each read to the mode's steps and write each record they return
-as one JSON line, flushed after each read. Fit hands a read to
-recursion.step_read in one call: one audit, one accumulation of the moments
-and one stacked Cholesky per run of the read, with the bytes of one
-recursion.step per batch. Stream reads one batch at a time, so it is the
-one-batch path, and writes what fit writes.
+as one JSON line, flushed after each read. Every mode reads the same way:
+a read takes up to 128 batches, or the whole batches that have arrived
+once the input is caught up, so stream is fit with a nonzero idle_timeout
+and writes what fit writes. Fit hands a read to recursion.step_read in one
+call: one audit, one accumulation of the moments and one stacked Cholesky
+per run of the read, with the bytes of one recursion.step per batch.
 
 A read's lines are parsed with one np.loadtxt call; csv.reader reads the
 header, one-line reads and any read that loadtxt refuses or whose rows fail
@@ -41,7 +42,7 @@ import sys
 import time
 import typing
 from dataclasses import dataclass, fields
-from itertools import chain, filterfalse, islice
+from itertools import chain, filterfalse
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +106,7 @@ class RunConfig:
     idle_timeout: float = 5.0
 
     def __post_init__(self):
-        for f in fields(self):  # an int key must fit a C index (islice, numpy shapes)
+        for f in fields(self):  # an int key must fit a C index (numpy shapes)
             value = getattr(self, f.name)
             if type(value) is int and abs(value) > sys.maxsize:
                 raise ConfigError(f"config key {f.name!r} must be at most {sys.maxsize} in size")
@@ -203,7 +204,7 @@ def resolve_config(namespace: argparse.Namespace) -> RunConfig:
                 file_cfg = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -304,9 +305,12 @@ def _parse_header(cols: list) -> tuple:
 
 
 def _follow_lines(path: str, idle_timeout: float, poll: float = 0.05):
-    """Lines of a file, tailed until idle_timeout s pass with no new data
-    (idle_timeout 0: read to the end once). Only whole lines are yielded,
-    and then a torn last line, if any."""
+    """The whole lines of a file, one list per drain, tailed until
+    idle_timeout s pass with no new data; then a torn last line, if any,
+    alone. A poll that finds no new line yields an empty list, which says
+    that the reader is caught up; with idle_timeout 0 the file is read to
+    its end once and no empty list is yielded. A read error is an
+    InputError naming the file."""
     try:
         fh = open(path, encoding="utf-8", errors="replace")  # a bad byte: a bad cell
     except OSError as exc:
@@ -315,17 +319,22 @@ def _follow_lines(path: str, idle_timeout: float, poll: float = 0.05):
         buf = ""
         last_data = time.monotonic()
         while True:
-            lines = fh.readlines(1 << 16)  # the lines there are, up to 64 kB
+            try:
+                lines = fh.readlines(1 << 16)  # the lines there are, up to 64 kB
+            except OSError as exc:
+                raise InputError(f"cannot read {path}: {exc}") from exc
             if lines:
                 last_data = time.monotonic()
                 lines[0] = buf + lines[0]
                 buf = "" if lines[-1].endswith("\n") else lines.pop()
-                yield from lines
+                if lines:
+                    yield lines
                 continue
             if time.monotonic() - last_data >= idle_timeout:
                 if buf:
-                    yield buf
+                    yield [buf]
                 return
+            yield []
             time.sleep(poll)
 
 
@@ -334,22 +343,25 @@ def _is_blank(row: list) -> bool:
 
 
 class _CsvBlocks:
-    """The rows of a CSV line stream, parsed and checked one chunk of lines
-    at a time.
+    """The rows of a CSV file's drains (_follow_lines), parsed and checked
+    one chunk of lines at a time.
 
-    take(k) parses the next lines with one np.loadtxt call and checks the
-    array: one row of the header's width per line, finite cells, and
-    timestamps strictly increasing after the previous chunk's. The header,
-    a one-line chunk (which csv reads quicker) and a chunk that fails are
-    read by csv.reader and float() row by row (_rescan), so quoted cells,
-    `1_0` and non-ASCII digits are accepted, blank lines are skipped, and a
-    `#` line is a bad row. A bad row stops the read: its InputError, naming
-    its line, is kept in `error`, and only the rows before it are returned.
+    take(k, batch) parses the next lines with one np.loadtxt call and
+    checks the array: one row of the header's width per line, finite cells,
+    and timestamps strictly increasing after the previous chunk's. The
+    header, a one-line chunk (which csv reads quicker) and a chunk that
+    fails are read by csv.reader and float() row by row (_rescan), so
+    quoted cells, `1_0` and non-ASCII digits are accepted, blank lines are
+    skipped, and a `#` line is a bad row. A bad row stops the read: its
+    InputError, naming its line, is kept in `error`, and only the rows
+    before it are returned.
     """
 
-    def __init__(self, lines):
-        self._lines = iter(lines)
-        reader = csv.reader(self._lines)
+    def __init__(self, drains):
+        self._drains = iter(drains)
+        self._waiting = []  # the lines drained and not yet parsed
+        self._done = False  # whether the drains have ended
+        reader = csv.reader(self._next_lines())
         try:
             header = next(filterfalse(_is_blank, reader), None)
         except csv.Error as exc:
@@ -360,23 +372,55 @@ class _CsvBlocks:
         self.width = 1 + self.n_x + self.n_y
         self._line_num = reader.line_num  # the lines read so far
         self._last_t = -math.inf
+        self._held = np.empty((0, self.width))  # the rows of a partial batch
+        self.ended = False
         self.error = None
 
-    def take(self, k: int) -> tuple:
+    def _pull(self) -> bool:
+        """Drain the source once into the waiting lines. False when it is
+        caught up or has ended."""
+        drain = next(self._drains, None)
+        self._done = drain is None
+        self._waiting += drain or []
+        return bool(drain)
+
+    def _next_lines(self):
+        """The waiting lines, then those of the drains to come, one at a time."""
+        while self._waiting or not self._done:
+            if self._waiting:
+                yield self._waiting.pop(0)
+            else:
+                self._pull()
+
+    def take(self, k: int, batch: int | None = None) -> tuple:
         """The timestamps (n,), states (n, n_x) and observations (n, n_y)
-        of the next n = k rows; fewer only where the input ends or a bad
-        row stops the read (see `error`)."""
-        blocks = [np.empty((0, self.width))]
+        of the next n rows, a whole number of batches of `batch` rows
+        (default k): the k rows, or, once the source is caught up, the
+        whole batches of the rows that have arrived, at least one; the rows
+        of a partial batch stay for the next take. Where the input ends or a
+        bad row stops the read (see `error`), `ended` is set and every row
+        left is returned."""
+        batch = batch or k
+        blocks, caught_up = [self._held], False
         while (n := sum(map(len, blocks))) < k and self.error is None:
-            lines = list(islice(self._lines, k - n))
-            if not lines:
+            if len(self._waiting) < k - n and not (caught_up or self._done):
+                caught_up = not self._pull()  # a finished file's chunks hold k - n lines
+            elif self._waiting:
+                lines = self._waiting[: k - n]
+                del self._waiting[: k - n]
+                try:
+                    blocks.append(self._block(lines))
+                    self._line_num += len(lines)
+                except ValueError:
+                    blocks.append(self._rescan(lines))
+            elif self._done or n >= batch:  # the end, or caught up with a whole batch
                 break
-            try:
-                blocks.append(self._block(lines))
-                self._line_num += len(lines)
-            except ValueError:
-                blocks.append(self._rescan(lines))
+            else:  # caught up within a batch: wait for its rest
+                caught_up = False
         block, n_x = np.concatenate(blocks), self.n_x
+        self.ended = self.error is not None or (self._done and not self._waiting)
+        keep = len(block) if self.ended else len(block) // batch * batch
+        block, self._held = block[:keep], block[keep:]
         return block[:, 0], block[:, 1 : 1 + n_x], block[:, 1 + n_x :]
 
     def _block(self, lines: list) -> np.ndarray:
@@ -404,7 +448,7 @@ class _CsvBlocks:
         bad one, blank lines left out, and keeps the InputError naming that
         row's line in `error`. A quoted cell that spans lines reads on past
         the chunk."""
-        reader = csv.reader(chain(lines, self._lines))
+        reader = csv.reader(chain(lines, self._next_lines()))
         line = self._line_num + 1  # the first line of the next row
         kept, last_t = [], self._last_t
         try:
@@ -446,13 +490,14 @@ class _CsvBlocks:
 # ----------------------------------------------------------------- run loop
 
 
-# Batches per read of a finished input. Monitor mode stacks the kappas and
-# the PE eigenvalues of a read: 128 matrices of 10 x 10 (Lorenz at degree 2)
-# take 100 kB. A read also parses at most _BLOCK_CELLS CSV cells (one batch
-# at least), so the parse of a wide or long-batch stream adds no more to the
-# peak memory than a few hundred kB.
+# Batches per read. A read also parses at most _BLOCK_CELLS CSV cells and
+# stacks at most _STACK_CELLS cells of n_p x n_p matrices (k x n_y posterior
+# blocks in fit, k Grams in monitor), 512 kB of floats, and takes one batch
+# at least. Lorenz at degree 2 (n_p = 10, three outputs) reads 128 batches
+# of one row, whose posterior blocks hold 38,400 cells.
 _BLOCK = 128
 _BLOCK_CELLS = 4096
+_STACK_CELLS = 1 << 16
 
 
 def _drive(cfg: RunConfig, mode_cls):
@@ -463,9 +508,11 @@ def _drive(cfg: RunConfig, mode_cls):
     the (t, x, y) arrays of `window` warmup rows to the mode's start, then
     passes the full batches of `batch_in` rows of each read to its steps as
     k x batch_in stacks of t, x and y (k >= 1), and writes the JSON lines of
-    the records they return to the mode's output file. A finished input
-    (fit, monitor) is read up to `_BLOCK` batches at a time, stream one
-    batch at a time. Every mode flushes its records after each read, so the
+    the records they return to the mode's output file. A read takes up to
+    `_BLOCK` batches, or fewer for wide rows or a wide dictionary; once the
+    input is caught up (a stream that waits for its writer), it takes the
+    whole batches that have arrived. Stream differs from fit only in its
+    idle_timeout. Every mode flushes its records after each read, so the
     file holds every record of the reads stepped so far and no torn line: a
     reader of a stream's file sees step k before batch k + 1 arrives. A
     mode that writes more than its records (fit's errors.csv) writes it
@@ -477,11 +524,11 @@ def _drive(cfg: RunConfig, mode_cls):
     """
     if cfg.input is None or cfg.output is None:
         raise ConfigError(f"{cfg.mode} requires --input and --output")
-    stream = cfg.mode == "stream"
-    idle_timeout = cfg.idle_timeout if stream else 0.0
+    idle_timeout = cfg.idle_timeout if cfg.mode == "stream" else 0.0
     rows = _CsvBlocks(_follow_lines(cfg.input, idle_timeout))
+    n_p = column_count(rows.n_x, cfg.degree, cfg.include_bias)
     try:  # counted before the dictionary enumerates its monomials
-        cfg.recursion.check_columns(column_count(rows.n_x, cfg.degree, cfg.include_bias))
+        cfg.recursion.check_columns(n_p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     spec = DictionarySpec(
@@ -498,25 +545,21 @@ def _drive(cfg: RunConfig, mode_cls):
     mode.start(*warmup)
 
     b = cfg.batch_in
-    per_read = b
-    if not stream:
-        per_read *= max(1, min(_BLOCK, _BLOCK_CELLS // (b * rows.width)))
+    stack = mode.stacked * n_p * n_p
+    per_read = b * max(1, min(_BLOCK, _BLOCK_CELLS // (b * rows.width), _STACK_CELLS // stack))
     out = Path(cfg.output)
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name in mode.derived_names:
             (out / name).unlink(missing_ok=True)
         with open(out / mode.output_name, "w", encoding="utf-8") as fh:
-            while True:
-                read = rows.take(per_read)
+            while not rows.ended:
+                read = rows.take(per_read, b)
                 k = len(read[0]) // b
-                if not k:  # the input ended within a batch
-                    break
-                batches = [a[: k * b].reshape(k, b, *a.shape[1:]) for a in read]
-                fh.writelines(mode.steps(*batches))
-                fh.flush()
-                if len(read[0]) < per_read:
-                    break
+                if k:  # the input may end within a batch
+                    batches = [a[: k * b].reshape(k, b, *a.shape[1:]) for a in read]
+                    fh.writelines(mode.steps(*batches))
+                    fh.flush()
     except OSError as exc:
         raise InputError(str(exc)) from exc
     if rows.error is not None:
@@ -552,6 +595,7 @@ class _Fit:
     def __init__(self, cfg: RunConfig, spec: DictionarySpec, n_y: int):
         from .analyze import ErrorWriter
 
+        self.stacked = n_y  # n_p x n_p posterior blocks a batch
         self.spec = spec
         self.rconfig = cfg.recursion
         self.noise = NoiseModel(_broadcast_variances(cfg.noise_variances, n_y))
@@ -611,7 +655,7 @@ def _load_truth(cfg: RunConfig, spec: DictionarySpec, n_y: int):
     try:
         with open(path, encoding="utf-8") as fh:
             return read_truth(json.load(fh), spec, n_y)
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InputError(f"truth file {path}: {exc}") from exc
 
 
@@ -643,6 +687,7 @@ class _Monitor:
 
     output_name = "monitor.jsonl"
     derived_names = ()
+    stacked = 1  # n_p x n_p Grams a batch
 
     def __init__(self, cfg: RunConfig, spec: DictionarySpec, n_y: int):
         self.cfg = cfg

@@ -100,6 +100,18 @@ def test_malformed_config_rejected(tmp_path):
         parse(["--mode", "teleport"])
 
 
+def test_deeply_nested_config_is_a_configuration_error(tmp_path, linear_csv, capsys):
+    """A config file nested past the JSON decoder's recursion limit exits 2
+    with one line, as any other invalid JSON does."""
+    path, _ = linear_csv
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(fit_args(path, tmp_path / "fit", ["--config", str(cfg_path)])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: config file is not valid JSON: ")
+    assert err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -706,6 +718,20 @@ def test_fit_rejects_truth_of_neither_format(tmp_path, linear_csv, capsys):
     assert not out.exists()
 
 
+def test_deeply_nested_truth_is_an_input_error(tmp_path, linear_csv, capsys):
+    """A truth file nested past the JSON decoder's recursion limit exits 3
+    with one line naming it, before any output exists."""
+    path, _ = linear_csv
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    out = tmp_path / "fit"
+    cfg = write_fit_config(tmp_path, truth=str(deep))
+    assert main(fit_args(path, out, ["--config", str(cfg)])) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: truth file {deep}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_fit_rejects_lorenz_truth_of_other_terms(tmp_path, capsys):
     sim = simulate_lorenz_stream(tmp_path, t_end="2.0")
     out = tmp_path / "fit"
@@ -821,6 +847,20 @@ def test_output_naming_a_file_exits_3(tmp_path, linear_csv, capsys):
         args[1] = mode
         assert main(args) == 3, mode
         assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not Path("/proc/self/mem").exists(), reason="needs Linux /proc")
+@pytest.mark.parametrize("mode", ["fit", "stream", "monitor"])
+def test_unreadable_input_exits_3(tmp_path, capsys, mode):
+    """An input that opens but cannot be read (reading /proc/self/mem at
+    offset 0 fails with EIO) exits 3 with one line naming it."""
+    config = write_fit_config(tmp_path, idle_timeout=0.1)
+    args = ["--mode", mode, "--input", "/proc/self/mem", "--output", str(tmp_path / mode),
+            "--config", str(config)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot read /proc/self/mem: ") and err.count("\n") == 1, err
+    assert not (tmp_path / mode).exists()
 
 
 def test_unwritable_equations_exit_3(tmp_path, linear_csv, capsys, monkeypatch):
@@ -1324,55 +1364,58 @@ def test_stream_mode_tails_growing_file(tmp_path, linear_csv):
     ).read_bytes()
 
 
-def test_stream_writes_each_record_before_the_next_step(
-    tmp_path, linear_csv, monkeypatch
-):
-    """A stream run reads one batch at a time and flushes every record, so a
-    reader of steps.jsonl sees step k - 1 before step k starts."""
+def test_stream_writes_each_record_before_the_next_step(tmp_path, linear_csv, monkeypatch):
+    """On a finished file a stream takes the reads that fit takes, here of
+    two batches each, and starts each read's steps after the records of the
+    reads before it are on disk."""
+    monkeypatch.setattr(cli, "_BLOCK", 2)
     path, _ = linear_csv
-    out = tmp_path / "stream"
-    written = out / "steps.jsonl"
-    started = []
-    steps = cli._Fit.steps
-
-    def steps_after_flush(self, t, x, y):
-        if len(t):  # the read at the end of the input is empty
-            started.append(len(written.read_text().splitlines()))
-            assert started[-1] == len(started) - 1
-        return steps(self, t, x, y)
-
-    reads = []
-    take = cli._CsvBlocks.take
-
-    def recorded_take(self, k):
-        reads.append(k)
-        return take(self, k)
-
-    monkeypatch.setattr(cli._Fit, "steps", steps_after_flush)
-    monkeypatch.setattr(cli._CsvBlocks, "take", recorded_take)
     cfg = write_fit_config(tmp_path, idle_timeout=0.1)
-    args = fit_args(path, out, ["--config", str(cfg)])
-    args[1] = "stream"
-    assert main(args) == 0
-    assert len(started) == (160 - 60) // 5
-    assert reads[0] == 60 and set(reads[1:]) == {5}  # the warmup, then one batch a read
+    steps, take = cli._Fit.steps, cli._CsvBlocks.take
+    reads = {}
+
+    for mode in ("fit", "stream"):
+        out = tmp_path / mode
+        written = out / "steps.jsonl"
+        reads[mode] = []
+
+        def steps_after_flush(self, t, x, y):
+            assert len(written.read_text().splitlines()) == self.state.step_count
+            return steps(self, t, x, y)
+
+        def recorded_take(self, k, batch=None):
+            read = take(self, k, batch)
+            reads[mode].append((k, batch, len(read[0]), self.ended))
+            return read
+
+        monkeypatch.setattr(cli._Fit, "steps", steps_after_flush)
+        monkeypatch.setattr(cli._CsvBlocks, "take", recorded_take)
+        args = fit_args(path, out, ["--config", str(cfg)])
+        args[1] = mode
+        assert main(args) == 0
+        assert len(written.read_text().splitlines()) == (160 - 60) // 5
+    # (cap, batch, rows, ended): the warmup, the reads, and the one that
+    # finds the end
+    expected = [(60, None, 60, False)] + [(10, 5, 10, False)] * 10 + [(10, 5, 0, True)]
+    assert reads["fit"] == expected
+    assert reads["stream"] == expected
 
 
 @pytest.mark.parametrize("mode", ["fit", "stream", "monitor"])
 def test_each_read_is_on_disk_before_the_next(tmp_path, linear_csv, monkeypatch, mode):
     """Every mode flushes its records after each read: when a read is
     taken, the records file holds exactly the records of the reads before
-    it, here of two batches each (one in stream mode)."""
+    it, here of two batches each."""
     monkeypatch.setattr(cli, "_BLOCK", 2)
     out = tmp_path / mode
     records = out / ("monitor.jsonl" if mode == "monitor" else "steps.jsonl")
     seen = []
     take = cli._CsvBlocks.take
 
-    def take_after_reading_the_records(self, k):
+    def take_after_reading_the_records(self, k, batch=None):
         if records.exists():  # it is created after the warmup is taken
             seen.append(records.read_bytes())
-        return take(self, k)
+        return take(self, k, batch)
 
     monkeypatch.setattr(cli._CsvBlocks, "take", take_after_reading_the_records)
     path, _ = linear_csv
@@ -1380,10 +1423,101 @@ def test_each_read_is_on_disk_before_the_next(tmp_path, linear_csv, monkeypatch,
     args[1] = mode
     assert main(args) == 0
     lines = records.read_bytes().splitlines(keepends=True)
-    per_read = 1 if mode == "stream" else 2
     assert len(lines) == (160 - 60) // 5
-    assert seen == [b"".join(lines[: per_read * i]) for i in range(len(seen))]
-    assert len(seen) == len(lines) // per_read + 1  # and the read that finds the end
+    assert seen == [b"".join(lines[: 2 * i]) for i in range(len(seen))]
+    assert len(seen) == len(lines) // 2 + 1  # and the read that finds the end
+
+
+def test_stream_steps_each_batch_as_it_arrives(tmp_path, ci_stream):
+    """A writer appends the CI stream one batch at a time, then a batch and
+    a half, pauses, then the rest at once. The stream writes each batch's
+    record before the next batch is appended, keeps the half batch for the
+    rows that complete it, and writes the steps.jsonl and errors.csv of a
+    fit of the whole file."""
+    data, _ = ci_stream
+    lines = data.read_text().splitlines(keepends=True)
+    live = tmp_path / "live" / "data.csv"
+    live.parent.mkdir()
+    (live.parent / "truth.json").write_bytes((data.parent / "truth.json").read_bytes())
+    window, b = 100, 4
+    live.write_text("".join(lines[: 1 + window]))
+    records = tmp_path / "stream" / "steps.jsonl"
+    seen = []  # the records on disk before each append after the first
+
+    def count_records(want, wait=10.0):
+        deadline = time.monotonic() + wait
+        while time.monotonic() < deadline:
+            if records.exists() and len(records.read_bytes().splitlines()) >= want:
+                break
+            time.sleep(0.01)
+        return len(records.read_bytes().splitlines()) if records.exists() else 0
+
+    def append(rows):
+        with open(live, "a") as fh:
+            fh.writelines(rows)
+
+    def writer():
+        start = 1 + window
+        for i in range(3):  # one batch at a time
+            append(lines[start : start + b])
+            start += b
+            seen.append(count_records(i + 1))
+        append(lines[start : start + b + b // 2])  # a batch and a half
+        start += b + b // 2
+        seen.append(count_records(4))
+        time.sleep(0.3)  # the pause: six polls that find no new line
+        seen.append(count_records(5, wait=0.0))  # the half batch is not stepped
+        append(lines[start:])
+
+    config = tmp_path / "stream.json"
+    config.write_text(json.dumps({"idle_timeout": 1.0}))
+    run = ["--window", str(window), "--batch-in", str(b), "--forget", str(b),
+           "--config", str(config)]
+    thread = threading.Thread(target=writer)
+    thread.start()
+    code = main(["--mode", "stream", "--input", str(live),
+                 "--output", str(records.parent)] + run)
+    thread.join(timeout=30)
+    assert not thread.is_alive() and code == 0
+    assert seen == [1, 2, 3, 4, 4]
+    fit = tmp_path / "fit"
+    assert main(["--mode", "fit", "--input", str(data), "--output", str(fit)] + run) == 0
+    assert len((fit / "steps.jsonl").read_bytes().splitlines()) == (301 - window) // b
+    for name in ("steps.jsonl", "errors.csv"):
+        assert (records.parent / name).read_bytes() == (fit / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("mode, batches", [("fit", 3), ("monitor", 9)])
+def test_wide_dictionary_reads_stay_within_the_stack_cap(
+    tmp_path, ci_stream, monkeypatch, mode, batches
+):
+    """A read stacks at most _STACK_CELLS cells of n_p x n_p matrices: on
+    the CI stream at degree 6 (n_p = 84) a fit, which stacks three posterior
+    blocks a batch, reads 3 batches at a time and a monitor, which stacks
+    one Gram, 9; both write the bytes of one batch a read."""
+    data, config = ci_stream
+    n_p, stacked = 84, 3 if mode == "fit" else 1
+    assert batches * stacked * n_p**2 <= cli._STACK_CELLS < (batches + 1) * stacked * n_p**2
+    take = cli._CsvBlocks.take
+    caps, records = [], []
+
+    def recorded_take(self, k, batch=None):
+        caps.append(k)
+        return take(self, k, batch)
+
+    monkeypatch.setattr(cli._CsvBlocks, "take", recorded_take)
+    name = "monitor.jsonl" if mode == "monitor" else "steps.jsonl"
+    for block in (cli._BLOCK, 1):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        out = tmp_path / str(block)
+        caps.clear()
+        assert main(["--mode", mode, "--input", str(data), "--output", str(out),
+                     "--window", "150", "--batch-in", "1", "--degree", "6",
+                     "--theta-mode", "fixed"]) == 0
+        assert set(caps[1:]) == {min(block, batches)}
+        records.append((out / name).read_bytes())
+    assert len(records[0].splitlines()) == 301 - 150
+    assert records[0] == records[1]
 
 
 class FakeClock:
@@ -1407,7 +1541,8 @@ def test_stream_idle_timeout_uses_elapsed_time(tmp_path, monkeypatch):
     path.write_text("t,x1,y1\n0.0,1.0,2.0\n1.0,1.5")  # last line still torn
     clock = FakeClock(overshoot=8.0)
     monkeypatch.setattr(cli, "time", clock)
-    lines = list(cli._follow_lines(str(path), idle_timeout=1.0, poll=0.05))
+    drains = cli._follow_lines(str(path), idle_timeout=1.0, poll=0.05)
+    lines = [line for drain in drains for line in drain]
     assert lines == ["t,x1,y1\n", "0.0,1.0,2.0\n", "1.0,1.5"]
     # each 0.05 s poll lasts 0.4 s, so 1 s of idleness takes 3 polls, not 20
     assert clock.sleeps == 3
